@@ -1,0 +1,206 @@
+package block
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+)
+
+// The frame. Both formats are a sequence of blocks, each a 24-byte
+// little-endian header and a compressed payload:
+//
+//	magic [4]byte · compLen u32 · rawLen u32 · count u32 · firstUS i64
+//
+// compLen payload bytes follow and decode to exactly rawLen bytes holding
+// count records, the first stamped firstUS; what they mean is the record
+// layer's business. A stream ends cleanly only on a block boundary.
+const (
+	HeaderLen = 24
+	// Target is the raw size at which writers flush a block, mirroring
+	// jigdump's 64 KB reads.
+	Target = 64 * 1024
+	// MaxLen bounds the compressed and raw size a header may claim: blocks
+	// flush around Target plus one record, and honoring a corrupt or hostile
+	// header would turn 24 bytes into a multi-gigabyte allocation.
+	MaxLen = 1 << 26
+)
+
+// Header is what a written block's frame said about it.
+type Header struct {
+	CompLen, RawLen, Count int32
+	FirstUS                int64
+}
+
+// Writer accumulates one block of records and emits it framed and
+// compressed. The record layer appends each record's bytes to Raw and then
+// calls Commit. All storage — Raw, the compressed scratch, the codec's Table
+// (allocated at the first flush) — is reused for every block, so a
+// steady-state flush allocates nothing. Not safe for concurrent use.
+type Writer struct {
+	Raw []byte // the pending block's records
+
+	w       io.Writer
+	magic   [4]byte
+	count   int32
+	firstUS int64
+	hdr     [HeaderLen]byte // a field, so handing it to Write allocates nothing
+	comp    []byte
+	tbl     *Table
+}
+
+// NewWriter returns a block writer emitting to w under the given magic.
+func NewWriter(w io.Writer, magic [4]byte) *Writer { return &Writer{w: w, magic: magic} }
+
+// Commit counts the bytes appended to Raw since the last call as one
+// record stamped us, and reports whether the block has reached Target and
+// should be flushed.
+func (w *Writer) Commit(us int64) bool {
+	if w.count == 0 {
+		w.firstUS = us
+	}
+	w.count++
+	return len(w.Raw) >= Target
+}
+
+// Flush compresses and emits the pending block and returns its header; an
+// empty block emits nothing and returns the zero Header.
+func (w *Writer) Flush() (Header, error) {
+	if w.count == 0 {
+		return Header{}, nil
+	}
+	if w.tbl == nil {
+		w.tbl = new(Table)
+	}
+	w.comp = Compress(w.comp, w.Raw, w.tbl)
+	h := Header{CompLen: int32(len(w.comp)), RawLen: int32(len(w.Raw)), Count: w.count, FirstUS: w.firstUS}
+	copy(w.hdr[0:4], w.magic[:])
+	binary.LittleEndian.PutUint32(w.hdr[4:8], uint32(h.CompLen))
+	binary.LittleEndian.PutUint32(w.hdr[8:12], uint32(h.RawLen))
+	binary.LittleEndian.PutUint32(w.hdr[12:16], uint32(h.Count))
+	binary.LittleEndian.PutUint64(w.hdr[16:24], uint64(h.FirstUS))
+	if _, err := w.w.Write(w.hdr[:]); err != nil {
+		return Header{}, err
+	}
+	if _, err := w.w.Write(w.comp); err != nil {
+		return Header{}, err
+	}
+	w.Raw, w.count = w.Raw[:0], 0
+	return h, nil
+}
+
+// grow returns b resized to n, replacing storage that is too small — with
+// headroom, so blocks that differ in size by a record settle on one buffer.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n, n+n/8)
+	}
+	return b[:n]
+}
+
+// Slicer is implemented by inputs that can expose the next n bytes of the
+// stream as a zero-copy view valid until the input is closed (mapped files,
+// in-memory buffers). Reader decodes straight out of such a view.
+type Slicer interface {
+	Slice(n int) ([]byte, error)
+}
+
+// Reader walks a stream's records: it decodes one block at a time into a
+// reused buffer and keeps the record layer's place in it. The first error,
+// the block layer's or one the record layer reports with Fail, is returned
+// from then on.
+type Reader struct {
+	r      io.Reader
+	sl     Slicer // non-nil when r supports zero-copy block reads
+	magic  [4]byte
+	format string          // prefixes the block layer's errors: "tracefile", "hmerge"
+	hdr    [HeaderLen]byte // a field, so handing it to ReadFull allocates nothing
+	comp   []byte          // reused compressed-block staging (unused with a Slicer)
+	raw    []byte          // reused decoded block
+	rest   []byte          // what the record layer has not consumed of raw
+	err    error
+}
+
+// NewReader returns a block reader over r expecting the given magic.
+func NewReader(r io.Reader, magic [4]byte, format string) *Reader {
+	t := &Reader{r: r, magic: magic, format: format}
+	t.sl, _ = r.(Slicer)
+	return t
+}
+
+// Rest returns the unconsumed bytes of the current block, decoding the next
+// block first when there are none; they stay valid until the Rest call
+// after they are all skipped. io.EOF, returned bare, means the stream
+// ended on a block boundary.
+func (t *Reader) Rest() ([]byte, error) {
+	for len(t.rest) == 0 && t.err == nil {
+		if t.rest, t.err = t.next(); t.err != nil && t.err != io.EOF {
+			t.err = fmt.Errorf("%s: %w", t.format, t.err)
+		}
+	}
+	return t.rest, t.err
+}
+
+// Skip consumes n bytes of what Rest returned.
+func (t *Reader) Skip(n int) { t.rest = t.rest[n:] }
+
+// Fail makes err the reader's permanent state and returns it.
+func (t *Reader) Fail(err error) error {
+	t.rest, t.err = nil, err
+	return err
+}
+
+// ErrVersion marks a file in a format version this release does not read
+// (a DEFLATE-era .jig or .jfs). There is no fallback reader.
+var ErrVersion = errors.New("unsupported format version; regenerate the file with this release")
+
+// CheckMagic compares four bytes read from a file with the magic expected
+// there. A magic's last byte is the format's version, so a mismatch in it
+// alone is ErrVersion.
+func CheckMagic(got, want [4]byte) error {
+	switch {
+	case got == want:
+		return nil
+	case [3]byte(got[:3]) == [3]byte(want[:3]):
+		return fmt.Errorf("magic %q, want %q: %w", string(got[:]), string(want[:]), ErrVersion)
+	}
+	return fmt.Errorf("bad magic %q", string(got[:]))
+}
+
+// next reads and decodes the next block. Claimed lengths are capped before
+// anything is allocated, and the payload must decode to exactly rawLen.
+func (t *Reader) next() ([]byte, error) {
+	bh := t.hdr[:]
+	if _, err := io.ReadFull(t.r, bh); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("truncated block header: %w", err)
+		}
+		return nil, err
+	}
+	if err := CheckMagic([4]byte(bh[0:4]), t.magic); err != nil {
+		return nil, err
+	}
+	compLen := binary.LittleEndian.Uint32(bh[4:8])
+	rawLen := binary.LittleEndian.Uint32(bh[8:12])
+	// No payload expands more than 255×: a length byte buys at most 255.
+	if compLen > MaxLen || rawLen > MaxLen || uint64(rawLen) > 255*uint64(compLen) {
+		return nil, fmt.Errorf("block header claims %d/%d bytes", compLen, rawLen)
+	}
+	var comp []byte
+	var err error
+	if t.sl != nil {
+		comp, err = t.sl.Slice(int(compLen))
+	} else {
+		t.comp = grow(t.comp, int(compLen))
+		comp = t.comp
+		_, err = io.ReadFull(t.r, comp)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("truncated block: %w", err)
+	}
+	t.raw = grow(t.raw, int(rawLen))
+	if err := Decompress(t.raw, comp); err != nil {
+		return nil, fmt.Errorf("%d-byte payload is not the %d bytes its header claims: %w", compLen, rawLen, err)
+	}
+	return t.raw, nil
+}

@@ -2,7 +2,6 @@ package hmerge
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,28 +30,6 @@ type BootstrapMeta struct {
 	// accounting through to campus-level reports.
 	RefFrames  int
 	Candidates int
-}
-
-// bootstrapMetaFrom converts a bootstrap result to sidecar form.
-func bootstrapMetaFrom(r *timesync.Result) BootstrapMeta {
-	return BootstrapMeta{
-		OffsetUS:   r.OffsetUS,
-		Root:       r.Root,
-		Unsynced:   r.Unsynced,
-		RefFrames:  r.RefFrames,
-		Candidates: r.Candidates,
-	}
-}
-
-// Result converts the sidecar form back to a timesync.Result.
-func (m BootstrapMeta) Result() *timesync.Result {
-	return &timesync.Result{
-		OffsetUS:   m.OffsetUS,
-		Root:       m.Root,
-		Unsynced:   m.Unsynced,
-		RefFrames:  m.RefFrames,
-		Candidates: m.Candidates,
-	}
 }
 
 // Meta is the intermediate stream's metadata sidecar: everything the global
@@ -198,14 +175,14 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 	// a hard error from WriteJFrame rather than a corrupt stream. Ties
 	// release in emission order, keeping the stream deterministic.
 	slackUS := reorderSlackFactor * cfg.Unify.SearchWindowUS
-	var rh reorderHeap
+	var rh usHeap[*unify.JFrame] // tie: emission sequence
 	flush := func(limitUS int64) error {
-		for rh.Len() > 0 && rh[0].j.UnivUS <= limitUS {
-			it := heap.Pop(&rh).(reorderItem)
-			err := wtr.WriteJFrame(it.j)
+		for len(rh) > 0 && rh[0].us <= limitUS {
+			j := rh.popMin().v
+			err := wtr.WriteJFrame(j)
 			// The heap held the unifier's reference; the writer has copied
 			// everything it needs, so the frame recycles here.
-			it.j.Release()
+			j.Release()
 			if err != nil {
 				return err
 			}
@@ -222,7 +199,7 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		if err != nil {
 			return nil, fmt.Errorf("hmerge: unify: %w", err)
 		}
-		heap.Push(&rh, reorderItem{j: j, seq: seq})
+		rh.push(usItem[*unify.JFrame]{us: j.UnivUS, tie: seq, v: j})
 		seq++
 		if j.UnivUS > maxUS {
 			maxUS = j.UnivUS
@@ -246,7 +223,7 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		FirstUnivUS: wtr.FirstUnivUS,
 		LastUnivUS:  wtr.WatermarkUS,
 		Unify:       u.Stats,
-		Bootstrap:   bootstrapMetaFrom(boot),
+		Bootstrap:   BootstrapMeta(*boot),
 	}, nil
 }
 
@@ -255,34 +232,6 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 // The unifier's inversion bound is about one search window; 16 leaves a
 // wide margin at bounded memory (≤ 16 windows of jframes in flight).
 const reorderSlackFactor = 16
-
-// reorderItem is one buffered jframe awaiting release in UnivUS order;
-// seq breaks timestamp ties by emission order.
-type reorderItem struct {
-	j   *unify.JFrame
-	seq int64
-}
-
-// reorderHeap is a min-heap by (UnivUS, emission sequence).
-type reorderHeap []reorderItem
-
-func (h reorderHeap) Len() int { return len(h) }
-func (h reorderHeap) Less(i, k int) bool {
-	if h[i].j.UnivUS != h[k].j.UnivUS {
-		return h[i].j.UnivUS < h[k].j.UnivUS
-	}
-	return h[i].seq < h[k].seq
-}
-func (h reorderHeap) Swap(i, k int) { h[i], h[k] = h[k], h[i] }
-func (h *reorderHeap) Push(x any)   { *h = append(*h, x.(reorderItem)) }
-func (h *reorderHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = reorderItem{}
-	*h = old[:n-1]
-	return it
-}
 
 // UnifyDir is Unify over a trace directory, writing the stream to outPath
 // and its metadata sidecar next to it. The stream is labeled with the
@@ -315,22 +264,6 @@ func UnifyDir(srcDir, outPath string, clockGroups [][]int32, cfg UnifyConfig) (*
 	}
 	return meta, nil
 }
-
-// openBuffered opens a stream file fronted by a read buffer.
-func openBuffered(path string) (io.ReadCloser, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &bufReadCloser{Reader: bufio.NewReaderSize(f, 128*1024), c: f}, nil
-}
-
-type bufReadCloser struct {
-	*bufio.Reader
-	c io.Closer
-}
-
-func (b *bufReadCloser) Close() error { return b.c.Close() }
 
 // buildSource adapts one TraceSet radio to unify.Source, mirroring core's
 // reader source: lazy open (the unifier never opens unsynchronized radios),

@@ -18,22 +18,31 @@
 // the Writer enforces at encode time. core.RunHierarchical drives the
 // ordinary reconstruction/transport/pass pipeline over that sequence.
 //
-// The container mirrors the tracefile format's: DEFLATE blocks around a
-// 64 KB raw target, each with a length-checked header, so the reader
-// streams one block at a time and a corrupt or hostile header cannot demand
-// unbounded allocation.
+// The container and codec are internal/block's, shared with the tracefile
+// format: an LZO-class byte LZ, as the paper's jigdump, in blocks around a
+// 64 KB raw target behind a length-checked 24-byte frame (magic "JFSB",
+// compLen, rawLen, jframe count, first UnivUS), so the reader streams one
+// block at a time and no header can demand unbounded allocation. A stream
+// is the 8 bytes "JFS1", version (2), three zeros, then blocks; a block's
+// raw bytes are jframes back to back, little-endian:
+//
+//	flags u8 · channel u8 · rate u16 · wireLen u16 · nWire u16 · nInst u16 ·
+//	univUS i64 · dispersionUS i64 · wire [nWire]byte ·
+//	nInst × (radio i32 · localUS i64 · univUS i64 · rssi i8 · flags u8)
+//
+// Version 1 streams (the same jframes under DEFLATE) are rejected with
+// block.ErrVersion, not read.
 package hmerge
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"repro/internal/block"
 	"repro/internal/dot80211"
-	"repro/internal/flatepool"
 	"repro/internal/unify"
 )
 
@@ -44,6 +53,9 @@ var (
 	streamMagic = [4]byte{'J', 'F', 'S', '1'}
 	blockMagic  = [4]byte{'J', 'F', 'S', 'B'}
 )
+
+// streamVersion is the stream header's version byte; 1 was the DEFLATE codec.
+const streamVersion = 2
 
 // jframe record flags.
 const (
@@ -57,21 +69,12 @@ const (
 	instPhyErr uint8 = 1 << 1
 )
 
-// recHdrLen is the fixed per-jframe header: flags u8, channel u8, rate u16,
-// wireLen u16, nWire u16, nInst u16, univUS i64, dispersionUS i64.
-const recHdrLen = 26
-
-// instLen is one serialized instance: radio i32, localUS i64, univUS i64,
-// rssi i8, flags u8.
-const instLen = 22
-
-// blockTarget is the uncompressed block size at which the writer flushes,
-// matching the tracefile format's 64 KB blocks.
-const blockTarget = 64 * 1024
-
-// maxBlockLen bounds the compressed and uncompressed size a block header
-// may claim; legitimate blocks flush around blockTarget plus one record.
-const maxBlockLen = 1 << 26
+// recHdrLen and instLen are the fixed-size parts of the layout in the
+// package comment: a jframe up to its wire bytes, and one instance.
+const (
+	recHdrLen = 26
+	instLen   = 22
+)
 
 // instPrealloc caps the instance-slice preallocation per record: a jframe
 // cannot have more instances than radios that heard it, so anything beyond
@@ -83,16 +86,11 @@ const instPrealloc = 256
 // only correct over sorted inputs; an out-of-order write is a bug in the
 // producer, reported as an error rather than silently breaking the merge.
 type Writer struct {
-	w       io.Writer
-	buf     bytes.Buffer
-	comp    bytes.Buffer // reused compressed-block scratch
-	count   int32
-	firstUS int64
-	lastUS  int64
-	started bool
-	closed  bool
-	// JFrames and WatermarkUS accumulate over the whole stream for the
-	// metadata sidecar: total records and the last (= maximum) UnivUS.
+	bw     *block.Writer
+	closed bool
+	// JFrames, FirstUnivUS and WatermarkUS accumulate over the whole stream
+	// for the metadata sidecar: total records, the first UnivUS and the
+	// last (= maximum) one.
 	JFrames     int64
 	FirstUnivUS int64
 	WatermarkUS int64
@@ -102,11 +100,11 @@ type Writer struct {
 func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [8]byte
 	copy(hdr[0:4], streamMagic[:])
-	hdr[4] = 1 // version
+	hdr[4] = streamVersion
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("hmerge: stream header: %w", err)
 	}
-	return &Writer{w: w}, nil
+	return &Writer{bw: block.NewWriter(w, blockMagic)}, nil
 }
 
 // WriteJFrame appends one jframe, flushing a block when the target size is
@@ -115,25 +113,19 @@ func (w *Writer) WriteJFrame(j *unify.JFrame) error {
 	if w.closed {
 		return errors.New("hmerge: writer closed")
 	}
-	if w.started && j.UnivUS < w.lastUS {
+	if w.JFrames > 0 && j.UnivUS < w.WatermarkUS {
 		return fmt.Errorf("hmerge: out-of-order jframe: %d after %d (stream must be sorted by UnivUS)",
-			j.UnivUS, w.lastUS)
+			j.UnivUS, w.WatermarkUS)
 	}
 	if len(j.Wire) > int(^uint16(0)) || len(j.Instances) > int(^uint16(0)) || j.WireLen > int(^uint16(0)) {
 		return fmt.Errorf("hmerge: jframe exceeds format limits (wire %d, instances %d)",
 			len(j.Wire), len(j.Instances))
 	}
-	if !w.started {
-		w.started = true
+	if w.JFrames == 0 {
 		w.FirstUnivUS = j.UnivUS
 	}
-	w.lastUS = j.UnivUS
 	w.WatermarkUS = j.UnivUS
 	w.JFrames++
-
-	if w.count == 0 {
-		w.firstUS = j.UnivUS
-	}
 	var flags uint8
 	if j.Valid {
 		flags |= flagValid
@@ -141,23 +133,15 @@ func (w *Writer) WriteJFrame(j *unify.JFrame) error {
 	if j.PhyOnly {
 		flags |= flagPhyOnly
 	}
-	var hdr [recHdrLen]byte
-	hdr[0] = flags
-	hdr[1] = uint8(j.Channel)
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(j.Rate))
-	binary.LittleEndian.PutUint16(hdr[4:6], uint16(j.WireLen))
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(j.Wire)))
-	binary.LittleEndian.PutUint16(hdr[8:10], uint16(len(j.Instances)))
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(j.UnivUS))
-	binary.LittleEndian.PutUint64(hdr[18:26], uint64(j.DispersionUS))
-	w.buf.Write(hdr[:])
-	w.buf.Write(j.Wire)
+	b := append(w.bw.Raw, flags, uint8(j.Channel))
+	b = binary.LittleEndian.AppendUint16(b, uint16(j.Rate))
+	b = binary.LittleEndian.AppendUint16(b, uint16(j.WireLen))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(j.Wire)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(j.Instances)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(j.UnivUS))
+	b = binary.LittleEndian.AppendUint64(b, uint64(j.DispersionUS))
+	b = append(b, j.Wire...)
 	for _, in := range j.Instances {
-		var ib [instLen]byte
-		binary.LittleEndian.PutUint32(ib[0:4], uint32(in.Radio))
-		binary.LittleEndian.PutUint64(ib[4:12], uint64(in.LocalUS))
-		binary.LittleEndian.PutUint64(ib[12:20], uint64(in.UnivUS))
-		ib[20] = uint8(in.RSSIdBm)
 		var iflags uint8
 		if in.FCSOK {
 			iflags |= instFCSOK
@@ -165,45 +149,16 @@ func (w *Writer) WriteJFrame(j *unify.JFrame) error {
 		if in.PhyErr {
 			iflags |= instPhyErr
 		}
-		ib[21] = iflags
-		w.buf.Write(ib[:])
+		b = binary.LittleEndian.AppendUint32(b, uint32(in.Radio))
+		b = binary.LittleEndian.AppendUint64(b, uint64(in.LocalUS))
+		b = binary.LittleEndian.AppendUint64(b, uint64(in.UnivUS))
+		b = append(b, uint8(in.RSSIdBm), iflags)
 	}
-	w.count++
-	if w.buf.Len() >= blockTarget {
-		return w.flushBlock()
-	}
-	return nil
-}
-
-// flushBlock compresses and emits the pending block.
-func (w *Writer) flushBlock() error {
-	if w.count == 0 {
-		return nil
-	}
-	w.comp.Reset()
-	fw := flatepool.GetWriter(&w.comp)
-	if _, err := fw.Write(w.buf.Bytes()); err != nil {
+	w.bw.Raw = b
+	if w.bw.Commit(j.UnivUS) {
+		_, err := w.bw.Flush()
 		return err
 	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	flatepool.PutWriter(fw)
-	comp := &w.comp
-	var bh [24]byte
-	copy(bh[0:4], blockMagic[:])
-	binary.LittleEndian.PutUint32(bh[4:8], uint32(comp.Len()))
-	binary.LittleEndian.PutUint32(bh[8:12], uint32(w.buf.Len()))
-	binary.LittleEndian.PutUint32(bh[12:16], uint32(w.count))
-	binary.LittleEndian.PutUint64(bh[16:24], uint64(w.firstUS))
-	if _, err := w.w.Write(bh[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(comp.Bytes()); err != nil {
-		return err
-	}
-	w.buf.Reset()
-	w.count = 0
 	return nil
 }
 
@@ -213,7 +168,8 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	return w.flushBlock()
+	_, err := w.bw.Flush()
+	return err
 }
 
 // Reader iterates jframes from an intermediate stream. Frames are
@@ -223,149 +179,67 @@ func (w *Writer) Close() error {
 //
 // Returned frames are pooled (unify.NewJFrame) and OWNED by the caller,
 // who must Release each one — the .jfs decode path participates in the
-// same frame lifecycle as the live unifier. The reader's block buffers
-// are reused across blocks; every frame's wire bytes are copied into the
+// same frame lifecycle as the live unifier. The reader's block buffer is
+// reused across blocks; every frame's wire bytes are copied into the
 // frame's own storage, so frames are independent of the reader.
 type Reader struct {
-	r       io.Reader
-	comp    []byte       // reused compressed-block buffer
-	compRd  bytes.Reader // reused reader over comp
-	raw     []byte       // reused decompressed-block buffer
-	pos     int          // parse cursor into raw
-	fr      io.ReadCloser
-	started bool
-	lastUS  int64
-	haveUS  bool
-	err     error
+	br     *block.Reader
+	lastUS int64 // the format's contract, enforced on read too: sorted by UnivUS
 }
 
 // NewReader wraps an intermediate stream for iteration.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// retire returns the pooled decompressor once the stream has ended; the
-// reader is latched on t.err by then.
-func (t *Reader) retire() {
-	flatepool.PutReader(t.fr)
-	t.fr = nil
+func NewReader(r io.Reader) *Reader {
+	t := &Reader{br: block.NewReader(r, blockMagic, "hmerge"), lastUS: math.MinInt64}
+	// The stream header is read here; what is wrong with it is reported by
+	// Next, like any other error.
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err == io.ErrUnexpectedEOF || err == io.EOF {
+		t.br.Fail(fmt.Errorf("hmerge: truncated stream header: %w", io.ErrUnexpectedEOF))
+	} else if err != nil {
+		t.br.Fail(err)
+	} else if [4]byte(hdr[0:4]) != streamMagic {
+		t.br.Fail(errors.New("hmerge: bad stream magic"))
+	} else if hdr[4] != streamVersion {
+		t.br.Fail(fmt.Errorf("hmerge: stream version %d, want %d: %w", hdr[4], streamVersion, block.ErrVersion))
+	}
+	return t
 }
 
 // Next returns the next jframe. io.EOF signals a clean end of stream; any
 // other error is a corrupt stream (intermediate files are pipeline-owned,
-// so unlike a dead monitor radio this is fatal, not droppable).
+// so unlike a dead monitor radio this is fatal, not droppable) and is
+// returned again by every later call.
 func (t *Reader) Next() (*unify.JFrame, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	if !t.started {
-		if err := t.readStreamHeader(); err != nil {
-			t.err = err
-			return nil, err
-		}
-		t.started = true
-	}
-	for t.pos >= len(t.raw) {
-		if err := t.loadBlock(); err != nil {
-			t.err = err
-			t.retire()
-			return nil, err
-		}
-	}
-	j, err := t.decodeRecord()
+	b, err := t.br.Rest()
 	if err != nil {
-		t.err = err
-		t.retire()
 		return nil, err
 	}
-	// The format's contract: streams are sorted. Enforce on read too, so a
-	// corrupted stream cannot silently break the k-way merge's ordering.
-	if t.haveUS && j.UnivUS < t.lastUS {
-		t.err = fmt.Errorf("hmerge: stream out of order: %d after %d", j.UnivUS, t.lastUS)
-		j.Release()
-		t.retire()
-		return nil, t.err
+	j, n := decodeRecord(b)
+	if j == nil {
+		return nil, t.br.Fail(fmt.Errorf("hmerge: corrupt block: %w", io.ErrUnexpectedEOF))
 	}
-	t.lastUS, t.haveUS = j.UnivUS, true
+	t.br.Skip(n)
+	// A corrupted stream must not silently break the k-way merge's ordering.
+	if j.UnivUS < t.lastUS {
+		j.Release()
+		return nil, t.br.Fail(fmt.Errorf("hmerge: stream out of order: %d after %d", j.UnivUS, t.lastUS))
+	}
+	t.lastUS = j.UnivUS
 	return j, nil
 }
 
-func (t *Reader) readStreamHeader() error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return fmt.Errorf("hmerge: truncated stream header: %w", io.ErrUnexpectedEOF)
-		}
-		return err
-	}
-	if [4]byte(hdr[0:4]) != streamMagic {
-		return errors.New("hmerge: bad stream magic")
-	}
-	if hdr[4] != 1 {
-		return fmt.Errorf("hmerge: unsupported stream version %d", hdr[4])
-	}
-	return nil
-}
-
-// loadBlock reads and decompresses the next block, with the tracefile
-// reader's hardening: claimed lengths are capped, decompression is bounded
-// by the claimed raw length and must hit it exactly.
-func (t *Reader) loadBlock() error {
-	var bh [24]byte
-	if _, err := io.ReadFull(t.r, bh[:]); err != nil {
-		// A clean end of stream lands exactly on a block boundary (zero
-		// bytes read); a partial header is a truncated file.
-		if err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("hmerge: truncated block header: %w", err)
-		}
-		return err
-	}
-	if [4]byte(bh[0:4]) != blockMagic {
-		return errors.New("hmerge: bad block magic")
-	}
-	compLen := binary.LittleEndian.Uint32(bh[4:8])
-	rawLen := binary.LittleEndian.Uint32(bh[8:12])
-	if compLen > maxBlockLen || rawLen > maxBlockLen {
-		return fmt.Errorf("hmerge: block header claims %d/%d bytes", compLen, rawLen)
-	}
-	if cap(t.comp) < int(compLen) {
-		t.comp = make([]byte, compLen)
-	}
-	comp := t.comp[:compLen]
-	if _, err := io.ReadFull(t.r, comp); err != nil {
-		return fmt.Errorf("hmerge: truncated block: %w", err)
-	}
-	t.compRd.Reset(comp)
-	if t.fr == nil {
-		t.fr = flatepool.GetReader(&t.compRd)
-	} else if err := t.fr.(flate.Resetter).Reset(&t.compRd, nil); err != nil {
-		return fmt.Errorf("hmerge: decompress: %w", err)
-	}
-	if cap(t.raw) < int(rawLen) {
-		t.raw = make([]byte, rawLen)
-	}
-	t.raw = t.raw[:rawLen]
-	if _, err := io.ReadFull(t.fr, t.raw); err != nil {
-		return fmt.Errorf("hmerge: decompress: %w", err)
-	}
-	// The decompressor must land exactly on the claimed length.
-	var probe [1]byte
-	if n, _ := t.fr.Read(probe[:]); n != 0 {
-		return fmt.Errorf("hmerge: block decompressed past %d claimed bytes", rawLen)
-	}
-	t.pos = 0
-	return nil
-}
-
-func (t *Reader) decodeRecord() (*unify.JFrame, error) {
-	b := t.raw[t.pos:]
+// decodeRecord parses the jframe at the head of b and returns it with the
+// bytes it took, or nil when b ends inside it.
+func decodeRecord(b []byte) (*unify.JFrame, int) {
 	if len(b) < recHdrLen {
-		return nil, fmt.Errorf("hmerge: corrupt block: %w", io.ErrUnexpectedEOF)
+		return nil, 0
 	}
 	hdr := b[:recHdrLen]
 	flags := hdr[0]
 	nWire := int(binary.LittleEndian.Uint16(hdr[6:8]))
 	nInst := int(binary.LittleEndian.Uint16(hdr[8:10]))
 	if len(b) < recHdrLen+nWire+nInst*instLen {
-		return nil, fmt.Errorf("hmerge: corrupt block: %w", io.ErrUnexpectedEOF)
+		return nil, 0
 	}
 	j := unify.NewJFrame()
 	j.Channel = dot80211.Channel(hdr[1])
@@ -397,7 +271,6 @@ func (t *Reader) decodeRecord() (*unify.JFrame, error) {
 			PhyErr:  ib[21]&instPhyErr != 0,
 		})
 	}
-	t.pos += recHdrLen + nWire + nInst*instLen
 	// Re-derive the decoded header exactly as the unifier does at emission:
 	// partial decodes are kept (Valid already records whether the decode
 	// succeeded on a FCS-valid capture), phy-only events carry no frame.
@@ -405,5 +278,5 @@ func (t *Reader) decodeRecord() (*unify.JFrame, error) {
 		f, _, _ := dot80211.DecodeCapture(j.Wire)
 		j.Frame = f
 	}
-	return j, nil
+	return j, recHdrLen + nWire + nInst*instLen
 }

@@ -2,13 +2,18 @@ package hmerge
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/dot80211"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -372,5 +377,115 @@ func TestUnifyDirDeterminism(t *testing.T) {
 	}
 	if lastUS != s.Meta.LastUnivUS {
 		t.Fatalf("stream watermark %d, sidecar claims %d", lastUS, s.Meta.LastUnivUS)
+	}
+}
+
+// TestV1Rejected: a version-1 (DEFLATE) stream is refused at its header
+// with the version error — there is no fallback reader.
+func TestV1Rejected(t *testing.T) {
+	var raw [recHdrLen]byte // one phy-only jframe at UnivUS 0
+	raw[0] = flagPhyOnly
+	var comp bytes.Buffer
+	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte("JFS1\x01\x00\x00\x00JFSB")
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(comp.Len()))
+	v1 = binary.LittleEndian.AppendUint32(v1, recHdrLen)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 0)
+	v1 = append(v1, comp.Bytes()...)
+	r := NewReader(bytes.NewReader(v1))
+	if _, err := r.Next(); !errors.Is(err, block.ErrVersion) {
+		t.Errorf("v1 stream: got %v, want block.ErrVersion", err)
+	}
+	if _, err := r.Next(); !errors.Is(err, block.ErrVersion) {
+		t.Errorf("version error not sticky: %v", err)
+	}
+}
+
+// TestSteadyStateAllocs: the codec state lives in the Writer and Reader,
+// so once each has handled a block, further jframes — through several more
+// blocks — allocate nothing: the writer appends into reused storage, and
+// the reader's frames come from and go back to the unify pool.
+func TestSteadyStateAllocs(t *testing.T) {
+	frames := synthFrames(6000, 11) // several blocks
+	stream, _ := encodeStream(t, frames)
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := int64(0)
+	// One run after AllocsPerRun's own warm-up run: an exact count.
+	if n := testing.AllocsPerRun(1, func() {
+		for _, j := range frames {
+			// Keep the concatenated passes sorted.
+			f := *j
+			f.UnivUS += us
+			if err := w.WriteJFrame(&f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		us += frames[len(frames)-1].UnivUS
+	}); n != 0 {
+		t.Errorf("WriteJFrame: %v allocs per %d jframes, want 0", n, len(frames))
+	}
+
+	if raceEnabled {
+		return
+	}
+	r := NewReader(bytes.NewReader(stream))
+	if n := testing.AllocsPerRun(1, func() { // warm-up and run read half each
+		for i := 0; i < len(frames)/2; i++ {
+			j, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Release()
+		}
+	}); n != 0 {
+		t.Errorf("Reader.Next: %v allocs per %d jframes, want 0", n, len(frames)/2)
+	}
+}
+
+// TestUsHeapOrder: the concrete heap pops in (us, tie) order under mixed
+// pushes, pops and root updates — the one property Unify's reorder buffer
+// and the Merger need from it.
+func TestUsHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var h usHeap[int]
+	var want []usItem[int]
+	less := func(a, b usItem[int]) bool { return a.us < b.us || a.us == b.us && a.tie < b.tie }
+	for i := 0; i < 5000; i++ {
+		switch op := rng.Intn(4); {
+		case op < 2 || len(h) == 0:
+			it := usItem[int]{us: int64(rng.Intn(50)), tie: int64(i), v: i}
+			h.push(it)
+			want = append(want, it)
+		case op == 2:
+			sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
+			if got := h.popMin(); got != want[0] {
+				t.Fatalf("step %d: popped %+v, want %+v", i, got, want[0])
+			}
+			want = want[1:]
+		default: // the Merger's move: advance the root's key in place
+			sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
+			h[0].us += int64(rng.Intn(20))
+			want[0].us = h[0].us
+			h.fixMin()
+		}
+	}
+	sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
+	for _, w := range want {
+		if got := h.popMin(); got != w {
+			t.Fatalf("drain: popped %+v, want %+v", got, w)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package hmerge
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 
+	"repro/internal/tracefile"
 	"repro/internal/unify"
 )
 
@@ -29,7 +29,7 @@ func OpenStream(path string) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := openBuffered(path)
+	f, err := tracefile.FileSource(path).Open() // a buffered file reader
 	if err != nil {
 		return nil, fmt.Errorf("hmerge: open stream: %w", err)
 	}
@@ -70,17 +70,6 @@ func (s *Stream) Close() error {
 	}
 	return s.c.Close()
 }
-
-// mergeCursor abstracts how a stream's jframes reach the merger: directly,
-// or through a prefetching goroutine that overlaps decompression across
-// streams.
-type mergeCursor interface {
-	next() (*unify.JFrame, error)
-}
-
-type directCursor struct{ s *Stream }
-
-func (c directCursor) next() (*unify.JFrame, error) { return c.s.Next() }
 
 // mergePrefetchBatch sizes the prefetch batches; like the tracefile
 // prefetchers, small batch × small channel keeps per-stream buffering
@@ -143,31 +132,62 @@ func (c *prefetchCursor) next() (*unify.JFrame, error) {
 	return j, nil
 }
 
-// mergeItem is one stream's head inside the merge heap.
-type mergeItem struct {
-	j   *unify.JFrame
-	idx int
-	cur mergeCursor
+// usHeap is a binary min-heap of payloads keyed by (us, tie), with concrete
+// sift loops: no container/heap interface dispatch, no boxing of each pushed
+// item into an `any`. Both of this package's heaps order jframes by UnivUS
+// with a tiebreak that makes the key a total order — emission sequence in
+// Unify's reorder buffer, stream index in the Merger — so pop order is fixed
+// by the keys alone.
+type usHeap[T any] []usItem[T]
+
+type usItem[T any] struct {
+	us, tie int64
+	v       T
 }
 
-type mergeHeap []*mergeItem
+func (h usHeap[T]) less(i, j int) bool {
+	return h[i].us < h[j].us || h[i].us == h[j].us && h[i].tie < h[j].tie
+}
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].j.UnivUS != h[j].j.UnivUS {
-		return h[i].j.UnivUS < h[j].j.UnivUS
+func (h *usHeap[T]) push(it usItem[T]) {
+	s := append(*h, it)
+	*h = s
+	for j := len(s) - 1; j > 0 && s.less(j, (j-1)/2); j = (j - 1) / 2 {
+		s[j], s[(j-1)/2] = s[(j-1)/2], s[j]
 	}
-	return h[i].idx < h[j].idx
 }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// popMin removes and returns the root.
+func (h *usHeap[T]) popMin() usItem[T] {
+	s := *h
+	n := len(s) - 1
+	it := s[0]
+	s[0], s[n] = s[n], usItem[T]{}
+	*h = s[:n]
+	s[:n].fixMin()
 	return it
+}
+
+// fixMin restores heap order after the root's key changed.
+func (h usHeap[T]) fixMin() {
+	for i, j := 0, 1; j < len(h); i, j = j, 2*j+1 {
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+	}
+}
+
+// mergeHead is one stream's head inside the merge heap (keyed by the
+// head's UnivUS and the stream's index). next is how the stream's jframes
+// reach the merger: Stream.Next directly, or a prefetchCursor that overlaps
+// decoding across streams.
+type mergeHead struct {
+	j    *unify.JFrame
+	next func() (*unify.JFrame, error)
 }
 
 // Merger is the global k-way merge: it interleaves k sorted intermediate
@@ -180,7 +200,7 @@ func (h *mergeHeap) Pop() any {
 // intermediate files are pipeline-owned: any stream error is a hard error.
 type Merger struct {
 	streams []*Stream
-	h       mergeHeap
+	h       usHeap[mergeHead]
 	started bool
 	// prefetch overlaps per-stream decompression with the merge, the
 	// multi-worker analogue of core's per-radio prefetchers.
@@ -198,24 +218,21 @@ func (m *Merger) streamErr(idx int, err error) error {
 }
 
 func (m *Merger) start() error {
-	m.h = make(mergeHeap, 0, len(m.streams))
+	m.h = make(usHeap[mergeHead], 0, len(m.streams))
 	for i, s := range m.streams {
-		var cur mergeCursor
+		next := s.Next
 		if m.prefetch {
-			cur = newPrefetchCursor(s)
-		} else {
-			cur = directCursor{s: s}
+			next = newPrefetchCursor(s).next
 		}
-		j, err := cur.next()
+		j, err := next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
 			return m.streamErr(i, err)
 		}
-		m.h = append(m.h, &mergeItem{j: j, idx: i, cur: cur})
+		m.h.push(usItem[mergeHead]{us: j.UnivUS, tie: int64(i), v: mergeHead{j: j, next: next}})
 	}
-	heap.Init(&m.h)
 	return nil
 }
 
@@ -228,19 +245,19 @@ func (m *Merger) Next() (*unify.JFrame, error) {
 		}
 		m.started = true
 	}
-	if m.h.Len() == 0 {
+	if len(m.h) == 0 {
 		return nil, io.EOF
 	}
-	it := m.h[0]
-	j := it.j
-	nxt, err := it.cur.next()
+	top := &m.h[0]
+	j := top.v.j
+	nxt, err := top.v.next()
 	if err == io.EOF {
-		heap.Pop(&m.h)
+		m.h.popMin()
 	} else if err != nil {
-		return nil, m.streamErr(it.idx, err)
+		return nil, m.streamErr(int(top.tie), err)
 	} else {
-		it.j = nxt
-		heap.Fix(&m.h, 0)
+		top.us, top.v.j = nxt.UnivUS, nxt
+		m.h.fixMin()
 	}
 	return j, nil
 }

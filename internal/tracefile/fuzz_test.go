@@ -32,7 +32,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])      // truncated mid-block
 	f.Add(valid[:23])                // truncated block header
-	f.Add(append([]byte("JIG1"), 0)) // magic then garbage
+	f.Add(append([]byte("JIG2"), 0)) // magic then garbage
 	f.Add(bytes.Repeat([]byte{0}, 64))
 	corrupt := append([]byte(nil), valid...)
 	corrupt[30] ^= 0xff // damage the compressed payload
@@ -75,7 +75,7 @@ func FuzzReadIndex(f *testing.F) {
 	valid := ibuf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])           // truncated entry
-	f.Add([]byte("JIG1\xff\xff\xff\xff")) // absurd count
+	f.Add([]byte("JIG2\xff\xff\xff\xff")) // absurd count
 	f.Add([]byte("nope"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -96,7 +96,7 @@ func TestMmapSourceEmptyFile(t *testing.T) {
 	}
 }
 
-// TestByteStreamSlice pins the BlockSlicer contract the reader's
+// TestByteStreamSlice pins the block.Slicer contract the reader's
 // zero-copy path depends on: exact-length slices, then
 // io.ErrUnexpectedEOF once the stream is short.
 func TestByteStreamSlice(t *testing.T) {

@@ -117,32 +117,3 @@ func (w *RotatingWriter) Segments() int { return w.seg + 1 }
 
 // Indexes returns the per-segment metadata indexes (valid after Close).
 func (w *RotatingWriter) Indexes() [][]IndexEntry { return w.indexes }
-
-// MultiReader iterates records across consecutive segment streams as one
-// trace.
-type MultiReader struct {
-	readers []*Reader
-	i       int
-}
-
-// NewMultiReader chains segment streams in order.
-func NewMultiReader(segments ...io.Reader) *MultiReader {
-	rs := make([]*Reader, len(segments))
-	for i, s := range segments {
-		rs[i] = NewReader(s)
-	}
-	return &MultiReader{readers: rs}
-}
-
-// Next returns the next record across all segments; io.EOF at the true end.
-func (m *MultiReader) Next() (Record, error) {
-	for m.i < len(m.readers) {
-		rec, err := m.readers[m.i].Next()
-		if err == io.EOF {
-			m.i++
-			continue
-		}
-		return rec, err
-	}
-	return Record{}, io.EOF
-}

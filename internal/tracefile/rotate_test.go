@@ -184,6 +184,9 @@ func TestRotatingWriterSealHook(t *testing.T) {
 	}
 }
 
+// TestMultiReaderChains: a trace is a plain sequence of self-framed blocks,
+// so consecutive segments concatenated (io.MultiReader here, tailReader in
+// the live path) read back as one trace.
 func TestMultiReaderChains(t *testing.T) {
 	var bufs []*bytes.Buffer
 	w := NewRotatingWriter(func(seg int) (io.Writer, error) {
@@ -200,7 +203,7 @@ func TestMultiReaderChains(t *testing.T) {
 	for _, b := range bufs {
 		readers = append(readers, bytes.NewReader(b.Bytes()))
 	}
-	mr := NewMultiReader(readers...)
+	mr := NewReader(io.MultiReader(readers...))
 	var got []int64
 	for {
 		rec, err := mr.Next()
@@ -223,7 +226,7 @@ func TestMultiReaderChains(t *testing.T) {
 }
 
 func TestMultiReaderEmpty(t *testing.T) {
-	mr := NewMultiReader()
+	mr := NewReader(io.MultiReader())
 	if _, err := mr.Next(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}

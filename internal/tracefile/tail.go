@@ -373,11 +373,11 @@ func (r *tailReader) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		r.i++
-		f, err := os.Open(path)
+		cur, err := FileSource(path).Open()
 		if err != nil {
 			return 0, err
 		}
-		r.cur = &bufReadCloser{Reader: bufio.NewReaderSize(f, fileReadBufSize), c: f}
+		r.cur = cur
 	}
 }
 

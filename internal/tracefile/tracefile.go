@@ -1,21 +1,30 @@
 // Package tracefile implements the jigdump-style per-radio trace format:
 // the stream of physical-layer event records each monitor radio produces,
-// serialized in compressed blocks with a separate metadata index
-// (§3.3: jigdump reads 64 KB at a time, compresses with LZO — we use
-// DEFLATE from the standard library — and writes data and metadata index
-// separately, rotating files hourly).
+// serialized in compressed blocks with a separate metadata index (§3.3:
+// jigdump reads 64 KB at a time, compresses with LZO, and writes data and
+// metadata index separately, rotating files hourly).
+//
+// The container and codec are internal/block's: an LZO-class byte LZ, as
+// the paper's jigdump, behind a 24-byte frame per block (magic "JIG2",
+// compLen, rawLen, record count, first LocalUS). A block's raw bytes are
+// records back to back, little-endian:
+//
+//	localUS i64 · radio i32 · channel u8 · rssi i8 · rate u16 · flags u8 ·
+//	pad u8 · origLen u16 · frameLen u16 · frame [frameLen]byte
+//
+// The index file is "JIG2", a u32 count and one 36-byte IndexEntry per
+// block. JIG1 files (the same records under DEFLATE) are rejected with
+// block.ErrVersion, not read.
 package tracefile
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
-	"repro/internal/flatepool"
+	"repro/internal/block"
 )
 
 // Record flags.
@@ -67,12 +76,9 @@ func (r *Record) CloneFrame() {
 // payload bytes, like the paper's captures (§5).
 const DefaultSnapLen = 228
 
-// blockTarget is the uncompressed block size at which the writer flushes,
-// mirroring jigdump's 64 KB reads.
-const blockTarget = 64 * 1024
-
-// magic identifies trace streams and blocks.
-var magic = [4]byte{'J', 'I', 'G', '1'}
+// magic identifies trace blocks and index files. Its last byte is the
+// format version: the DEFLATE-era format wrote "JIG1" in the same places.
+var magic = [4]byte{'J', 'I', 'G', '2'}
 
 // IndexEntry describes one compressed block for the metadata index.
 type IndexEntry struct {
@@ -87,12 +93,8 @@ type IndexEntry struct {
 // Writer serializes records into compressed blocks. It is not safe for
 // concurrent use; the capture path is single-threaded per radio.
 type Writer struct {
-	w       io.Writer
+	bw      *block.Writer
 	offset  int64
-	buf     bytes.Buffer // uncompressed pending records
-	comp    bytes.Buffer // reused compressed-block scratch
-	count   int32
-	firstUS int64
 	lastUS  int64
 	index   []IndexEntry
 	snapLen int
@@ -101,7 +103,7 @@ type Writer struct {
 
 // NewWriter creates a trace writer with the default snap length.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, snapLen: DefaultSnapLen}
+	return &Writer{bw: block.NewWriter(w, magic), snapLen: DefaultSnapLen}
 }
 
 // SetSnapLen overrides the per-frame capture byte limit (0 = unlimited).
@@ -120,66 +122,30 @@ func (w *Writer) WriteRecord(r Record) error {
 	if w.snapLen > 0 && len(frame) > w.snapLen {
 		frame = frame[:w.snapLen]
 	}
-	if w.count == 0 {
-		w.firstUS = r.LocalUS
-	}
 	w.lastUS = r.LocalUS
-	var hdr [20]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.LocalUS))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(r.RadioID))
-	hdr[12] = r.Channel
-	hdr[13] = uint8(r.RSSIdBm)
-	binary.LittleEndian.PutUint16(hdr[14:16], r.Rate)
-	hdr[16] = r.Flags
-	hdr[17] = 0
-	binary.LittleEndian.PutUint16(hdr[18:20], r.OrigLen)
-	w.buf.Write(hdr[:])
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(frame)))
-	w.buf.Write(l[:])
-	w.buf.Write(frame)
-	w.count++
-	if w.buf.Len() >= blockTarget {
+	b := binary.LittleEndian.AppendUint64(w.bw.Raw, uint64(r.LocalUS))
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.RadioID))
+	b = append(b, r.Channel, uint8(r.RSSIdBm))
+	b = binary.LittleEndian.AppendUint16(b, r.Rate)
+	b = append(b, r.Flags, 0)
+	b = binary.LittleEndian.AppendUint16(b, r.OrigLen)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(frame)))
+	w.bw.Raw = append(b, frame...)
+	if w.bw.Commit(r.LocalUS) {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// flushBlock compresses and emits the pending block.
+// flushBlock emits the pending block and indexes it.
 func (w *Writer) flushBlock() error {
-	if w.count == 0 {
-		return nil
-	}
-	w.comp.Reset()
-	fw := flatepool.GetWriter(&w.comp)
-	if _, err := fw.Write(w.buf.Bytes()); err != nil {
+	h, err := w.bw.Flush()
+	if err != nil || h.Count == 0 {
 		return err
 	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	flatepool.PutWriter(fw)
-	comp := &w.comp
-	var bh [24]byte
-	copy(bh[0:4], magic[:])
-	binary.LittleEndian.PutUint32(bh[4:8], uint32(comp.Len()))
-	binary.LittleEndian.PutUint32(bh[8:12], uint32(w.buf.Len()))
-	binary.LittleEndian.PutUint32(bh[12:16], uint32(w.count))
-	binary.LittleEndian.PutUint64(bh[16:24], uint64(w.firstUS))
-	if _, err := w.w.Write(bh[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(comp.Bytes()); err != nil {
-		return err
-	}
-	w.index = append(w.index, IndexEntry{
-		Offset:  w.offset,
-		CompLen: int32(comp.Len()), RawLen: int32(w.buf.Len()),
-		Records: w.count, FirstLocalUS: w.firstUS, LastLocalUS: w.lastUS,
-	})
-	w.offset += int64(len(bh)) + int64(comp.Len())
-	w.buf.Reset()
-	w.count = 0
+	w.index = append(w.index, IndexEntry{Offset: w.offset, CompLen: h.CompLen, RawLen: h.RawLen,
+		Records: h.Count, FirstLocalUS: h.FirstUS, LastLocalUS: w.lastUS})
+	w.offset += block.HeaderLen + int64(h.CompLen)
 	return nil
 }
 
@@ -196,119 +162,69 @@ func (w *Writer) Close() error {
 // Close). Callers persist it with WriteIndex for the paired metadata file.
 func (w *Writer) Index() []IndexEntry { return w.index }
 
-// WriteIndex serializes a metadata index to out.
+// WriteIndex serializes a metadata index to out: the magic, a u32 entry
+// count, then the entries, 36 bytes each (IndexEntry's fields in order,
+// little-endian, unpadded — encoding/binary's layout for the struct).
 func WriteIndex(out io.Writer, idx []IndexEntry) error {
 	bw := bufio.NewWriter(out)
-	if _, err := bw.Write(magic[:]); err != nil {
+	bw.Write(magic[:])
+	bw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(idx))))
+	if err := binary.Write(bw, binary.LittleEndian, idx); err != nil {
 		return err
-	}
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(idx)))
-	bw.Write(n[:])
-	for _, e := range idx {
-		var b [36]byte
-		binary.LittleEndian.PutUint64(b[0:8], uint64(e.Offset))
-		binary.LittleEndian.PutUint32(b[8:12], uint32(e.CompLen))
-		binary.LittleEndian.PutUint32(b[12:16], uint32(e.RawLen))
-		binary.LittleEndian.PutUint32(b[16:20], uint32(e.Records))
-		binary.LittleEndian.PutUint64(b[20:28], uint64(e.FirstLocalUS))
-		binary.LittleEndian.PutUint64(b[28:36], uint64(e.LastLocalUS))
-		bw.Write(b[:])
 	}
 	return bw.Flush()
 }
 
 // ReadIndex parses a metadata index.
 func ReadIndex(in io.Reader) ([]IndexEntry, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(in, m[:]); err != nil {
+	var hdr [8]byte
+	if _, err := io.ReadFull(in, hdr[:]); err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, errors.New("tracefile: bad index magic")
+	if err := block.CheckMagic([4]byte(hdr[0:4]), magic); err != nil {
+		return nil, fmt.Errorf("tracefile: index: %w", err)
 	}
-	var n [4]byte
-	if _, err := io.ReadFull(in, n[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint32(n[:])
-	// Entries arrive 36 bytes each; cap the preallocation so a corrupt
-	// count field cannot demand gigabytes before the first read fails.
-	prealloc := count
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	idx := make([]IndexEntry, 0, prealloc)
-	for i := uint32(0); i < count; i++ {
-		var b [36]byte
-		if _, err := io.ReadFull(in, b[:]); err != nil {
+	// Entries are read in bounded batches, so a corrupt count field cannot
+	// demand gigabytes before the first read fails.
+	var idx []IndexEntry
+	for left := binary.LittleEndian.Uint32(hdr[4:8]); left > 0; {
+		batch := make([]IndexEntry, min(left, 1<<12))
+		if err := binary.Read(in, binary.LittleEndian, batch); err != nil {
 			return nil, err
 		}
-		idx = append(idx, IndexEntry{
-			Offset:       int64(binary.LittleEndian.Uint64(b[0:8])),
-			CompLen:      int32(binary.LittleEndian.Uint32(b[8:12])),
-			RawLen:       int32(binary.LittleEndian.Uint32(b[12:16])),
-			Records:      int32(binary.LittleEndian.Uint32(b[16:20])),
-			FirstLocalUS: int64(binary.LittleEndian.Uint64(b[20:28])),
-			LastLocalUS:  int64(binary.LittleEndian.Uint64(b[28:36])),
-		})
+		idx = append(idx, batch...)
+		left -= uint32(len(batch))
 	}
 	return idx, nil
 }
 
-// BlockSlicer is implemented by trace inputs that can expose the next n
-// bytes of the stream as a zero-copy view (memory-mapped files, in-memory
-// buffers). The returned slice stays valid until the input is closed.
-// Reader uses it to decompress blocks straight out of the backing bytes
-// instead of staging them through a copy.
-type BlockSlicer interface {
-	Slice(n int) ([]byte, error)
-}
-
 // Reader iterates records from a trace stream. Records are parsed in
-// place: each returned Record's Frame aliases the reader's decompressed
-// block buffer and is only valid until the next call (see Record).
-type Reader struct {
-	r      io.Reader
-	sl     BlockSlicer // non-nil when r supports zero-copy block reads
-	comp   []byte      // reused compressed-block staging (nil-copy path)
-	compRd bytes.Reader
-	raw    []byte // reused decompressed block
-	pos    int    // parse cursor into raw
-	fr     io.ReadCloser
-	err    error
-}
+// place: each returned Record's Frame aliases the reader's decoded block
+// buffer and is only valid until the next call (see Record). Inputs that
+// implement block.Slicer (in-memory buffers, mapped files) are decoded
+// straight out of their backing bytes.
+type Reader struct{ br *block.Reader }
 
 // NewReader wraps a trace stream for record iteration.
 func NewReader(r io.Reader) *Reader {
-	t := &Reader{r: r}
-	t.sl, _ = r.(BlockSlicer)
-	return t
+	return &Reader{br: block.NewReader(r, magic, "tracefile")}
 }
 
 // recHdrLen is the per-record header (20 bytes) plus the 2-byte frame
 // length.
 const recHdrLen = 22
 
-// Next returns the next record. io.EOF signals a clean end of trace. The
-// record's Frame is borrowed (valid until the next Next call).
+// Next returns the next record. io.EOF signals a clean end of trace; any
+// other error is returned again by every later call. The record's Frame is
+// borrowed (valid until the next Next call).
 func (t *Reader) Next() (Record, error) {
 	var rec Record
-	if t.err != nil {
-		return rec, t.err
+	b, err := t.br.Rest()
+	if err != nil {
+		return rec, err
 	}
-	for t.pos >= len(t.raw) {
-		if err := t.loadBlock(); err != nil {
-			t.err = err
-			t.retire()
-			return rec, err
-		}
-	}
-	b := t.raw[t.pos:]
 	if len(b) < recHdrLen {
-		t.err = errors.New("tracefile: corrupt block: truncated record header")
-		t.retire()
-		return rec, t.err
+		return rec, t.br.Fail(errors.New("tracefile: corrupt block: truncated record header"))
 	}
 	rec.LocalUS = int64(binary.LittleEndian.Uint64(b[0:8]))
 	rec.RadioID = int32(binary.LittleEndian.Uint32(b[8:12]))
@@ -319,89 +235,13 @@ func (t *Reader) Next() (Record, error) {
 	rec.OrigLen = binary.LittleEndian.Uint16(b[18:20])
 	n := int(binary.LittleEndian.Uint16(b[20:22]))
 	if len(b) < recHdrLen+n {
-		t.err = errors.New("tracefile: corrupt block: truncated frame")
-		t.retire()
-		return rec, t.err
+		return rec, t.br.Fail(errors.New("tracefile: corrupt block: truncated frame"))
 	}
 	if n > 0 {
 		rec.Frame = b[recHdrLen : recHdrLen+n : recHdrLen+n]
 	}
-	t.pos += recHdrLen + n
+	t.br.Skip(recHdrLen + n)
 	return rec, nil
-}
-
-// retire returns the pooled decompressor once the stream has ended; the
-// reader is latched on t.err by then.
-func (t *Reader) retire() {
-	flatepool.PutReader(t.fr)
-	t.fr = nil
-}
-
-// maxBlockLen bounds the compressed and uncompressed size a block header
-// may claim. Legitimate blocks flush around blockTarget (64 KB) plus one
-// record; anything near this cap is a corrupt or hostile header, and
-// honoring it would turn a 24-byte header into a multi-gigabyte
-// allocation.
-const maxBlockLen = 1 << 26
-
-// loadBlock reads and decompresses the next block into the reused raw
-// buffer. Compressed bytes are sliced straight out of BlockSlicer-backed
-// inputs; other inputs stage them through a reused buffer.
-func (t *Reader) loadBlock() error {
-	var bh [24]byte
-	if _, err := io.ReadFull(t.r, bh[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return io.EOF
-		}
-		return err
-	}
-	if [4]byte(bh[0:4]) != magic {
-		return errors.New("tracefile: bad block magic")
-	}
-	compLen := binary.LittleEndian.Uint32(bh[4:8])
-	rawLen := binary.LittleEndian.Uint32(bh[8:12])
-	if compLen > maxBlockLen || rawLen > maxBlockLen {
-		return fmt.Errorf("tracefile: block header claims %d/%d bytes", compLen, rawLen)
-	}
-	var comp []byte
-	if t.sl != nil {
-		b, err := t.sl.Slice(int(compLen))
-		if err != nil {
-			return fmt.Errorf("tracefile: truncated block: %w", err)
-		}
-		comp = b
-	} else {
-		if cap(t.comp) < int(compLen) {
-			t.comp = make([]byte, compLen)
-		}
-		t.comp = t.comp[:compLen]
-		if _, err := io.ReadFull(t.r, t.comp); err != nil {
-			return fmt.Errorf("tracefile: truncated block: %w", err)
-		}
-		comp = t.comp
-	}
-	t.compRd.Reset(comp)
-	if t.fr == nil {
-		t.fr = flatepool.GetReader(&t.compRd)
-	} else if err := t.fr.(flate.Resetter).Reset(&t.compRd, nil); err != nil {
-		return fmt.Errorf("tracefile: decompress: %w", err)
-	}
-	if cap(t.raw) < int(rawLen) {
-		t.raw = make([]byte, rawLen)
-	}
-	t.raw = t.raw[:rawLen]
-	t.pos = 0
-	// The compressed payload must decompress to exactly the header's
-	// rawLen; probing one byte past it catches oversized payloads without
-	// letting a corrupt stream balloon the buffer.
-	if _, err := io.ReadFull(t.fr, t.raw); err != nil {
-		return fmt.Errorf("tracefile: decompress: %w", err)
-	}
-	var probe [1]byte
-	if n, _ := t.fr.Read(probe[:]); n != 0 {
-		return fmt.Errorf("tracefile: block decompressed past %d-byte header claim", rawLen)
-	}
-	return nil
 }
 
 // ReadAll drains a reader into a slice, copying each borrowed frame into

@@ -2,11 +2,16 @@ package tracefile
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/block"
 )
 
 func sample(n int, seed int64) []Record {
@@ -159,7 +164,7 @@ func TestIndexOffsetsAddressBlocks(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for i, e := range idx {
-		if string(data[e.Offset:e.Offset+4]) != "JIG1" {
+		if string(data[e.Offset:e.Offset+4]) != "JIG2" {
 			t.Errorf("block %d offset %d does not start with magic", i, e.Offset)
 		}
 	}
@@ -276,5 +281,85 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// deflated is what the JIG1/.jfs-v1 writers put after a block header.
+func deflated(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var comp bytes.Buffer
+	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return comp.Bytes()
+}
+
+// TestV1Rejected: a DEFLATE-era trace or index is refused with the version
+// error — there is no fallback reader, and it must not be misparsed.
+func TestV1Rejected(t *testing.T) {
+	raw := make([]byte, recHdrLen) // one frameless record
+	comp := deflated(t, raw)
+	v1 := []byte("JIG1")
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(comp)))
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(raw)))
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 0)
+	v1 = append(v1, comp...)
+	r := NewReader(bytes.NewReader(v1))
+	if _, err := r.Next(); !errors.Is(err, block.ErrVersion) {
+		t.Errorf("JIG1 trace: got %v, want block.ErrVersion", err)
+	}
+	if _, err := r.Next(); !errors.Is(err, block.ErrVersion) {
+		t.Errorf("version error not sticky: %v", err)
+	}
+	if _, err := ReadIndex(bytes.NewReader([]byte("JIG1\x00\x00\x00\x00"))); !errors.Is(err, block.ErrVersion) {
+		t.Errorf("JIG1 index: got %v, want block.ErrVersion", err)
+	}
+}
+
+// TestSteadyStateAllocs: with flatepool gone the codec state lives in the
+// Writer and the Reader; once each has handled a block, writing and reading
+// further blocks allocates nothing (the index aside, preallocated here), so
+// the 156-radio replay writer and jigd's tailers hold their heap flat.
+func TestSteadyStateAllocs(t *testing.T) {
+	recs := sample(4000, 9) // several blocks
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(io.Discard)
+	w.index = make([]IndexEntry, 0, 1<<12)
+	// One run after AllocsPerRun's own warm-up run: an exact count, not an
+	// average that rounds a stray allocation away.
+	if n := testing.AllocsPerRun(1, func() {
+		for i := range recs {
+			if err := w.WriteRecord(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("WriteRecord: %v allocs per %d records, want 0", n, len(recs))
+	}
+
+	rc, err := BufferSource(buf.Bytes()).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(rc)
+	if n := testing.AllocsPerRun(1, func() { // warm-up and run read half each
+		for i := 0; i < len(recs)/2; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Reader.Next: %v allocs per %d records, want 0", n, len(recs)/2)
 	}
 }

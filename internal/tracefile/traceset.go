@@ -1,6 +1,6 @@
 // Trace sources and trace sets: the out-of-core abstraction over "where a
 // radio's compressed trace lives". The capture format itself is streamed
-// (Reader decompresses one 64 KB block at a time); these types let the
+// (Reader decodes one 64 KB block at a time); these types let the
 // pipeline's callers stream too, instead of requiring every compressed
 // trace resident in memory. A TraceSet is either buffer-backed (the
 // in-memory compatibility path) or directory-backed (one radio-<id>.jig
@@ -37,7 +37,7 @@ func (b BufferSource) Open() (io.ReadCloser, error) {
 }
 
 // byteStream streams an in-memory compressed trace and hands out zero-copy
-// block slices: it implements BlockSlicer, so Reader parses compressed
+// block slices: it implements block.Slicer, so Reader decodes compressed
 // blocks straight out of the backing bytes instead of staging them through
 // a copy. Backs both BufferSource and the mmap path.
 type byteStream struct {

@@ -23,6 +23,7 @@
 //	internal/cc         pluggable congestion control (Reno/CUBIC/BBR + fixed)
 //	internal/tcpsim     TCP endpoints + wired network with bottleneck queue
 //	internal/workload   diurnal activity and flow mix
+//	internal/block      the one block container + byte-LZ codec under .jig and .jfs
 //	internal/tracefile  jigdump trace format (compressed blocks + index)
 //	internal/scenario   end-to-end simulation producing traces
 //	internal/timesync   §4.1 bootstrap synchronization
@@ -59,6 +60,21 @@
 // Reno/CUBIC/BBR dynamics replay bit-for-bit too). Batch experiment sweeps
 // fan whole scenarios across a pool with scenario.RunBatch (see
 // cmd/jigbench -sweep).
+//
+// # On-disk formats
+//
+// Per-radio captures (.jig) and the hierarchical merge's intermediate
+// jframe streams (.jfs) are the same thing underneath: 64 KB blocks behind
+// internal/block's 24-byte frame, compressed with its byte-oriented LZ —
+// the LZO class the paper's jigdump uses (§3.3), and for the paper's
+// reason: a Huffman stage (the stdlib DEFLATE these formats used to carry)
+// was the largest single line in every batch profile, 36–39 % of the CPU,
+// to save about a quarter of the bytes (.jig +27 %, .jfs +34 % without
+// it). Decoding now costs about a third of what it did (per monitor
+// record 367 → 111 ns, per jframe 1154 → 305 ns on the reference box);
+// README "Performance" has the end-to-end numbers and how to re-measure
+// them with bench/. Files written before this change (JIG1, .jfs version
+// 1) are rejected with a version error and must be regenerated.
 //
 // # Quick start
 //
