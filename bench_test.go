@@ -80,9 +80,9 @@ func setupBench(b *testing.B) *benchState {
 }
 
 // BenchmarkMergeThroughput measures the §4 requirement: trace merging must
-// run faster than real time in a single pass. Pinned to the Workers=1
-// serial reference path; BenchmarkPipelineParallel is the multicore
-// counterpart. Reports events/sec and the realtime multiple.
+// run faster than real time in a single pass. Pinned to Workers=1 (the
+// pipeline's stages inline on one goroutine); BenchmarkPipelineParallel is
+// the pipelined counterpart. Reports events/sec and the realtime multiple.
 func BenchmarkMergeThroughput(b *testing.B) {
 	s := setupBench(b)
 	traces := s.tracesCopy()
@@ -103,11 +103,11 @@ func BenchmarkMergeThroughput(b *testing.B) {
 	b.ReportMetric(s.out.Cfg.Day.SecondsF()/perOp, "x-realtime")
 }
 
-// BenchmarkPipelineParallel runs the identical workload through the sharded
-// pipeline at GOMAXPROCS workers; compare its events/s against
-// BenchmarkMergeThroughput's for the parallel speedup (the determinism test
-// guarantees the two paths produce identical results, so the comparison is
-// apples-to-apples).
+// BenchmarkPipelineParallel runs the identical workload with the stages
+// pipelined (Workers = GOMAXPROCS; inline again on a one-CPU box); compare
+// its events/s against BenchmarkMergeThroughput's for the speedup (the
+// determinism test guarantees the two compositions produce identical
+// results, so the comparison is apples-to-apples).
 func BenchmarkPipelineParallel(b *testing.B) {
 	s := setupBench(b)
 	traces := s.tracesCopy()

@@ -93,7 +93,7 @@ func main() {
 		spillDir = flag.String("spill-dir", "", "simulate mode: stream generated traces through this directory instead of memory")
 		passesF  = flag.String("passes", "", "which reports to run: comma-separated section names, or 'all' (default)")
 		exp      = flag.String("exp", "all", "deprecated alias for -passes")
-		workers  = flag.Int("workers", 0, "pipeline workers (0 = GOMAXPROCS, 1 = serial)")
+		workers  = flag.Int("workers", 0, "pipeline workers (1 = inline on one goroutine, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "emit reports as a JSON array of sections (jigd's /reports encoding) instead of text")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")

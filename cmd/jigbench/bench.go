@@ -359,24 +359,15 @@ func benchOnePreset(name string, cfg scenario.Config, dir string, workers int, w
 	stream = measure("streaming", ts, ccfg, nil)
 
 	// The workers sweep axis (-bench-workers): the streaming merge at each
-	// requested worker count, plus a serial-pipeline row with only the
-	// sharded coalescer widened — so the trajectory records multi-core
-	// headroom (and the coalescer's share of it) when run on a bigger box.
+	// requested Workers value (1 = inline, anything else = the three-stage
+	// pipeline, whose shape does not depend on the number).
 	for _, w := range workersSweep {
 		wcfg := ccfg
 		wcfg.Workers = w
 		row := measure("streaming", ts, wcfg, nil)
 		row.Workers = w
 		sweep = append(sweep, row)
-
-		scfg := ccfg
-		scfg.Workers = 1
-		scfg.Unify.CoalesceWorkers = w
-		row = measure("coalesce", ts, scfg, nil)
-		row.Workers = w
-		sweep = append(sweep, row)
-		log.Printf("%s: workers=%d streaming %.0f frames/s, coalesce-only %.0f frames/s",
-			name, w, sweep[len(sweep)-2].FramesPerSec, row.FramesPerSec)
+		log.Printf("%s: workers=%d streaming %.0f frames/s", name, w, row.FramesPerSec)
 	}
 
 	// The in-memory path: the whole compressed trace set resident, as

@@ -87,7 +87,7 @@ func main() {
 		benchPresets = flag.String("bench-presets", "default,building", "comma-separated presets for -bench-json (default, paper, building)")
 		benchDay     = flag.Duration("bench-day", 0, "override each bench preset's compressed day (0 = preset value)")
 		benchWork    = flag.String("bench-work-dir", "", "trace work directory for -bench-json (default: a temp dir, removed afterwards)")
-		benchWorkers = flag.String("bench-workers", "", "comma-separated worker counts adding a workers sweep axis to -bench-json, e.g. 1,2,4,8 (streaming + coalesce-only rows per count; empty disables)")
+		benchWorkers = flag.String("bench-workers", "", "comma-separated worker counts adding a workers sweep axis to -bench-json, e.g. 1,2 (one streaming row per count; empty disables)")
 		benchAssert  = flag.Float64("bench-assert-streaming", 0, "fail unless streaming peak heap < this fraction of the in-memory merge's (e.g. 0.25); 0 disables")
 		benchInline  = flag.Float64("bench-assert-inline", 0, "fail unless inline-pass analysis peak heap < this fraction of the slice-based (KeepJFrames/KeepExchanges) analysis run's (e.g. 0.30); 0 disables")
 		benchJigd    = flag.Float64("bench-assert-jigd", 0, "fail unless the jigd windowed-monitor peak heap < this fraction of the slice-based analysis run's (e.g. 0.30); 0 disables")

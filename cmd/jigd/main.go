@@ -48,6 +48,7 @@ func main() {
 		slack   = flag.Duration("slack", time.Duration(serve.DefaultSlackUS)*time.Microsecond, "frontier slack before a window closes (covers pipeline reordering)")
 		poll    = flag.Duration("poll", 200*time.Millisecond, "directory scan interval")
 		passesF = flag.String("passes", "all", "which analyses to serve (comma-separated, or 'all')")
+		workers = flag.Int("workers", 1, "pipeline workers, passed to core.Config.Workers (1 = inline, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -58,7 +59,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *dir, *addr, *window, *slack, *poll, *passesF); err != nil {
+	if err := run(ctx, *dir, *addr, *window, *slack, *poll, *passesF, *workers); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -106,7 +107,7 @@ func waitRoster(ctx context.Context, ts *tracefile.TailSet, roster []int32, poll
 	}
 }
 
-func run(ctx context.Context, dir, addr string, window, slack, poll time.Duration, selector string) error {
+func run(ctx context.Context, dir, addr string, window, slack, poll time.Duration, selector string, workers int) error {
 	meta, err := waitMeta(ctx, dir, poll)
 	if err != nil {
 		return err
@@ -189,7 +190,7 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 	}()
 
 	ccfg := core.DefaultConfig()
-	ccfg.Workers = 1 // serial path: required for live result snapshots
+	ccfg.Workers = workers
 	ccfg.SnapshotEveryUS = window.Microseconds()
 	ccfg.Passes = []core.Pass{mon}
 	res, err := core.RunFrom(tail.TraceSet(), meta.ClockGroups, ccfg, nil)

@@ -37,7 +37,7 @@ func main() {
 		viz     = flag.Duration("viz", -1, "visualize the merged trace at this offset (e.g. 1.5s)")
 		vizdur  = flag.Duration("vizdur", 5*time.Millisecond, "visualization window length")
 		width   = flag.Int("width", 100, "visualization width in columns")
-		workers = flag.Int("workers", 0, "pipeline workers (0 = GOMAXPROCS, 1 = serial)")
+		workers = flag.Int("workers", 0, "pipeline workers (1 = inline on one goroutine, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	dir := *in

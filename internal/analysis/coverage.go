@@ -60,9 +60,7 @@ type CoverageReport struct {
 
 // CoveragePass accumulates the wireless trace's segment-identity multiset
 // incrementally from the exchange stream; Finalize matches it against the
-// wired tap. Exchange-side state is a pure per-identity count, so the pass
-// shards across the parallel pipeline's transport workers
-// (core.ShardedPass) and the shards merge by summation.
+// wired tap.
 type CoveragePass struct {
 	named
 	noJFrame
@@ -75,8 +73,9 @@ func NewCoveragePass(out *scenario.Output) *CoveragePass {
 	return &CoveragePass{named: "coverage", out: out, seen: make(map[segIdentity]int)}
 }
 
-// observeCoverage records one exchange's TCP segment identity, if any.
-func observeCoverage(seen map[segIdentity]int, ex *llc.Exchange) {
+// ObserveExchange implements Pass: it records the exchange's TCP segment
+// identity, if any.
+func (p *CoveragePass) ObserveExchange(ex *llc.Exchange) {
 	data := ex.Data()
 	if data == nil {
 		return
@@ -85,30 +84,7 @@ func observeCoverage(seen map[segIdentity]int, ex *llc.Exchange) {
 	if err != nil {
 		return
 	}
-	seen[identityOf(seg)]++
-}
-
-// ObserveExchange implements Pass.
-func (p *CoveragePass) ObserveExchange(ex *llc.Exchange) { observeCoverage(p.seen, ex) }
-
-// coverageShard is one transport worker's identity accumulator.
-type coverageShard struct {
-	noJFrame
-	seen map[segIdentity]int
-}
-
-func (s *coverageShard) ObserveExchange(ex *llc.Exchange) { observeCoverage(s.seen, ex) }
-
-// NewShard implements core.ShardedPass.
-func (p *CoveragePass) NewShard() core.Pass {
-	return &coverageShard{seen: make(map[segIdentity]int)}
-}
-
-// AbsorbShard implements core.ShardedPass: identity counts sum.
-func (p *CoveragePass) AbsorbShard(s core.Pass) {
-	for id, n := range s.(*coverageShard).seen {
-		p.seen[id] += n
-	}
+	p.seen[identityOf(seg)]++
 }
 
 // Finalize implements Pass, returning the *CoverageReport.

@@ -32,12 +32,6 @@
 //     implementing core.ResultSink, after SetResult); it returns the same
 //     report value the legacy slice-based function produces.
 //
-// Exchange-keyed passes whose state is a pure per-key accumulation can
-// additionally implement core.ShardedPass (NewShard/AbsorbShard, the
-// transport analyzer's FlowShard absorb/merge pattern) to have the
-// parallel pipeline feed them from the transport shard workers; the
-// coverage pass is the exemplar.
-//
 // The legacy slice-taking functions (Coverage, Diagnose, Interference,
 // Protection, TimeSeries, Summarize, DetectHandoffs, Visualize) remain as
 // thin compatibility wrappers that replay the slices through a pass via

@@ -7,28 +7,29 @@
 //
 // The pipeline operates in a single pass over the trace data (after the
 // bootstrap pre-scan), the property that lets the real system run online,
-// faster than real time. With Config.Workers > 1 the pass is spread across
-// the machine:
+// faster than real time. The pass is three stages — the jframe stream
+// (unification, or the hierarchical path's global merge), link-layer
+// reconstruction with its canonical close-order release, and everything
+// that consumes the products (sinks, analysis passes, the transport
+// analyzer) — written once and composed two ways:
 //
-//   - the bootstrap pre-scan decodes each radio's first window concurrently
-//     (every radio's window is independent);
-//   - per-radio trace decompression is prefetched by background readers;
-//   - unification (inherently serial: one priority queue over all radios)
-//     runs on Run's caller goroutine as the router, streaming jframes over
-//     channels to
-//   - link-layer reconstruction, sharded by conversation key (the
-//     transmitter MAC that owns all reconstructor state a frame can touch)
-//     across Workers reconstructors, whose exchanges are
-//   - merged back into one canonical close-order stream by a
-//     watermark-driven heap, feeding
-//   - transport analysis, sharded by TCP flow 4-tuple so both directions of
-//     a connection land in one analyzer.
+//   - Config.Workers == 1 calls them directly, one inside the other, on the
+//     caller's goroutine;
+//   - any other value runs the same three functions as a pipeline: the
+//     stream on one goroutine, reconstruction on a second, the consumers on
+//     the caller's, with a small channel of pooled slabs (~64 items,
+//     sixteen deep) at each of the two cuts. The bootstrap pre-scan, whose
+//     per-radio windows are independent, additionally fans out over
+//     Workers goroutines.
 //
-// Sharding is result-invariant: each reconstructor sees exactly the frame
-// subsequence that can touch its state, exchanges carry deterministic close
-// stamps (llc.Exchange.CloseUS), and the merged stream is released in
-// canonical (CloseUS, ...) order — so a parallel run's Result is identical
-// to the serial (Workers == 1) reference path, which the tests assert.
+// Nothing is sharded, reordered or re-merged: the pipelined run is the
+// inline code cut at two points, so the consumers see exactly the inline
+// event order — each jframe, then the exchanges the reconstruction
+// watermark released behind it — and every Result, report and callback
+// sequence is identical at every Workers setting, which the tests assert.
+// Unification is inherently serial (one priority queue over all radios) and
+// is most of the work, so it bounds the pipeline; the other two stages
+// overlap it on a second core.
 package core
 
 import (
@@ -38,11 +39,9 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dot80211"
 	"repro/internal/llc"
 	"repro/internal/timesync"
 	"repro/internal/tracefile"
@@ -63,25 +62,31 @@ type Config struct {
 	KeepExchanges bool
 	// KeepJFrames retains all jframes (for visualization and small runs).
 	KeepJFrames bool
-	// Workers sets the pipeline's parallelism: 0 uses GOMAXPROCS, 1 runs
-	// the single-goroutine serial reference path, and larger values shard
-	// reconstruction and transport analysis across that many workers.
-	// Results are identical at every setting.
+	// Workers selects how the pipeline's three stages are composed: 1 runs
+	// them inline on the caller's goroutine; any other value runs them as a
+	// three-stage pipeline (stream | reconstruction | consumers, see the
+	// package comment), which has the same shape whatever the number. The
+	// number itself sizes the bootstrap pre-scan's goroutine pool. 0 means
+	// GOMAXPROCS. Results are identical at every setting; a pipelined run
+	// delivers each product later than an inline one by whatever is queued
+	// at the two cuts — a partly filled slab each while the consumers keep
+	// up.
 	Workers int
 	// Passes are streaming analysis observers fed inline as the pipeline
 	// emits jframes and exchanges — the bounded-memory replacement for
 	// KeepJFrames/KeepExchanges plus post-hoc slice analysis. The
-	// internal/analysis passes satisfy this interface; results are
-	// identical at every Workers setting.
+	// internal/analysis passes satisfy this interface.
 	Passes []Pass
 	// SnapshotEveryUS, when > 0, re-delivers the run's aggregate result
 	// (unify/llc/transport stats) to every ResultSink pass each time the
 	// reconstruction watermark advances this far — the live-monitoring
 	// hook: result-derived report fields stay current while the run is
-	// still in flight instead of materializing only at the end. Serial
-	// path only (the single goroutine makes mid-run stats reads safe);
-	// RunFrom rejects it with Workers > 1. The final SetResult before
-	// RunFrom returns still happens either way.
+	// still in flight instead of materializing only at the end. Snapshot
+	// points sit at the same places in the product stream at every Workers
+	// setting; the unify counters a pipelined snapshot carries are those of
+	// the stream's current slab, so they may run up to a slab ahead of the
+	// inline ones. The final SetResult before RunFrom returns still happens
+	// either way.
 	SnapshotEveryUS int64
 }
 
@@ -89,16 +94,15 @@ type Config struct {
 // structural contract internal/analysis's Pass type implements (defined
 // here so core does not import the analysis layer it feeds).
 //
-// Delivery contract, identical on the serial and sharded-parallel paths:
+// Delivery contract, identical at every Workers setting:
 //
+//   - Every callback comes from the goroutine that called RunFrom or
+//     RunHierarchical, one at a time: a pass needs no locking, and never
+//     sees two concurrent callbacks.
 //   - ObserveJFrame is called with every unified jframe in emission order
-//     (the unifier's near-time-ordered stream), serialized: never two
-//     concurrent calls, though successive calls may come from different
-//     goroutines.
+//     (the unifier's near-time-ordered stream).
 //   - ObserveExchange is called with every reconstructed exchange in
-//     canonical close order (the order the transport analyzer consumes),
-//     serialized the same way. ObserveJFrame and ObserveExchange are also
-//     mutually serialized: a pass never sees two concurrent callbacks.
+//     canonical close order (the order the transport analyzer consumes).
 //   - When ObserveExchange(ex) fires, every jframe the unifier emitted
 //     before the reconstruction watermark passed ex.CloseUS has already
 //     been observed. The unifier's emission order can locally invert by up
@@ -106,6 +110,9 @@ type Config struct {
 //     with UnivUS <= ex.CloseUS must additionally defer the exchange until
 //     its jframe frontier has advanced past CloseUS plus that slack (see
 //     internal/analysis's exchange deferral).
+//   - Frames and exchanges are borrowed for the duration of the call and
+//     must not be modified: reconstruction may still be reading them on
+//     another goroutine.
 //   - Callbacks stop before RunFrom returns; the caller finalizes passes
 //     afterwards.
 type Pass interface {
@@ -113,28 +120,10 @@ type Pass interface {
 	ObserveExchange(*llc.Exchange)
 }
 
-// ShardedPass is an exchange-keyed Pass whose state partitions by TCP flow
-// (transport.FlowShard), the same absorb/merge pattern the transport
-// analyzer itself uses. On the parallel path the pipeline creates one
-// shard per transport worker with NewShard, feeds each shard its flow
-// shard's exchange subsequence concurrently (ObserveJFrame still goes to
-// the root pass), and calls AbsorbShard on the root once per shard, in
-// shard order, after the merge completes. AbsorbShard must therefore be
-// insensitive to how exchanges were partitioned, which holds whenever the
-// pass's exchange-side state is a per-key accumulation. The serial path
-// never shards: the root pass sees every exchange directly.
-type ShardedPass interface {
-	Pass
-	// NewShard returns a fresh exchange-side accumulator.
-	NewShard() Pass
-	// AbsorbShard merges a shard's state back into the receiver.
-	AbsorbShard(Pass)
-}
-
 // ResultSink is implemented by passes that need the run's aggregate result
 // (unify/llc/transport stats) to finalize; the pipeline calls SetResult
-// once, after the pass has observed both full streams, before RunFrom
-// returns.
+// after the pass has observed both full streams, before RunFrom returns
+// (and at every snapshot point before that, see Config.SnapshotEveryUS).
 type ResultSink interface {
 	SetResult(*Result)
 }
@@ -149,10 +138,9 @@ func DefaultConfig() Config {
 }
 
 // Sink receives pipeline products as they stream. Any callback may be nil.
-// With Workers > 1, OnJFrame fires from the goroutine driving unification
-// (Run's caller) and OnExchange from the merge goroutine: each callback is
-// invoked serially and in stream order, but the two may run concurrently
-// with each other.
+// Both callbacks follow Pass's delivery contract: they are invoked from the
+// caller's goroutine, in stream order, never concurrently, and just before
+// the passes see the same product.
 type Sink struct {
 	OnJFrame   func(*unify.JFrame)
 	OnExchange func(*llc.Exchange)
@@ -240,213 +228,47 @@ func RunFrom(ts *tracefile.TraceSet, clockGroups [][]int32, cfg Config, sink *Si
 	if cfg.Unify.SearchWindowUS == 0 {
 		cfg.Unify = unify.DefaultConfig()
 	}
-	if sink == nil {
-		sink = &Sink{}
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SnapshotEveryUS > 0 && workers > 1 {
-		return nil, fmt.Errorf("core: SnapshotEveryUS requires the serial path (Workers=1), have %d workers", workers)
-	}
+	workers := cfg.workers()
 
-	// Phase 1: bootstrap over each trace's first window, pre-scanning the
-	// independent per-radio windows concurrently. Each radio's stream is
-	// opened for the scan and closed again before the main pass.
-	readers := make(map[int32]*tracefile.Reader, ts.Len())
-	closers := make([]io.Closer, 0, ts.Len())
-	closeAll := func() error {
-		var first error
-		for _, c := range closers {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		closers = closers[:0]
-		return first
-	}
-	for _, r := range ts.Radios() {
-		rc, err := ts.Open(r)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("core: open trace for radio %d: %w", r, err)
-		}
-		closers = append(closers, rc)
-		readers[r] = tracefile.NewReader(rc)
-	}
-	window, err := timesync.CollectWindowParallel(readers, cfg.BootstrapWindowUS, workers)
-	if cerr := closeAll(); err == nil && cerr != nil {
-		err = cerr
-	}
+	// Phase 1: bootstrap over each trace's first window.
+	boot, err := timesync.BootstrapSet(ts, clockGroups, cfg.BootstrapWindowUS, workers)
 	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap window: %w", err)
-	}
-	boot, err := timesync.Bootstrap(window, clockGroups)
-	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap: %w", err)
-	}
-
-	res := &Result{
-		Bootstrap: boot,
-		Dispersion: DispersionHistogram{
-			Bins: make([]int64, 1000),
-		},
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	// Phase 2: single pass — unify, reconstruct, analyze.
-	ps := newPassSet(cfg.Passes)
-	if workers <= 1 {
-		err = runSerial(ts, boot, cfg, sink, ps, res)
-	} else {
-		err = runParallel(ts, boot, cfg, sink, ps, res, workers)
-	}
+	sources, sourceFault := unify.TraceSources(ts)
+	u := unify.New(cfg.Unify, sources, boot)
+	res, err := run(unifierStream{u}, boot, cfg, sink, workers)
 	if err != nil {
 		return nil, err
 	}
-	ps.finish(res)
+	if err := sourceFault(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	finish(cfg.Passes, res)
 	return res, nil
 }
 
-// passSet dispatches pipeline products to the configured passes. On the
-// serial path every callback comes from one goroutine and the mutex is
-// unused; on the parallel path jframes arrive from the router goroutine
-// and exchanges from the merge goroutine, so dispatch locks to honor the
-// Pass serialization contract. Sharded passes' exchange sides are fed from
-// the transport shard workers instead (one shard instance per worker, no
-// lock: each instance is owned by one goroutine).
-type passSet struct {
-	mu        sync.Mutex
-	locked    bool
-	all       []Pass // every configured pass (jframe dispatch)
-	serial    []Pass // passes whose exchanges flow through the canonical stream
-	shardable []ShardedPass
-	shards    [][]Pass // shards[w][k]: worker w's instance of shardable[k]
+// workers resolves Config.Workers' default.
+func (cfg *Config) workers() int {
+	if cfg.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return cfg.Workers
 }
 
-func newPassSet(passes []Pass) *passSet {
-	ps := &passSet{all: passes}
-	ps.serial = passes
-	return ps
-}
-
-// shard prepares per-worker exchange shards for passes that support it and
-// removes them from the serial exchange dispatch. Called once, before the
-// parallel path starts, with locked dispatch enabled.
-func (ps *passSet) shard(workers int) {
-	ps.locked = true
-	ps.serial = nil
-	for _, p := range ps.all {
-		if sp, ok := p.(ShardedPass); ok {
-			ps.shardable = append(ps.shardable, sp)
-		} else {
-			ps.serial = append(ps.serial, p)
-		}
-	}
-	if len(ps.shardable) == 0 {
-		return
-	}
-	ps.shards = make([][]Pass, workers)
-	for w := range ps.shards {
-		insts := make([]Pass, len(ps.shardable))
-		for k, sp := range ps.shardable {
-			insts[k] = sp.NewShard()
-		}
-		ps.shards[w] = insts
-	}
-}
-
-// absorb merges every worker's shard instances back into their root
-// passes, in worker order. Called after the transport workers finish.
-func (ps *passSet) absorb() {
-	for k, sp := range ps.shardable {
-		for w := range ps.shards {
-			sp.AbsorbShard(ps.shards[w][k])
-		}
-	}
-}
-
-func (ps *passSet) observeJFrame(j *unify.JFrame) {
-	if len(ps.all) == 0 {
-		return
-	}
-	if ps.locked {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-	}
-	for _, p := range ps.all {
-		p.ObserveJFrame(j)
-	}
-}
-
-func (ps *passSet) observeExchange(ex *llc.Exchange) {
-	if len(ps.serial) == 0 {
-		return
-	}
-	if ps.locked {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-	}
-	for _, p := range ps.serial {
-		p.ObserveExchange(ex)
-	}
-}
-
-// observeShardExchange feeds worker w's shard instances one exchange of
-// its flow shard's subsequence.
-func (ps *passSet) observeShardExchange(w int, ex *llc.Exchange) {
-	if ps.shards == nil {
-		return
-	}
-	for _, p := range ps.shards[w] {
-		p.ObserveExchange(ex)
-	}
-}
-
-// finish hands the completed result to every pass that wants it.
-func (ps *passSet) finish(res *Result) {
-	for _, p := range ps.all {
+// finish hands the result to every pass that wants it.
+func finish(passes []Pass, res *Result) {
+	for _, p := range passes {
 		if rs, ok := p.(ResultSink); ok {
 			rs.SetResult(res)
 		}
 	}
 }
 
-// observeJFrame applies the per-jframe bookkeeping every driver shares.
-// Sinks and passes borrow the frame for the duration of the call; keeping
-// it in the result takes its own reference.
-func observeJFrame(res *Result, cfg Config, sink *Sink, ps *passSet, j *unify.JFrame) {
-	if len(j.Instances) >= 2 {
-		res.Dispersion.Add(j.DispersionUS)
-	}
-	if sink.OnJFrame != nil {
-		sink.OnJFrame(j)
-	}
-	ps.observeJFrame(j)
-	if cfg.KeepJFrames {
-		j.Retain()
-		res.JFrames = append(res.JFrames, j)
-	}
-}
-
-// deliverExchange applies the per-exchange bookkeeping every driver shares.
-// Both drivers call it in canonical close order. Sinks and passes borrow
-// the exchange; keeping it in the result takes its own reference on the
-// exchange's jframes.
-func deliverExchange(res *Result, cfg Config, sink *Sink, ps *passSet, ex *llc.Exchange) {
-	if sink.OnExchange != nil {
-		sink.OnExchange(ex)
-	}
-	ps.observeExchange(ex)
-	if cfg.KeepExchanges {
-		ex.Retain()
-		res.Exchanges = append(res.Exchanges, ex)
-	}
-}
-
 // exchangeLess is the canonical exchange order: close stamp first, then
-// deterministic tiebreaks. Both the serial sort and the parallel merge heap
-// use it, so the two paths feed the transport analyzer one identical stream.
+// deterministic tiebreaks.
 func exchangeLess(a, b *llc.Exchange) bool {
 	if a.CloseUS != b.CloseUS {
 		return a.CloseUS < b.CloseUS
@@ -472,623 +294,325 @@ func exchangeLess(a, b *llc.Exchange) bool {
 	return len(a.Attempts) < len(b.Attempts)
 }
 
-// jframeStream is a source of unified jframes in emission order — the
-// unifier on the flat path, the global k-way merger on the hierarchical
-// path. Next returns io.EOF at clean end of stream.
-type jframeStream interface {
-	Next() (*unify.JFrame, error)
-}
-
-// runSerial is the single-goroutine reference path over a live unifier.
-func runSerial(ts *tracefile.TraceSet, boot *timesync.Result, cfg Config, sink *Sink, ps *passSet, res *Result) error {
-	sources := make(map[int32]unify.Source, ts.Len())
-	for _, r := range ts.Radios() {
-		sources[r] = &readerSource{ts: ts, radio: r}
-	}
-	u := unify.New(cfg.Unify, sources, boot)
-	if err := driveSerial(u, func() unify.Stats { return u.Stats }, cfg, sink, ps, res); err != nil {
-		return err
-	}
-	return sourceFaults(sources)
-}
-
-// driveSerial runs the back half of the serial pipeline over any jframe
-// stream: one reconstructor over the whole stream, its exchanges released
-// to one transport analyzer in canonical close order as the reconstructor's
-// watermark advances — the same streaming release rule the parallel merger
-// uses, so the pass stays online with bounded buffering. stats reads the
-// stream's unification counters (live mid-run on the flat path, a
-// precomputed aggregate on the hierarchical path).
-func driveSerial(src jframeStream, stats func() unify.Stats, cfg Config, sink *Sink, ps *passSet, res *Result) error {
-	rec := llc.NewReconstructor()
-	ta := transport.NewAnalyzer()
-	h := &exchangeHeap{}
-	var lastSnapUS int64
-	release := func(limit int64) {
-		for h.Len() > 0 && (*h)[0].ex.CloseUS < limit {
-			ex := heap.Pop(h).(routedExchange).ex
-			deliverExchange(res, cfg, sink, ps, ex)
-			ta.AddExchange(ex)
-			// The transport analyzer copies what it keeps; the stream's
-			// ownership of the exchange's jframes ends here.
-			ex.Release()
-		}
-	}
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("core: jframe stream: %w", err)
-		}
-		observeJFrame(res, cfg, sink, ps, j)
-		rec.Process(j)
-		// Passes observed it, the reconstructor retained what it stores —
-		// the driver's reference from Next ends here.
-		j.Release()
-		for _, ex := range rec.Take() {
-			heap.Push(h, routedExchange{ex: ex})
-		}
-		wm := rec.Watermark()
-		release(wm)
-		if cfg.SnapshotEveryUS > 0 && wm >= lastSnapUS+cfg.SnapshotEveryUS {
-			lastSnapUS = wm
-			res.Transport = ta
-			res.UnifyStats = stats()
-			res.LLCStats = rec.Stats
-			ps.finish(res)
-		}
-	}
-	for _, ex := range rec.Flush() {
-		heap.Push(h, routedExchange{ex: ex})
-	}
-	release(math.MaxInt64)
-	res.Transport = ta
-	res.UnifyStats = stats()
-	res.LLCStats = rec.Stats
-	return nil
-}
-
-// Parallel-path tuning. tickEvery bounds how stale an idle shard's clock
-// (and hence the release watermark) can get; the batch sizes amortize
-// channel synchronization without adding meaningful latency. The prefetch
-// constants also bound the parallel path's memory: every radio can hold
-// prefetchChanBuf+2 batches of prefetchBatch records in flight, so at
-// building scale (~120 radios, ~300 B/record) the decompression pipeline
-// owns ~10 MB — keep the product small, it is the dominant term in the
-// streaming pipeline's working set.
-const (
-	tickEvery       = 64
-	stageChanBuf    = 128
-	exchangeBatch   = 128
-	flushEvery      = 32
-	prefetchBatch   = 128
-	prefetchChanBuf = 2
-
-	// Batched stage dispatch: router→llc and merge→transport hops carry
-	// owned slabs instead of single messages, amortizing channel
-	// synchronization across up to llcBatch frames (exchangeSlab
-	// exchanges). Slab channel buffers are sized so the frames in flight
-	// per shard stay near the old stageChanBuf.
-	llcBatch     = 64
-	llcChanBuf   = 4
-	exchangeSlab = 64
-	tChanBuf     = 4
-)
-
-// llcBatchSize is the router's slab flush threshold — a variable, not the
-// llcBatch constant, so determinism tests can force degenerate batch sizes
-// and assert output is invariant (the merge contract guarantees it).
-var llcBatchSize = llcBatch
-
-// llcMsg carries either a jframe or a clock tick to a reconstruction shard.
-type llcMsg struct {
-	j      *unify.JFrame
-	tickUS int64
-}
-
-// Slab pools for the batched hops. Slabs follow a strict get/flush/put
-// contract: the sender gets a slab, appends messages it owns (one jframe
-// reference per frame rides inside), sends the whole slab, and the receiver
-// puts it back after draining — Retain/Release stays per frame at the
-// existing ownership boundaries; the slab itself recycles through the pool.
-// slabBalance counts outstanding slabs (gets minus puts) so tests can
-// assert every slab returns to its pool.
-var (
-	slabBalance  atomic.Int64
-	llcSlabPool  = sync.Pool{New: func() any { s := make([]llcMsg, 0, llcBatch+1); return &s }}
-	exchSlabPool = sync.Pool{New: func() any { s := make([]*llc.Exchange, 0, exchangeSlab); return &s }}
-)
-
-func getLLCSlab() *[]llcMsg {
-	slabBalance.Add(1)
-	return llcSlabPool.Get().(*[]llcMsg)
-}
-
-func putLLCSlab(s *[]llcMsg) {
-	clear(*s) // drop stale jframe pointers before pooling
-	*s = (*s)[:0]
-	slabBalance.Add(-1)
-	llcSlabPool.Put(s)
-}
-
-func getExchSlab() *[]*llc.Exchange {
-	slabBalance.Add(1)
-	return exchSlabPool.Get().(*[]*llc.Exchange)
-}
-
-func putExchSlab(s *[]*llc.Exchange) {
-	clear(*s)
-	*s = (*s)[:0]
-	slabBalance.Add(-1)
-	exchSlabPool.Put(s)
-}
-
-// routedExchange pairs an exchange with its transport shard, computed in
-// the llc workers so the single merge goroutine stays decode-free.
-type routedExchange struct {
-	ex    *llc.Exchange
-	shard int
-}
-
-// mergeMsg carries a shard's newly closed exchanges and its watermark (a
-// lower bound on every CloseUS it can still emit) to the merger. stats is
-// non-nil on the shard's final message.
-type mergeMsg struct {
-	worker    int
-	exchanges []routedExchange
-	watermark int64
-	stats     *llc.Stats
-}
-
-// runParallel is the sharded pipeline over a live unifier: per-radio
-// prefetchers decompress each trace in the background; only synchronized
-// radios get one (the unifier skips the rest, and an unconsumed prefetcher
-// would leak its goroutine).
-func runParallel(ts *tracefile.TraceSet, boot *timesync.Result, cfg Config, sink *Sink, ps *passSet, res *Result, workers int) error {
-	sources := make(map[int32]unify.Source, ts.Len())
-	for _, r := range ts.Radios() {
-		if _, ok := boot.OffsetUS[r]; ok {
-			sources[r] = newPrefetchSource(ts, r)
-		}
-	}
-	if cfg.Unify.CoalesceWorkers == 0 {
-		// The sharded coalescer emits identical output at every worker
-		// count, so the parallel path defaults it to the pipeline width.
-		cfg.Unify.CoalesceWorkers = workers
-	}
-	u := unify.New(cfg.Unify, sources, boot)
-	if err := driveParallel(u, func() unify.Stats { return u.Stats }, cfg, sink, ps, res, workers); err != nil {
-		return err
-	}
-	return sourceFaults(sources)
-}
-
-// driveParallel runs the sharded back half of the pipeline over any jframe
-// stream: the stream's emissions route to conversation-keyed reconstruction
-// shards, a watermark-driven heap merges their exchanges back into
-// canonical close order, and flow-keyed transport shards consume the merged
-// stream — all stages overlapping.
-func driveParallel(src jframeStream, stats func() unify.Stats, cfg Config, sink *Sink, ps *passSet, res *Result, workers int) error {
-	ps.shard(workers)
-
-	llcIn := make([]chan *[]llcMsg, workers)
-	for i := range llcIn {
-		llcIn[i] = make(chan *[]llcMsg, llcChanBuf)
-	}
-	merged := make(chan mergeMsg, workers*2)
-	var llcWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		llcWG.Add(1)
-		go func(id int) {
-			defer llcWG.Done()
-			llcShardWorker(id, workers, llcIn[id], merged)
-		}(w)
-	}
-	go func() {
-		llcWG.Wait()
-		close(merged)
-	}()
-
-	tIn := make([]chan *[]*llc.Exchange, workers)
-	for i := range tIn {
-		tIn[i] = make(chan *[]*llc.Exchange, tChanBuf)
-	}
-	analyzers := make([]*transport.Analyzer, workers)
-	var tWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		tWG.Add(1)
-		go func(id int) {
-			defer tWG.Done()
-			ta := transport.NewAnalyzer()
-			for sp := range tIn[id] {
-				for _, ex := range *sp {
-					ta.AddExchange(ex)
-					ps.observeShardExchange(id, ex)
-					// Last consumer on the parallel path: the analyzer
-					// copies what it keeps and shard passes only borrow.
-					ex.Release()
-				}
-				putExchSlab(sp)
-			}
-			analyzers[id] = ta
-		}(w)
-	}
-
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		mergeExchanges(merged, tIn, res, cfg, sink, ps, workers)
-	}()
-
-	// Router (this goroutine): drive the stream, observe every jframe,
-	// append valid ones to their conversation shard's slab, and tick all
-	// shards periodically so quiet ones expire state and advance their
-	// watermarks just as an unsharded reconstructor would. Each shard's
-	// slab sequence replays exactly the message sequence the per-frame
-	// channel used to carry — a slab flushes when full and every tick
-	// flushes all partial slabs, so batching only chunks the stream, never
-	// reorders or delays it past a tick boundary.
-	slabs := make([]*[]llcMsg, workers)
-	for i := range slabs {
-		slabs[i] = getLLCSlab()
-	}
-	flushShard := func(i int) {
-		if len(*slabs[i]) == 0 {
-			return
-		}
-		llcIn[i] <- slabs[i]
-		slabs[i] = getLLCSlab()
-	}
-	var uerr error
-	count := 0
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			uerr = fmt.Errorf("core: jframe stream: %w", err)
-			break
-		}
-		observeJFrame(res, cfg, sink, ps, j)
-		// The frame crosses a channel inside a slab: read everything the
-		// router still needs before handing the driver's reference to the
-		// shard worker (which releases it after processing).
-		univUS := j.UnivUS
-		if j.Valid {
-			shard := int(macHash(llc.ConversationKey(j)) % uint64(workers))
-			*slabs[shard] = append(*slabs[shard], llcMsg{j: j})
-			if len(*slabs[shard]) >= llcBatchSize {
-				flushShard(shard)
-			}
-		} else {
-			j.Release()
-		}
-		count++
-		if count%tickEvery == 0 {
-			for i := range llcIn {
-				*slabs[i] = append(*slabs[i], llcMsg{tickUS: univUS})
-				flushShard(i)
-			}
-		}
-	}
-	for i := range llcIn {
-		flushShard(i)
-		putLLCSlab(slabs[i])
-		close(llcIn[i])
-	}
-	<-mergeDone
-	tWG.Wait()
-	ps.absorb()
-	if uerr != nil {
-		return uerr
-	}
-
-	ta := analyzers[0]
-	for _, o := range analyzers[1:] {
-		ta.Absorb(o)
-	}
-	res.Transport = ta
-	res.UnifyStats = stats()
-	return nil
-}
-
-// llcShardWorker runs one conversation shard's reconstructor, draining
-// message slabs from the router and forwarding closed exchanges (pre-routed
-// to their transport shard) and watermarks to the merger in batches. Slabs
-// return to their pool here, after the last message is consumed.
-func llcShardWorker(id, tShards int, in <-chan *[]llcMsg, out chan<- mergeMsg) {
-	rec := llc.NewReconstructor()
-	var batch []routedExchange
-	route := func(exs []*llc.Exchange) {
-		for _, ex := range exs {
-			batch = append(batch, routedExchange{ex: ex, shard: transport.FlowShard(ex, tShards)})
-		}
-	}
-	msgs := 0
-	for sp := range in {
-		for _, m := range *sp {
-			if m.j != nil {
-				rec.Process(m.j)
-				// The router handed its reference over; the reconstructor
-				// retained whatever it stored.
-				m.j.Release()
-			} else {
-				rec.Tick(m.tickUS)
-			}
-			route(rec.Take())
-			msgs++
-			if msgs >= flushEvery || len(batch) >= exchangeBatch {
-				out <- mergeMsg{worker: id, exchanges: batch, watermark: rec.Watermark()}
-				batch, msgs = nil, 0
-			}
-		}
-		putLLCSlab(sp)
-	}
-	route(rec.Flush())
-	st := rec.Stats
-	out <- mergeMsg{worker: id, exchanges: batch, watermark: math.MaxInt64, stats: &st}
-}
-
-// exchangeHeap orders routed exchanges by the canonical close key.
-type exchangeHeap []routedExchange
+// exchangeHeap orders closed exchanges by the canonical close key.
+type exchangeHeap []*llc.Exchange
 
 func (h exchangeHeap) Len() int           { return len(h) }
-func (h exchangeHeap) Less(i, j int) bool { return exchangeLess(h[i].ex, h[j].ex) }
+func (h exchangeHeap) Less(i, j int) bool { return exchangeLess(h[i], h[j]) }
 func (h exchangeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *exchangeHeap) Push(x any)        { *h = append(*h, x.(routedExchange)) }
+func (h *exchangeHeap) Push(x any)        { *h = append(*h, x.(*llc.Exchange)) }
 func (h *exchangeHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = routedExchange{}
+	old[n-1] = nil
 	*h = old[:n-1]
 	return e
 }
 
-// mergeExchanges re-serializes the shards' exchange streams into canonical
-// close order. An exchange is released once its close stamp lies strictly
-// below every shard's watermark — at that point no shard can still emit an
-// earlier one — then appended to its flow's transport shard slab, which
-// ships when full (and finally at end of stream). Closes the transport
-// channels when all shards have finished.
-func mergeExchanges(in <-chan mergeMsg, tIn []chan *[]*llc.Exchange, res *Result, cfg Config, sink *Sink, ps *passSet, workers int) {
-	wm := make([]int64, workers)
-	for i := range wm {
-		wm[i] = math.MinInt64
-	}
-	slabs := make([]*[]*llc.Exchange, len(tIn))
-	for i := range slabs {
-		slabs[i] = getExchSlab()
-	}
+// The driver's three stages (see the package comment) follow: a
+// jframeStream, reconstruct over it, and consumer.handle behind that — and
+// the two ways run composes them.
+
+// jframeStream is stage 1: unified jframes in emission order. Next returns
+// io.EOF at the clean end of the stream.
+type jframeStream interface {
+	Next() (*unify.JFrame, error)
+	// Stats returns the stream's unification counters, current at least up
+	// to the last frame Next returned.
+	Stats() unify.Stats
+}
+
+// unifierStream is the flat path's stage 1.
+type unifierStream struct{ u *unify.Unifier }
+
+func (s unifierStream) Next() (*unify.JFrame, error) { return s.u.Next() }
+func (s unifierStream) Stats() unify.Stats           { return s.u.Stats }
+
+// event is one item of the stream stage 2 hands stage 3; exactly one field
+// is set.
+type event struct {
+	j    *unify.JFrame // observe, then drop the stream's reference
+	ex   *llc.Exchange // deliver and analyze, then drop its frames' references
+	snap *snapshot     // re-deliver the result as of this point
+}
+
+// snapshot is the upstream stages' counters at one point of the stream.
+type snapshot struct {
+	unify unify.Stats
+	llc   llc.Stats
+}
+
+// reconstruct is stage 2 over stage 1: it drains src through one
+// reconstructor and emits the event stream, releasing exchanges in
+// canonical close order as the reconstructor's watermark passes them so
+// the pass stays online with bounded buffering. It returns the final
+// counters. On a stream error everything reconstruction still holds is
+// released, not emitted.
+func reconstruct(src jframeStream, snapEveryUS int64, emit func(event)) (snapshot, error) {
+	rec := llc.NewReconstructor()
 	h := &exchangeHeap{}
 	release := func(limit int64) {
-		for h.Len() > 0 && (*h)[0].ex.CloseUS < limit {
-			re := heap.Pop(h).(routedExchange)
-			deliverExchange(res, cfg, sink, ps, re.ex)
-			*slabs[re.shard] = append(*slabs[re.shard], re.ex)
-			if len(*slabs[re.shard]) >= exchangeSlab {
-				tIn[re.shard] <- slabs[re.shard]
-				slabs[re.shard] = getExchSlab()
-			}
+		for h.Len() > 0 && (*h)[0].CloseUS < limit {
+			emit(event{ex: heap.Pop(h).(*llc.Exchange)})
 		}
 	}
-	for m := range in {
-		for _, re := range m.exchanges {
-			heap.Push(h, re)
+	var lastSnapUS int64
+	for {
+		j, err := src.Next()
+		if err == io.EOF {
+			break
 		}
-		if m.watermark > wm[m.worker] {
-			wm[m.worker] = m.watermark
-		}
-		if m.stats != nil {
-			res.LLCStats.Add(*m.stats)
-		}
-		low := wm[0]
-		for _, v := range wm[1:] {
-			if v < low {
-				low = v
+		if err != nil {
+			for _, ex := range rec.Flush() {
+				ex.Release()
 			}
+			for _, ex := range *h {
+				ex.Release()
+			}
+			return snapshot{}, fmt.Errorf("core: jframe stream: %w", err)
 		}
-		release(low)
+		// The reconstructor retains what it stores; the stream's reference
+		// travels on with the event and ends in stage 3.
+		rec.Process(j)
+		emit(event{j: j})
+		for _, ex := range rec.Take() {
+			heap.Push(h, ex)
+		}
+		wm := rec.Watermark()
+		release(wm)
+		if snapEveryUS > 0 && wm >= lastSnapUS+snapEveryUS {
+			lastSnapUS = wm
+			emit(event{snap: &snapshot{unify: src.Stats(), llc: rec.Stats}})
+		}
+	}
+	for _, ex := range rec.Flush() {
+		heap.Push(h, ex)
 	}
 	release(math.MaxInt64)
-	for i := range tIn {
-		if len(*slabs[i]) > 0 {
-			tIn[i] <- slabs[i]
-		} else {
-			putExchSlab(slabs[i])
+	return snapshot{unify: src.Stats(), llc: rec.Stats}, nil
+}
+
+// consumer is stage 3: everything that looks at the pipeline's products.
+// handle is only ever called from the goroutine that called RunFrom or
+// RunHierarchical, one event at a time.
+type consumer struct {
+	res  *Result
+	cfg  *Config
+	sink *Sink
+}
+
+func (c *consumer) handle(ev event) {
+	res, cfg := c.res, c.cfg
+	switch {
+	case ev.j != nil:
+		// Sinks and passes borrow the frame for the duration of the call;
+		// keeping it in the result takes its own reference.
+		j := ev.j
+		if len(j.Instances) >= 2 {
+			res.Dispersion.Add(j.DispersionUS)
 		}
-		close(tIn[i])
-	}
-}
-
-// macHash is FNV-1a over a MAC address, for shard routing — hand-rolled
-// because it runs once per valid jframe and hash/fnv's interface-based
-// hasher would allocate on this hot path.
-func macHash(m dot80211.MAC) uint64 {
-	h := uint64(1469598103934665603)
-	for _, b := range m {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// faultSource is a trace source that can report a mid-stream failure after
-// the pass. The unifier's contract is drop-radio-on-error (a dead monitor
-// must not kill a building-wide merge mid-stream), but for file-backed
-// sources an I/O error is not a dead radio: silently analyzing the
-// truncated remainder would be wrong output with exit 0. So sources latch
-// non-EOF failures and RunFrom turns them into a pipeline error once the
-// pass completes.
-type faultSource interface {
-	unify.Source
-	// fault returns the source's latched open/read error (nil after a
-	// clean end of trace).
-	fault() error
-}
-
-// sourceFaults collects the first latched fault across per-radio sources.
-func sourceFaults(sources map[int32]unify.Source) error {
-	radios := make([]int32, 0, len(sources))
-	for r := range sources {
-		radios = append(radios, r)
-	}
-	sort.Slice(radios, func(i, j int) bool { return radios[i] < radios[j] })
-	for _, r := range radios {
-		if fs, ok := sources[r].(faultSource); ok {
-			if err := fs.fault(); err != nil {
-				return fmt.Errorf("core: trace for radio %d: %w", r, err)
-			}
+		if c.sink.OnJFrame != nil {
+			c.sink.OnJFrame(j)
 		}
-	}
-	return nil
-}
-
-// readerSource adapts one TraceSet radio to unify.Source, streaming the
-// trace block by block. The stream opens lazily on first Next (the unifier
-// skips unsynchronized radios, which must not pin file descriptors) and
-// closes itself at end of trace or on the first read error.
-type readerSource struct {
-	ts    *tracefile.TraceSet
-	radio int32
-	r     *tracefile.Reader
-	rc    io.Closer
-	done  bool
-	err   error // non-EOF open/read/close failure
-}
-
-func (s *readerSource) fault() error { return s.err }
-
-func (s *readerSource) Next() (tracefile.Record, error) {
-	if s.done {
-		return tracefile.Record{}, io.EOF
-	}
-	if s.r == nil {
-		rc, err := s.ts.Open(s.radio)
-		if err != nil {
-			s.done, s.err = true, err
-			return tracefile.Record{}, err
+		for _, p := range cfg.Passes {
+			p.ObserveJFrame(j)
 		}
-		s.rc = rc
-		s.r = tracefile.NewReader(rc)
-	}
-	rec, err := s.r.Next()
-	if err != nil {
-		s.done = true
-		cerr := s.rc.Close()
-		if err == io.EOF && cerr != nil {
-			err = cerr
+		if cfg.KeepJFrames {
+			j.Retain()
+			res.JFrames = append(res.JFrames, j)
 		}
-		if err != io.EOF {
-			s.err = err
+		j.Release()
+	case ev.ex != nil:
+		ex := ev.ex
+		if c.sink.OnExchange != nil {
+			c.sink.OnExchange(ex)
 		}
-		return tracefile.Record{}, err
+		for _, p := range cfg.Passes {
+			p.ObserveExchange(ex)
+		}
+		if cfg.KeepExchanges {
+			ex.Retain()
+			res.Exchanges = append(res.Exchanges, ex)
+		}
+		// The transport analyzer copies what it keeps; the stream's
+		// ownership of the exchange's jframes ends here.
+		res.Transport.AddExchange(ex)
+		ex.Release()
+	default:
+		res.UnifyStats, res.LLCStats = ev.snap.unify, ev.snap.llc
+		finish(cfg.Passes, res)
 	}
-	return rec, nil
 }
 
-// recBatch is a prefetched run of records whose frame bytes live in one
-// shared arena: block decompression happens in batches on the prefetch
-// goroutine, and since records borrow their frames from the reader's
-// block buffer, each frame is copied into the arena before the batch
-// crosses the channel. Batches recycle through a pool once the consumer
-// moves past them.
-type recBatch struct {
-	recs  []tracefile.Record
-	arena []byte
+// Pipelined-mode tuning: a slab carries up to slabSize items across a cut,
+// amortizing channel synchronization; stageChanBuf slabs may queue per cut.
+// The stages are bursty — the watermark releases exchanges in runs, passes
+// that defer exchanges flush them in runs — and whenever a queue runs full
+// or dry its neighbour stalls while a core idles: on the two-core reference
+// box 16 slabs deep runs the hierarchical job 21 % and the flat job 8 %
+// faster than 4 deep, for about 2 MB of extra frames in flight, and 64 deep
+// adds nothing.
+const (
+	defaultSlabSize = 64
+	stageChanBuf    = 16
+)
+
+// slabSize is a variable, not a constant, only so tests can force
+// degenerate slab sizes and assert the output does not depend on them.
+var slabSize = defaultSlabSize
+
+// jframeSlab is one hop's worth of the jframe stream across the first cut.
+type jframeSlab struct {
+	frames []*unify.JFrame
+	stats  unify.Stats // the stream's counters as of the last frame
+	err    error       // set on the stream's last slab: io.EOF or its failure
 }
 
-var recBatchPool = sync.Pool{New: func() any { return new(recBatch) }}
+// Slabs follow a strict get/fill/send/drain/put contract: the sender gets
+// a slab, fills it with items it owns (a jframe's reference rides inside),
+// sends it, and the receiver puts it back once drained. slabBalance counts
+// outstanding slabs (gets minus puts) so tests can assert every slab
+// returns to its pool.
+var (
+	slabBalance    atomic.Int64
+	jframeSlabPool = sync.Pool{New: func() any { return new(jframeSlab) }}
+	eventSlabPool  = sync.Pool{New: func() any { return new([]event) }}
+)
 
-// add appends a record, copying its borrowed frame into the arena.
-func (b *recBatch) add(rec tracefile.Record) {
-	if rec.Frame != nil {
-		off := len(b.arena)
-		// An arena growth strands earlier frames on the old backing
-		// array — still valid copies, and the grown capacity persists
-		// across reuse, so growth stops after warmup.
-		b.arena = append(b.arena, rec.Frame...)
-		rec.Frame = b.arena[off:len(b.arena):len(b.arena)]
-	}
-	b.recs = append(b.recs, rec)
+func getJFrameSlab() *jframeSlab {
+	slabBalance.Add(1)
+	return jframeSlabPool.Get().(*jframeSlab)
 }
 
-// prefetchSource decodes a radio's compressed trace in a background
-// goroutine, handing record batches to the unifier through a channel so
-// per-radio decompression overlaps with unification (and with every other
-// radio's decompression). Read errors end the stream early, matching the
-// unifier's drop-radio-on-error behaviour for direct readers.
-type prefetchSource struct {
-	ch  <-chan *recBatch
-	cur *recBatch
+func putJFrameSlab(s *jframeSlab) {
+	clear(s.frames) // drop stale jframe pointers before pooling
+	*s = jframeSlab{frames: s.frames[:0]}
+	slabBalance.Add(-1)
+	jframeSlabPool.Put(s)
+}
+
+func getEventSlab() *[]event {
+	slabBalance.Add(1)
+	return eventSlabPool.Get().(*[]event)
+}
+
+func putEventSlab(s *[]event) {
+	clear(*s)
+	*s = (*s)[:0]
+	slabBalance.Add(-1)
+	eventSlabPool.Put(s)
+}
+
+// slabStream is the receiving end of the first cut: a jframeStream fed by
+// pump through a channel of slabs.
+type slabStream struct {
+	ch  <-chan *jframeSlab
+	cur *jframeSlab
 	i   int
-	// errp is written by the prefetch goroutine before it closes ch, so
-	// reading it after the channel drains is race-free.
-	errp *error
 }
 
-func (s *prefetchSource) fault() error { return *s.errp }
-
-func newPrefetchSource(ts *tracefile.TraceSet, radio int32) *prefetchSource {
-	ch := make(chan *recBatch, prefetchChanBuf)
-	errp := new(error)
-	go func() {
-		defer close(ch)
-		rc, err := ts.Open(radio)
-		if err != nil {
-			*errp = err
+// pump runs src to its end, sending what it yields down ch in slabs and
+// closing ch behind the last one. Nothing downstream stops before the
+// stream does, so the sends need no cancellation.
+func pump(src jframeStream, ch chan<- *jframeSlab) {
+	defer close(ch)
+	for {
+		s := getJFrameSlab()
+		for s.err == nil && len(s.frames) < slabSize {
+			j, err := src.Next()
+			if err != nil {
+				s.err = err
+				break
+			}
+			s.frames = append(s.frames, j)
+		}
+		s.stats = src.Stats()
+		last := s.err != nil // the slab is the receiver's once sent
+		ch <- s
+		if last {
 			return
 		}
-		defer rc.Close()
-		r := tracefile.NewReader(rc)
-		batch := recBatchPool.Get().(*recBatch)
-		batch.recs, batch.arena = batch.recs[:0], batch.arena[:0]
-		for {
-			rec, err := r.Next()
-			if err != nil {
-				if err != io.EOF {
-					*errp = err
-				}
-				if len(batch.recs) > 0 {
-					ch <- batch
-				} else {
-					recBatchPool.Put(batch)
-				}
-				return
-			}
-			batch.add(rec)
-			if len(batch.recs) == prefetchBatch {
-				ch <- batch
-				batch = recBatchPool.Get().(*recBatch)
-				batch.recs, batch.arena = batch.recs[:0], batch.arena[:0]
-			}
-		}
-	}()
-	return &prefetchSource{ch: ch, errp: errp}
+	}
 }
 
-// Next hands out the current batch's records one at a time. Returned
-// records borrow their frames from the batch arena, which is recycled
-// when the consumer crosses the next batch boundary — the unifier copies
-// each record before asking for another, which satisfies that.
-func (s *prefetchSource) Next() (tracefile.Record, error) {
-	for s.cur == nil || s.i >= len(s.cur.recs) {
+func (s *slabStream) Next() (*unify.JFrame, error) {
+	for s.cur == nil || s.i == len(s.cur.frames) {
 		if s.cur != nil {
-			recBatchPool.Put(s.cur)
-			s.cur = nil
+			if s.cur.err != nil {
+				return nil, s.cur.err
+			}
+			putJFrameSlab(s.cur)
 		}
-		cur, ok := <-s.ch
-		if !ok {
-			return tracefile.Record{}, io.EOF
-		}
-		s.cur, s.i = cur, 0
+		s.cur, s.i = <-s.ch, 0
 	}
-	rec := s.cur.recs[s.i]
+	j := s.cur.frames[s.i]
 	s.i++
-	return rec, nil
+	return j, nil
+}
+
+func (s *slabStream) Stats() unify.Stats { return s.cur.stats }
+
+// pipelined is reconstruct(src, snapEveryUS, handle) cut into three
+// goroutines: src is pumped on one, reconstruction runs on a second, and
+// handle is called on this one. It returns once both have exited.
+func pipelined(src jframeStream, snapEveryUS int64, handle func(event)) (final snapshot, err error) {
+	// Both channels are buffered stageChanBuf slabs deep; see the constant.
+	frames := make(chan *jframeSlab, stageChanBuf)
+	events := make(chan *[]event, stageChanBuf)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		pump(src, frames)
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(events)
+		stream := &slabStream{ch: frames}
+		slab := getEventSlab()
+		final, err = reconstruct(stream, snapEveryUS, func(ev event) {
+			*slab = append(*slab, ev)
+			if len(*slab) >= slabSize {
+				events <- slab
+				slab = getEventSlab()
+			}
+		})
+		putJFrameSlab(stream.cur) // the stream's last slab, kept for Stats
+		events <- slab
+	}()
+	for slab := range events {
+		for _, ev := range *slab {
+			handle(ev)
+		}
+		putEventSlab(slab)
+	}
+	wg.Wait()
+	return final, err
+}
+
+// run drives the three stages over src and returns the finished result
+// (passes not yet given it).
+func run(src jframeStream, boot *timesync.Result, cfg Config, sink *Sink, workers int) (*Result, error) {
+	if sink == nil {
+		sink = &Sink{}
+	}
+	res := &Result{
+		Bootstrap:  boot,
+		Transport:  transport.NewAnalyzer(),
+		Dispersion: DispersionHistogram{Bins: make([]int64, 1000)},
+	}
+	c := &consumer{res: res, cfg: &cfg, sink: sink}
+	drive := pipelined
+	if workers == 1 {
+		drive = reconstruct
+	}
+	final, err := drive(src, cfg.SnapshotEveryUS, c.handle)
+	if err != nil {
+		return nil, err
+	}
+	res.UnifyStats, res.LLCStats = final.unify, final.llc
+	return res, nil
 }
 
 // TracesFromBuffers converts the scenario's buffer map into the byte map

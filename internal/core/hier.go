@@ -2,9 +2,10 @@
 // workers (internal/hmerge, possibly separate processes) have already
 // bootstrapped and unified each building into a sorted intermediate jframe
 // stream; RunHierarchical performs the level-2 global k-way merge over
-// those streams and drives the ordinary reconstruction / transport /
-// analysis-pass pipeline over the merged sequence. Every report that works
-// on a flat Result works on a hierarchical one unchanged.
+// those streams and drives the same reconstruction / transport /
+// analysis-pass stages as RunFrom over the merged sequence — the merger
+// simply takes the unifier's place as the driver's stream stage. Every
+// report that works on a flat Result works on a hierarchical one unchanged.
 //
 // Correctness rests on two facts. First, each building's stream is sorted
 // by UnivUS (the unifier's emission-order invariant, enforced by the
@@ -20,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/hmerge"
 	"repro/internal/timesync"
@@ -68,17 +68,6 @@ func RunHierarchical(streams []*hmerge.Stream, cfg Config, sink *Sink) (*Result,
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("core: no streams")
 	}
-	if sink == nil {
-		sink = &Sink{}
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SnapshotEveryUS > 0 && workers > 1 {
-		return nil, fmt.Errorf("core: SnapshotEveryUS requires the serial path (Workers=1), have %d workers", workers)
-	}
-
 	boot, err := aggregateBootstrap(streams)
 	if err != nil {
 		return nil, err
@@ -88,29 +77,27 @@ func RunHierarchical(streams []*hmerge.Stream, cfg Config, sink *Sink) (*Result,
 		ustats.Add(s.Meta.Unify)
 	}
 
-	res := &Result{
-		Bootstrap: boot,
-		Dispersion: DispersionHistogram{
-			Bins: make([]int64, 1000),
-		},
-	}
-	// With multiple workers the merger prefetches each stream's decode in
-	// its own goroutine — the hierarchical analogue of the flat path's
-	// per-radio prefetchers.
+	// With more than one worker the merger decodes each stream on its own
+	// goroutine in front of the pipeline's stream stage.
+	workers := cfg.workers()
 	merger := hmerge.NewMerger(streams, workers > 1)
-	stats := func() unify.Stats { return ustats }
-	ps := newPassSet(cfg.Passes)
-	if workers <= 1 {
-		err = driveSerial(merger, stats, cfg, sink, ps, res)
-	} else {
-		err = driveParallel(merger, stats, cfg, sink, ps, res, workers)
-	}
+	defer merger.Close()
+	res, err := run(mergedStream{merger, ustats}, boot, cfg, sink, workers)
 	if err != nil {
 		return nil, err
 	}
-	ps.finish(res)
+	finish(cfg.Passes, res)
 	return res, nil
 }
+
+// mergedStream is the hierarchical path's stage 1: the global merge, with
+// the buildings' precomputed unify counters as its (constant) stats.
+type mergedStream struct {
+	*hmerge.Merger
+	stats unify.Stats
+}
+
+func (s mergedStream) Stats() unify.Stats { return s.stats }
 
 // RunHierarchicalPaths opens each intermediate stream file (with its
 // metadata sidecar) and runs the global merge over them.

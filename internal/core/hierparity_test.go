@@ -279,8 +279,9 @@ func buildHierBuildings(t *testing.T, seed int64, n int) ([]*hierBuilding, map[d
 }
 
 // TestHierarchicalMatchesFlat is the campus determinism contract:
-// RunHierarchical over {1, 2, 4} buildings × {1, 4} workers × 3 seeds,
-// over buffer- and file-backed intermediate streams, must reproduce the
+// RunHierarchical over {1, 2, 4} buildings × Workers {1, 2, 8} (slab sizes
+// 1, 2, 64 spread over the pipelined ones) × 3 seeds, over buffer- and
+// file-backed intermediate streams, must reproduce the
 // test-side reference merge of the per-building flat runs — digest,
 // exchange sequence, aggregated stats and every pass report.
 func TestHierarchicalMatchesFlat(t *testing.T) {
@@ -291,7 +292,8 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 			const maxB = 4
 			blds, apSet := buildHierBuildings(t, seed, maxB)
 
-			runHier := func(streams []*hmerge.Stream, workers int) (*core.Result, string, map[string]analysis.Report) {
+			runHier := func(streams []*hmerge.Stream, workers, slab int) (*core.Result, string, map[string]analysis.Report) {
+				defer core.SetSlabSize(slab)()
 				ccfg := core.DefaultConfig()
 				ccfg.Workers = workers
 				ccfg.KeepExchanges = true
@@ -301,6 +303,9 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 				res, err := core.RunHierarchical(streams, ccfg, &core.Sink{OnJFrame: d.observe})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if n := core.SlabBalance(); n != 0 {
+					t.Fatalf("workers=%d/slab=%d: %d slabs outstanding after the run", workers, slab, n)
 				}
 				return res, d.sum(), finalizeAll(passes)
 			}
@@ -390,27 +395,28 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 				}
 
 				paths := make([]string, B)
-				for _, w := range []int{1, 4} {
+				for _, v := range []struct{ w, slab int }{{1, 64}, {2, 1}, {2, 64}, {8, 2}} {
+					w := v.w
 					streams := make([]*hmerge.Stream, B)
 					for k := 0; k < B; k++ {
 						streams[k] = hmerge.NewStream(blds[k].meta, bytes.NewReader(blds[k].stream))
 						paths[k] = blds[k].streamPath
 					}
-					res, digest, reports := runHier(streams, w)
-					check(fmt.Sprintf("B=%d buf/workers=%d", B, w), res, digest, reports)
+					res, digest, reports := runHier(streams, w, v.slab)
+					check(fmt.Sprintf("B=%d buf/workers=%d/slab=%d", B, w, v.slab), res, digest, reports)
 
 					// File-backed streams through the sidecar/open path.
 					fstreams, err := hmerge.OpenStreams(paths)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fres, fdigest, freports := runHier(fstreams, w)
+					fres, fdigest, freports := runHier(fstreams, w, v.slab)
 					for _, s := range fstreams {
 						if err := s.Close(); err != nil {
 							t.Fatal(err)
 						}
 					}
-					check(fmt.Sprintf("B=%d file/workers=%d", B, w), fres, fdigest, freports)
+					check(fmt.Sprintf("B=%d file/workers=%d/slab=%d", B, w, v.slab), fres, fdigest, freports)
 
 					// A single building must also match its flat run exactly
 					// (the degenerate hierarchy is the flat pipeline).

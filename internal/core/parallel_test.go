@@ -5,8 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/hmerge"
+	"repro/internal/llc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -170,10 +176,13 @@ func requireIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestParallelMatchesSerial is the determinism contract of the sharded
-// pipeline: across seeds, shard counts, congestion-control mixes and
-// client mobility, Workers=N must produce results identical to the
-// Workers=1 serial reference path.
+// TestParallelMatchesSerial is the determinism contract of the one driver:
+// across seeds, congestion-control mixes and client mobility, every
+// Workers setting — inline (1) or the three-stage pipeline (2, 8) — at
+// every slab size (1 = a channel hop per item, 2 = slabs that split every
+// burst, 64 = the shipped size) must produce the Workers=1 result: the same
+// jframe stream, the same exchanges in the same order, the same stats, and
+// every slab back in its pool.
 func TestParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -187,7 +196,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 		// Reno+CUBIC+BBR contending for a finite bottleneck queue: cwnd
 		// dynamics, pacing timers and queue drops must all replay
-		// identically under sharding.
+		// identically through the pipeline.
 		{"mixedCC", func(seed int64) scenario.Config {
 			cfg := scenario.MixedCC()
 			cfg.Seed = seed
@@ -196,9 +205,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 		// Mobile clients handing off between APs mid-flow: the trace is
 		// full of disassoc/reassoc sequences, scan probe bursts and
-		// retries against departed stations, all of which must shard
-		// identically. More APs so every floor offers a roam target, and
-		// a brisk walking speed so handoffs land inside the short day.
+		// retries against departed stations. More APs so every floor
+		// offers a roam target, and a brisk walking speed so handoffs land
+		// inside the short day.
 		{"roaming", func(seed int64) scenario.Config {
 			cfg := scenario.Roaming()
 			cfg.Seed = seed
@@ -214,7 +223,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 			seeds = []int64{1, 2}
 		}
 		for _, seed := range seeds {
-			tc, seed := tc, seed
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				cfg := tc.cfg(seed)
 				cfg.Day = 30 * sim.Second
@@ -228,7 +236,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 				bufTS := tracefile.NewBufferSet(TracesFromBuffers(out.Traces))
 				dirTS := writeTraceDir(t, out)
 
-				run := func(ts *tracefile.TraceSet, workers int) (*Result, string) {
+				run := func(ts *tracefile.TraceSet, workers, slab int) (*Result, string) {
+					defer SetSlabSize(slab)()
 					ccfg := DefaultConfig()
 					ccfg.Workers = workers
 					ccfg.KeepExchanges = true
@@ -238,31 +247,204 @@ func TestParallelMatchesSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if n := slabBalance.Load(); n != 0 {
+						t.Fatalf("workers=%d/slab=%d: %d slabs outstanding after the run", workers, slab, n)
+					}
 					return res, d.sum()
 				}
 
-				serial, serialDigest := run(bufTS, 1)
-				for _, w := range []int{2, 4} {
-					res, digest := run(bufTS, w)
-					requireIdentical(t, fmt.Sprintf("workers=%d", w), serial, res)
-					if digest != serialDigest {
-						t.Errorf("workers=%d: jframe stream digest differs from serial", w)
+				ref, refDigest := run(bufTS, 1, defaultSlabSize)
+				check := func(label string, ts *tracefile.TraceSet, workers, slab int) {
+					res, digest := run(ts, workers, slab)
+					label = fmt.Sprintf("%s/workers=%d/slab=%d", label, workers, slab)
+					requireIdentical(t, label, ref, res)
+					if digest != refDigest {
+						t.Errorf("%s: jframe stream digest differs from the inline reference", label)
 					}
 				}
-				// Directory-backed sources: same seeds, file-backed vs
-				// buffer-backed must be byte-identical — same jframe
-				// stream, same analysis output — at every shard count.
-				for _, w := range []int{1, 4} {
-					res, digest := run(dirTS, w)
-					requireIdentical(t, fmt.Sprintf("dir/workers=%d", w), serial, res)
-					if digest != serialDigest {
-						t.Errorf("dir/workers=%d: jframe stream digest differs from buffer-backed serial", w)
-					}
+				// {workers, slab}: the whole pipelined table on the first
+				// case, a diagonal of it on the rest. (The inline composition
+				// has no slabs to size; its row checks run-to-run determinism.)
+				table := [][2]int{{1, 1}, {2, 1}, {2, 64}, {8, 2}}
+				if tc.name == "fixed" && seed == 1 {
+					table = append(table, [][2]int{{2, 2}, {8, 1}, {8, 64}}...)
 				}
+				for _, v := range table {
+					check("buf", bufTS, v[0], v[1])
+				}
+				// Directory-backed sources: file-backed vs buffer-backed
+				// must be byte-identical — same jframe stream, same
+				// analysis output — inline and pipelined.
+				check("dir", dirTS, 1, defaultSlabSize)
+				check("dir", dirTS, 2, defaultSlabSize)
 			})
 		}
 	}
 }
+
+// corruptMidStream flips bytes in the middle of a file — far enough in that
+// the damage surfaces mid-pass, not at open.
+func corruptMidStream(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(b) / 2; i < len(b)/2+64; i++ {
+		b[i] ^= 0xa5
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlabPoolBalance is the shutdown contract of the driver, inline and
+// pipelined, flat and hierarchical: when RunFrom / RunHierarchicalPaths
+// returns — cleanly, after a truncated .jig (a Source fault the unifier
+// rides out, reported once the pass completes) or after a corrupt .jfs
+// block (a stream error mid-pass) — every stage has unwound. No goroutine
+// it started is still running, every slab is back in its pool, and every
+// pooled jframe has been released, whether it was delivered or still in
+// flight when the error hit.
+func TestSlabPoolBalance(t *testing.T) {
+	// Two radio-disjoint buildings: the first doubles as the flat input, and
+	// the pair makes a two-stream merge in which one stream can fail while
+	// the other (and, with Workers > 1, its prefetcher) is still mid-flight.
+	bcfg := scenario.Default()
+	bcfg.Pods, bcfg.APs, bcfg.Clients = 4, 4, 6
+	bcfg.Day = 20 * sim.Second
+	second, err := scenario.Run(scenario.CampusConfig{Buildings: 2, Seed: 1, Building: bcfg}.BuildingConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := [2]*scenario.Output{scenarioOut(t), second}
+	dir := t.TempDir()
+	var dirs, streams [2]string
+	for k, out := range outs {
+		dirs[k] = filepath.Join(dir, scenario.BuildingDirName(k))
+		if err := os.Mkdir(dirs[k], 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for r, buf := range out.Traces {
+			if err := os.WriteFile(tracefile.TracePath(dirs[k], r), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streams[k] = dirs[k] + ".jfs"
+		if _, err := hmerge.UnifyDir(dirs[k], streams[k], out.ClockGroups, hmerge.UnifyConfig{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, goodDir := outs[0], dirs[0]
+
+	// The damaged inputs: building 0 with its largest trace cut mid-block
+	// (far past the bootstrap window), and building 1's stream with a
+	// corrupt block half way through.
+	badDir := filepath.Join(dir, "truncated")
+	if err := os.Mkdir(badDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var victim int32 = -1
+	for r, buf := range out.Traces {
+		if victim < 0 || buf.Len() > out.Traces[victim].Len() {
+			victim = r
+		}
+	}
+	for r, buf := range out.Traces {
+		b := buf.Bytes()
+		if r == victim {
+			b = b[:len(b)-10]
+		}
+		if err := os.WriteFile(tracefile.TracePath(badDir, r), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	badStream := filepath.Join(dir, "corrupt.jfs")
+	for _, ext := range []string{"", ".json"} {
+		b, err := os.ReadFile(streams[1] + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(badStream+ext, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptMidStream(t, badStream)
+
+	flat := func(dir string) func(Config) error {
+		return func(cfg Config) error {
+			ts, err := tracefile.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunFrom(ts, out.ClockGroups, cfg, nil)
+			return err
+		}
+	}
+	hier := func(paths ...string) func(Config) error {
+		return func(cfg Config) error {
+			_, err := RunHierarchicalPaths(paths, cfg, nil)
+			return err
+		}
+	}
+	cases := []struct {
+		name    string
+		run     func(Config) error
+		wantErr string // "" = must succeed
+	}{
+		{"flat/clean", flat(goodDir), ""},
+		{"flat/truncated-jig", flat(badDir), fmt.Sprintf("core: trace for radio %d: ", victim)},
+		{"hier/clean", hier(streams[0], streams[1]), ""},
+		{"hier/corrupt-jfs", hier(streams[0], badStream), "core: jframe stream: "},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			for _, slab := range []int{1, 64} {
+				label := fmt.Sprintf("%s/workers=%d/slab=%d", tc.name, workers, slab)
+				goroutines := runtime.NumGoroutine()
+				frames := unify.LiveJFrames()
+				restore := SetSlabSize(slab)
+				cfg := DefaultConfig()
+				cfg.Workers = workers
+				cfg.Passes = []Pass{nopPass{}}
+				err := tc.run(cfg)
+				restore()
+				switch {
+				case tc.wantErr == "" && err != nil:
+					t.Fatalf("%s: %v", label, err)
+				case tc.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.wantErr)):
+					t.Fatalf("%s: err = %v, want prefix %q", label, err, tc.wantErr)
+				}
+				if n := slabBalance.Load(); n != 0 {
+					t.Errorf("%s: %d slabs outstanding", label, n)
+				}
+				if n := unify.LiveJFrames() - frames; n != 0 {
+					t.Errorf("%s: %d pooled jframes still referenced", label, n)
+				}
+				if n := leakedGoroutines(goroutines); n > 0 {
+					t.Errorf("%s: %d goroutines outlived the run", label, n)
+				}
+			}
+		}
+	}
+}
+
+// leakedGoroutines reports how many goroutines are running beyond the
+// baseline, allowing a moment for ones that have already signalled
+// completion to finish exiting (there is no event to wait on for that).
+func leakedGoroutines(baseline int) int {
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine() - baseline
+}
+
+// nopPass makes the driver walk its pass dispatch without retaining
+// anything.
+type nopPass struct{}
+
+func (nopPass) ObserveJFrame(*unify.JFrame)   {}
+func (nopPass) ObserveExchange(*llc.Exchange) {}
 
 // TestParallelExchangeOrderCanonical asserts the retained exchange slice is
 // in canonical close order (the order the transport analyzer consumed).

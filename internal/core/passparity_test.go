@@ -6,13 +6,14 @@
 // For Default(), MixedCC() and Roaming() scenarios, every registered
 // analysis pass fed inline by the pipeline must finalize to a report
 // identical to the legacy slice-based function over the retained
-// jframe/exchange slices — and identical again across shard counts and
-// buffer- vs directory-backed trace sources. This is the contract that
+// jframe/exchange slices — and identical again across worker counts, slab
+// sizes and buffer- vs directory-backed trace sources. This is the contract that
 // lets jiganalyze drop KeepJFrames/KeepExchanges: inline output is
 // byte-for-byte what post-hoc analysis would have produced.
 package core_test
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -116,7 +117,8 @@ func TestPassParity(t *testing.T) {
 			bufTS := tracefile.NewBufferSet(core.TracesFromBuffers(out.Traces))
 			dirTS := parityTraceDir(t, out)
 
-			run := func(ts *tracefile.TraceSet, workers int, keep bool) (*core.Result, map[string]analysis.Report) {
+			run := func(ts *tracefile.TraceSet, workers, slab int, keep bool) (*core.Result, map[string]analysis.Report) {
+				defer core.SetSlabSize(slab)()
 				ccfg := core.DefaultConfig()
 				ccfg.Workers = workers
 				ccfg.KeepJFrames = keep
@@ -130,9 +132,9 @@ func TestPassParity(t *testing.T) {
 				return res, finalizeAll(passes)
 			}
 
-			// Reference: the serial path with retention, so the same run
+			// Reference: the inline run with retention, so the same run
 			// yields both inline-pass reports and the legacy slice inputs.
-			res, ref := run(bufTS, 1, true)
+			res, ref := run(bufTS, 1, 64, true)
 
 			apSet := scenario.APSet(out.APs)
 			isAP := func(m dot80211.MAC) bool { return apSet[m] }
@@ -159,70 +161,24 @@ func TestPassParity(t *testing.T) {
 				}
 			}
 
-			// Shard counts and trace sources must not change any report.
+			// Worker counts, slab sizes and trace sources must not change
+			// any report.
 			variants := []struct {
-				label   string
-				ts      *tracefile.TraceSet
-				workers int
+				ts            *tracefile.TraceSet
+				workers, slab int
 			}{
-				{"buf/workers=2", bufTS, 2},
-				{"buf/workers=4", bufTS, 4},
-				{"dir/workers=1", dirTS, 1},
-				{"dir/workers=4", dirTS, 4},
+				{bufTS, 2, 1}, {bufTS, 2, 64}, {bufTS, 8, 2},
+				{dirTS, 1, 64}, {dirTS, 8, 64},
 			}
 			for _, v := range variants {
-				_, got := run(v.ts, v.workers, false)
+				label := fmt.Sprintf("dir=%v/workers=%d/slab=%d", v.ts == dirTS, v.workers, v.slab)
+				_, got := run(v.ts, v.workers, v.slab, false)
 				for name, want := range ref {
 					if !reflect.DeepEqual(got[name], want) {
-						t.Errorf("%s: pass %q differs from serial reference:\n got:  %+v\n want: %+v", v.label, name, got[name], want)
+						t.Errorf("%s: pass %q differs from the inline reference:\n got:  %+v\n want: %+v", label, name, got[name], want)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestCoveragePassSharded pins the ShardedPass contract directly: shard
-// instances fed disjoint exchange subsequences and absorbed in any
-// partition must reproduce the unsharded pass's report.
-func TestCoveragePassSharded(t *testing.T) {
-	cfg := scenario.Default()
-	cfg.Pods, cfg.APs, cfg.Clients = 4, 4, 8
-	cfg.Day = 20 * sim.Second
-	cfg.Seed = 3
-	out, err := scenario.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.Workers = 1
-	ccfg.KeepExchanges = true
-	res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Exchanges) == 0 {
-		t.Fatal("no exchanges")
-	}
-
-	whole := analysis.NewCoveragePass(out)
-	for _, ex := range res.Exchanges {
-		whole.ObserveExchange(ex)
-	}
-
-	sharded := analysis.NewCoveragePass(out)
-	shards := make([]core.Pass, 3)
-	for i := range shards {
-		shards[i] = sharded.NewShard()
-	}
-	for i, ex := range res.Exchanges {
-		shards[i%len(shards)].ObserveExchange(ex)
-	}
-	for _, s := range shards {
-		sharded.AbsorbShard(s)
-	}
-
-	if !reflect.DeepEqual(sharded.Finalize(), whole.Finalize()) {
-		t.Error("sharded coverage pass report differs from unsharded")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 
 	"repro/internal/timesync"
 	"repro/internal/tracefile"
@@ -100,7 +99,8 @@ type UnifyConfig struct {
 
 // Unify runs one building's bootstrap + unification and serializes the
 // unifier's emission stream to w. This is exactly the front half of
-// core.RunFrom — same bootstrap, same unifier, same stream — with the
+// core.RunFrom — same pre-scan (timesync.BootstrapSet), same sources
+// (unify.TraceSources), same unifier, same stream — with the
 // reconstruction stages replaced by the codec, so the jframes a
 // hierarchical run merges back are the jframes a flat run would have seen.
 // Unification is deterministic, which makes the serialized bytes
@@ -121,45 +121,13 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Bootstrap pre-scan over each trace's first window.
-	readers := make(map[int32]*tracefile.Reader, ts.Len())
-	closers := make([]io.Closer, 0, ts.Len())
-	closeAll := func() error {
-		var first error
-		for _, c := range closers {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		closers = closers[:0]
-		return first
-	}
-	for _, r := range ts.Radios() {
-		rc, err := ts.Open(r)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("hmerge: open trace for radio %d: %w", r, err)
-		}
-		closers = append(closers, rc)
-		readers[r] = tracefile.NewReader(rc)
-	}
-	window, err := timesync.CollectWindowParallel(readers, cfg.BootstrapWindowUS, workers)
-	if cerr := closeAll(); err == nil && cerr != nil {
-		err = cerr
-	}
+	boot, err := timesync.BootstrapSet(ts, clockGroups, cfg.BootstrapWindowUS, workers)
 	if err != nil {
-		return nil, fmt.Errorf("hmerge: bootstrap window: %w", err)
-	}
-	boot, err := timesync.Bootstrap(window, clockGroups)
-	if err != nil {
-		return nil, fmt.Errorf("hmerge: bootstrap: %w", err)
+		return nil, fmt.Errorf("hmerge: %w", err)
 	}
 
 	// Unify and serialize.
-	sources := make(map[int32]unify.Source, ts.Len())
-	for _, r := range ts.Radios() {
-		sources[r] = &buildSource{ts: ts, radio: r}
-	}
+	sources, sourceFault := unify.TraceSources(ts)
 	u := unify.New(cfg.Unify, sources, boot)
 	wtr, err := NewWriter(w)
 	if err != nil {
@@ -214,8 +182,8 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 	if err := wtr.Close(); err != nil {
 		return nil, err
 	}
-	if err := buildSourceFaults(sources); err != nil {
-		return nil, err
+	if err := sourceFault(); err != nil {
+		return nil, fmt.Errorf("hmerge: %w", err)
 	}
 	return &Meta{
 		Radios:      ts.Radios(),
@@ -263,61 +231,4 @@ func UnifyDir(srcDir, outPath string, clockGroups [][]int32, cfg UnifyConfig) (*
 		return nil, err
 	}
 	return meta, nil
-}
-
-// buildSource adapts one TraceSet radio to unify.Source, mirroring core's
-// reader source: lazy open (the unifier never opens unsynchronized radios),
-// self-closing at end of trace, and fault-latching — a mid-stream read
-// error must fail the worker after the pass rather than silently truncate
-// the building's stream.
-type buildSource struct {
-	ts    *tracefile.TraceSet
-	radio int32
-	r     *tracefile.Reader
-	rc    io.Closer
-	done  bool
-	err   error
-}
-
-func (s *buildSource) Next() (tracefile.Record, error) {
-	if s.done {
-		return tracefile.Record{}, io.EOF
-	}
-	if s.r == nil {
-		rc, err := s.ts.Open(s.radio)
-		if err != nil {
-			s.done, s.err = true, err
-			return tracefile.Record{}, err
-		}
-		s.rc = rc
-		s.r = tracefile.NewReader(rc)
-	}
-	rec, err := s.r.Next()
-	if err != nil {
-		s.done = true
-		cerr := s.rc.Close()
-		if err == io.EOF && cerr != nil {
-			err = cerr
-		}
-		if err != io.EOF {
-			s.err = err
-		}
-		return tracefile.Record{}, err
-	}
-	return rec, nil
-}
-
-// buildSourceFaults surfaces the first latched per-radio fault.
-func buildSourceFaults(sources map[int32]unify.Source) error {
-	radios := make([]int32, 0, len(sources))
-	for r := range sources {
-		radios = append(radios, r)
-	}
-	sort.Slice(radios, func(i, j int) bool { return radios[i] < radios[j] })
-	for _, r := range radios {
-		if bs, ok := sources[r].(*buildSource); ok && bs.err != nil {
-			return fmt.Errorf("hmerge: trace for radio %d: %w", r, bs.err)
-		}
-	}
-	return nil
 }

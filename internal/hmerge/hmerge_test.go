@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/dot80211"
@@ -253,6 +255,58 @@ func TestMergeOrdering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergerCloseUnwinds: a merge abandoned part way — by a consumer that
+// stops early, or by a stream that fails mid-pass — must leave nothing
+// behind once Close returns: no prefetch goroutine still running (they
+// would otherwise block forever on their full channels) and no pooled frame
+// still referenced, whether it sat in the merge heap, in a prefetched batch
+// or in a goroutine's hands.
+func TestMergerCloseUnwinds(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		for _, damaged := range []bool{false, true} {
+			goroutines, live := runtime.NumGoroutine(), unify.LiveJFrames()
+			streams := make([]*Stream, 3)
+			for i := range streams {
+				// Long enough that every prefetcher fills its channel and
+				// blocks well before its stream ends.
+				data, _ := encodeStream(t, synthFrames(1000, int64(20+i)))
+				if damaged && i == 1 {
+					data = data[:len(data)/2]
+				}
+				streams[i] = NewStream(nil, bytes.NewReader(data))
+			}
+			m := NewMerger(streams, prefetch)
+			var err error
+			for n := 0; err == nil && (damaged || n < 100); n++ {
+				var j *unify.JFrame
+				if j, err = m.Next(); err == nil {
+					j.Release()
+				}
+			}
+			if damaged && (err == nil || err == io.EOF) {
+				t.Fatalf("prefetch=%v: truncated stream merged with err = %v", prefetch, err)
+			}
+			m.Close()
+			if n := unify.LiveJFrames() - live; n != 0 {
+				t.Errorf("prefetch=%v damaged=%v: %d pooled jframes still referenced after Close", prefetch, damaged, n)
+			}
+			if n := leakedGoroutines(goroutines); n > 0 {
+				t.Errorf("prefetch=%v damaged=%v: %d goroutines outlived Close", prefetch, damaged, n)
+			}
+		}
+	}
+}
+
+// leakedGoroutines reports how many goroutines are running beyond the
+// baseline, allowing a moment for ones that have already signalled
+// completion to finish exiting (there is no event to wait on for that).
+func leakedGoroutines(baseline int) int {
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine() - baseline
 }
 
 func TestReaderRejectsCorrupt(t *testing.T) {

@@ -3,6 +3,7 @@ package hmerge
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/tracefile"
 	"repro/internal/unify"
@@ -71,57 +72,65 @@ func (s *Stream) Close() error {
 	return s.c.Close()
 }
 
-// mergePrefetchBatch sizes the prefetch batches; like the tracefile
-// prefetchers, small batch × small channel keeps per-stream buffering
-// bounded while amortizing channel synchronization.
+// mergePrefetchBatch sizes the prefetch batches: small batch × small
+// channel keeps per-stream buffering bounded while amortizing channel
+// synchronization.
 const (
 	mergePrefetchBatch   = 64
 	mergePrefetchChanBuf = 2
 )
 
-// prefetchCursor decodes a stream in a background goroutine. errp is
+// prefetchCursor decodes a stream in a background goroutine. err is
 // written before ch closes, so reading it after the channel drains is
 // race-free.
 type prefetchCursor struct {
-	ch   <-chan []*unify.JFrame
-	cur  []*unify.JFrame
-	i    int
-	errp *error
+	ch  chan []*unify.JFrame
+	cur []*unify.JFrame
+	i   int
+	err error
 }
 
-func newPrefetchCursor(s *Stream) *prefetchCursor {
-	ch := make(chan []*unify.JFrame, mergePrefetchChanBuf)
-	errp := new(error)
-	go func() {
-		defer close(ch)
-		batch := make([]*unify.JFrame, 0, mergePrefetchBatch)
-		for {
-			j, err := s.Next()
-			if err != nil {
-				if err != io.EOF {
-					*errp = err
-				}
-				if len(batch) > 0 {
-					ch <- batch
-				}
+// run is the cursor's goroutine: it decodes s into batches until the stream
+// ends or stop closes, in which case the batch in hand is released.
+func (c *prefetchCursor) run(s *Stream, stop <-chan struct{}) {
+	defer close(c.ch)
+	batch := make([]*unify.JFrame, 0, mergePrefetchBatch)
+	send := func() bool {
+		select {
+		case c.ch <- batch:
+			return true
+		case <-stop:
+			releaseAll(batch)
+			return false
+		}
+	}
+	for {
+		j, err := s.Next()
+		if err != nil {
+			if err != io.EOF {
+				c.err = err
+			}
+			if len(batch) > 0 {
+				send()
+			}
+			return
+		}
+		batch = append(batch, j)
+		if len(batch) == mergePrefetchBatch {
+			if !send() {
 				return
 			}
-			batch = append(batch, j)
-			if len(batch) == mergePrefetchBatch {
-				ch <- batch
-				batch = make([]*unify.JFrame, 0, mergePrefetchBatch)
-			}
+			batch = make([]*unify.JFrame, 0, mergePrefetchBatch)
 		}
-	}()
-	return &prefetchCursor{ch: ch, errp: errp}
+	}
 }
 
 func (c *prefetchCursor) next() (*unify.JFrame, error) {
 	for c.i >= len(c.cur) {
 		cur, ok := <-c.ch
 		if !ok {
-			if *c.errp != nil {
-				return nil, *c.errp
+			if c.err != nil {
+				return nil, c.err
 			}
 			return nil, io.EOF
 		}
@@ -130,6 +139,12 @@ func (c *prefetchCursor) next() (*unify.JFrame, error) {
 	j := c.cur[c.i]
 	c.i++
 	return j, nil
+}
+
+func releaseAll(frames []*unify.JFrame) {
+	for _, j := range frames {
+		j.Release()
+	}
 }
 
 // usHeap is a binary min-heap of payloads keyed by (us, tie), with concrete
@@ -202,15 +217,42 @@ type Merger struct {
 	streams []*Stream
 	h       usHeap[mergeHead]
 	started bool
-	// prefetch overlaps per-stream decompression with the merge, the
-	// multi-worker analogue of core's per-radio prefetchers.
+	// prefetch overlaps per-stream decompression with the merge: each
+	// stream decodes on its own goroutine, stopped and awaited by Close.
 	prefetch bool
+	cursors  []*prefetchCursor
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 // NewMerger prepares a merge over streams. With prefetch set, each stream
-// decodes in its own goroutine.
+// decodes in its own goroutine; the caller must then Close the merger.
 func NewMerger(streams []*Stream, prefetch bool) *Merger {
 	return &Merger{streams: streams, prefetch: prefetch}
+}
+
+// Close ends the merge: it stops the prefetch goroutines, waits for them to
+// exit, and releases every frame the merger still holds (stream heads,
+// prefetched batches). After a merge that ran to io.EOF there is nothing
+// left to do; after a stream error, or when the caller stops early, this is
+// what keeps goroutines and pooled frames from leaking. The merger must not
+// be used afterwards.
+func (m *Merger) Close() {
+	if m.stop != nil {
+		close(m.stop)
+		m.wg.Wait()
+		m.stop = nil
+	}
+	for _, c := range m.cursors {
+		releaseAll(c.cur[c.i:])
+		for batch := range c.ch {
+			releaseAll(batch)
+		}
+	}
+	for _, it := range m.h {
+		it.v.j.Release()
+	}
+	m.cursors, m.h = nil, nil
 }
 
 func (m *Merger) streamErr(idx int, err error) error {
@@ -219,10 +261,23 @@ func (m *Merger) streamErr(idx int, err error) error {
 
 func (m *Merger) start() error {
 	m.h = make(usHeap[mergeHead], 0, len(m.streams))
+	if m.prefetch {
+		m.stop = make(chan struct{})
+		for _, s := range m.streams {
+			// Buffered mergePrefetchChanBuf batches deep; see the constant.
+			c := &prefetchCursor{ch: make(chan []*unify.JFrame, mergePrefetchChanBuf)}
+			m.cursors = append(m.cursors, c)
+			m.wg.Add(1)
+			go func() {
+				defer m.wg.Done()
+				c.run(s, m.stop)
+			}()
+		}
+	}
 	for i, s := range m.streams {
 		next := s.Next
 		if m.prefetch {
-			next = newPrefetchCursor(s).next
+			next = m.cursors[i].next
 		}
 		j, err := next()
 		if err == io.EOF {

@@ -97,8 +97,8 @@ type Exchange struct {
 	// exchange timeout for abandonment. Unlike the moment of emission
 	// (which depends on when the reconstructor's clock happened to
 	// advance), CloseUS is a pure function of the sender's frame
-	// subsequence, so sharded reconstructors stamp identical values and a
-	// (CloseUS, ...) sort yields one canonical exchange order.
+	// subsequence, so a (CloseUS, ...) sort yields one canonical exchange
+	// order.
 	CloseUS int64
 }
 
@@ -167,8 +167,8 @@ type Stats struct {
 	FlushedUnassigned int64
 }
 
-// Add accumulates another reconstructor's counters (sharded pipelines sum
-// per-shard stats into the totals an unsharded run would report).
+// Add accumulates another reconstructor's counters (per-building runs sum
+// into the totals one run over all of them reports).
 func (s *Stats) Add(o Stats) {
 	s.JFrames += o.JFrames
 	s.Attempts += o.Attempts
@@ -225,39 +225,10 @@ func NewReconstructor() *Reconstructor {
 	}
 }
 
-// ConversationKey returns the MAC address that keys every piece of
-// reconstructor state a valid jframe can touch: the transmitter for
-// DATA/management/RTS frames, the addressee (the protected or acknowledged
-// transmitter) for CTS and ACK. Feeding each jframe to the reconstructor
-// owning its key partitions the stream without changing any per-sender
-// outcome, which is the sharding contract the parallel pipeline relies on.
-func ConversationKey(j *unify.JFrame) dot80211.MAC {
-	f := &j.Frame
-	if f.Type == dot80211.TypeControl && f.Subtype != dot80211.SubtypeRTS {
-		// CTS carries the protected transmitter in Addr1; ACK carries the
-		// acknowledged transmitter in Addr1.
-		return f.Addr1
-	}
-	return f.Addr2
-}
-
-// Tick advances the reconstructor's clock without delivering a frame,
-// expiring timed-out state exactly as an unrelated sender's frame would in
-// an unsharded run. Safe at any time ≤ the next frame's timestamp; outcomes
-// never depend on tick cadence (expiry stamps are deterministic).
-func (r *Reconstructor) Tick(univUS int64) {
-	if univUS <= r.now {
-		return
-	}
-	r.now = univUS
-	r.expire()
-}
-
 // Watermark returns a lower bound on the CloseUS of every exchange this
 // reconstructor can still emit: no future Take or Flush will yield an
-// exchange stamped earlier. The parallel pipeline's merger releases heap
-// entries strictly below the minimum watermark across shards, keeping the
-// merged stream in canonical order while it flows.
+// exchange stamped earlier. The pipeline releases closed exchanges strictly
+// below it, keeping the exchange stream in canonical order while it flows.
 func (r *Reconstructor) Watermark() int64 { return r.watermark }
 
 // Process feeds one jframe; completed exchanges become available via Take.
@@ -303,8 +274,8 @@ func (r *Reconstructor) Process(j *unify.JFrame) {
 // recomputes the watermark from the remaining open state. Expiry timing is
 // result-neutral: whenever a sender's next frame arrives, Process runs
 // expire first, so state past its deadline is gone by then whether or not
-// an intervening frame (or Tick) cleared it earlier — and timed-out closes
-// are stamped with their deadline, not with r.now.
+// an intervening frame cleared it earlier — and timed-out closes are
+// stamped with their deadline, not with r.now.
 func (r *Reconstructor) expire() {
 	for tx, oa := range r.awaiting {
 		if r.now > oa.deadline {
@@ -609,14 +580,23 @@ func (r *Reconstructor) Take() []*Exchange {
 
 // Flush closes every open exchange at end of trace and returns the
 // remainder. Flushed exchanges are stamped as if the stream had run on to
-// their timeout, so truncating a trace at different points (or sharding it)
-// yields the same stamps.
+// their timeout, so truncating a trace at different points yields the same
+// stamps. RTS/CTS frames still waiting for their DATA are dropped: after
+// Flush the reconstructor holds no frame references.
 func (r *Reconstructor) Flush() []*Exchange {
 	for _, ss := range r.senders {
 		r.resolveOrphan(ss, 0)
 		if ss.cur != nil {
 			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
 		}
+	}
+	for tx, j := range r.pendingCTS {
+		delete(r.pendingCTS, tx)
+		j.Release()
+	}
+	for tx, j := range r.pendingRTS {
+		delete(r.pendingRTS, tx)
+		j.Release()
 	}
 	r.watermark = math.MaxInt64
 	return r.Take()

@@ -20,8 +20,8 @@
 // index) is pruned only behind what has already been consumed.
 //
 // All pipeline-facing methods (ObserveJFrame, ObserveExchange, SetResult,
-// Flush) run on the pipeline goroutine, serialized by core's Pass
-// contract. The read side (Healthy, Summary, Report, Metrics) is safe
+// Flush) run on the goroutine that called core.RunFrom, one at a time, at
+// every Workers setting (core's Pass contract). The read side (Healthy, Summary, Report, Metrics) is safe
 // from any goroutine: closed-window reports are detached snapshots
 // published under a lock, and counters are atomics — HTTP handlers never
 // touch pass state.
@@ -107,7 +107,7 @@ func (e pendingEvent) timeUS() int64 {
 
 // Monitor drives windowed passes inside a live pipeline run and publishes
 // their reports. It implements core.Pass and core.ResultSink; run it as
-// the only entry in core.Config.Passes on the serial path (jigd does).
+// the only entry in core.Config.Passes (jigd does).
 type Monitor struct {
 	windowUS int64
 	slackUS  int64

@@ -364,6 +364,45 @@ func CollectWindowParallel(readers map[int32]*tracefile.Reader, windowUS int64, 
 	return out, nil
 }
 
+// BootstrapSet is the pipeline's pre-scan over a stored trace set: open
+// every radio, collect each one's first windowUS on a pool of workers
+// goroutines, close them all again (the main pass reopens lazily), and
+// solve the offsets.
+func BootstrapSet(ts *tracefile.TraceSet, clockGroups [][]int32, windowUS int64, workers int) (*Result, error) {
+	readers := make(map[int32]*tracefile.Reader, ts.Len())
+	closers := make([]io.Closer, 0, ts.Len())
+	closeAll := func() error {
+		var first error
+		for _, c := range closers {
+			if err := c.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	for _, r := range ts.Radios() {
+		rc, err := ts.Open(r)
+		if err != nil {
+			_ = closeAll() // error-path cleanup; the open error wins
+			return nil, fmt.Errorf("open trace for radio %d: %w", r, err)
+		}
+		closers = append(closers, rc)
+		readers[r] = tracefile.NewReader(rc)
+	}
+	window, err := CollectWindowParallel(readers, windowUS, workers)
+	if cerr := closeAll(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bootstrap window: %w", err)
+	}
+	res, err := Bootstrap(window, clockGroups)
+	if err != nil {
+		return nil, fmt.Errorf("bootstrap: %w", err)
+	}
+	return res, nil
+}
+
 // collectRadioWindow reads one radio's bootstrap window.
 func collectRadioWindow(r *tracefile.Reader, windowUS int64) ([]tracefile.Record, error) {
 	var out []tracefile.Record

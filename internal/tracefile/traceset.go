@@ -22,8 +22,8 @@ import (
 // Source opens one radio's compressed trace stream. Every Open returns an
 // independent reader positioned at the start of the trace: the pipeline
 // opens each trace twice (bootstrap pre-scan, then the main pass), and the
-// parallel path opens traces from prefetcher goroutines, so implementations
-// must be safe for concurrent Opens.
+// pre-scan opens radios from a pool of goroutines, so implementations must
+// be safe for concurrent Opens.
 type Source interface {
 	Open() (io.ReadCloser, error)
 }
@@ -260,3 +260,62 @@ func (ts *TraceSet) Open(radio int32) (io.ReadCloser, error) {
 	}
 	return src.Open()
 }
+
+// RadioSource streams one radio of a TraceSet record by record — the shape
+// the unifier consumes (it satisfies unify.Source). The stream opens lazily
+// on the first Next (the unifier skips unsynchronized radios, which must
+// not pin file descriptors) and closes itself at end of trace or on the
+// first error.
+//
+// A non-EOF failure is latched for Err. The unifier's contract is
+// drop-radio-on-error (a dead monitor must not kill a building-wide merge
+// mid-stream), but for a stored trace an I/O or decode error is not a dead
+// radio: silently analyzing the truncated remainder would be wrong output
+// with exit 0. So callers check Err once the pass completes.
+type RadioSource struct {
+	ts    *TraceSet
+	radio int32
+	r     *Reader
+	rc    io.Closer
+	done  bool
+	err   error
+}
+
+// Source returns a fresh lazy stream over one radio's trace.
+func (ts *TraceSet) Source(radio int32) *RadioSource {
+	return &RadioSource{ts: ts, radio: radio}
+}
+
+// Next returns the radio's next record (borrowed, like Reader.Next's), or
+// io.EOF at the clean end of the trace.
+func (s *RadioSource) Next() (Record, error) {
+	if s.done {
+		return Record{}, io.EOF
+	}
+	if s.r == nil {
+		rc, err := s.ts.Open(s.radio)
+		if err != nil {
+			s.done, s.err = true, err
+			return Record{}, err
+		}
+		s.rc = rc
+		s.r = NewReader(rc)
+	}
+	rec, err := s.r.Next()
+	if err != nil {
+		s.done = true
+		cerr := s.rc.Close()
+		if err == io.EOF && cerr != nil {
+			err = cerr
+		}
+		if err != io.EOF {
+			s.err = err
+		}
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// Err returns the stream's latched open/read/close failure (nil after a
+// clean end of trace).
+func (s *RadioSource) Err() error { return s.err }

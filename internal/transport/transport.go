@@ -15,7 +15,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"repro/internal/llc"
@@ -161,59 +160,6 @@ type Analyzer struct {
 // NewAnalyzer creates an empty analyzer.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{flows: make(map[tcpsim.FlowKey]*Flow)}
-}
-
-// FlowShard returns the shard (0..shards-1) an exchange's flow belongs to.
-// Both directions of a TCP connection hash to the same shard, so feeding
-// each exchange to the analyzer owning its shard keeps every flow's state
-// in exactly one analyzer. Exchanges without a decodable TCP segment only
-// bump counters, which sum across shards, so they all land in shard 0.
-func FlowShard(ex *llc.Exchange, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	data := ex.Data()
-	if data == nil {
-		return 0
-	}
-	seg, err := tcpsim.DecodeSegment(data.Frame.Body)
-	if err != nil {
-		return 0
-	}
-	k := seg.Key()
-	var key [12]byte
-	binary.LittleEndian.PutUint32(key[0:4], k.IPLo)
-	binary.LittleEndian.PutUint32(key[4:8], k.IPHi)
-	binary.LittleEndian.PutUint16(key[8:10], k.PortLo)
-	binary.LittleEndian.PutUint16(key[10:12], k.PortHi)
-	// FNV-1a, hand-rolled like core's MAC hash: this runs once per exchange
-	// and hash/fnv's interface-based hasher would allocate each call.
-	h := uint64(1469598103934665603)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return int(h % uint64(shards))
-}
-
-// Absorb merges another analyzer's flows and counters into a. The two flow
-// key sets must be disjoint, which FlowShard-based routing guarantees;
-// overlapping keys would clobber state rather than merge it.
-func (a *Analyzer) Absorb(o *Analyzer) {
-	for k, f := range o.flows {
-		a.flows[k] = f
-	}
-	a.Stats.Exchanges += o.Stats.Exchanges
-	a.Stats.TCPSegments += o.Stats.TCPSegments
-	a.Stats.NonTCP += o.Stats.NonTCP
-	a.Stats.Flows += o.Stats.Flows
-	a.Stats.CompleteFlows += o.Stats.CompleteFlows
-	a.Stats.ResolvedByOracle += o.Stats.ResolvedByOracle
-	a.Stats.MonitorOmissions += o.Stats.MonitorOmissions
-	a.Stats.Retransmissions += o.Stats.Retransmissions
-	a.Stats.WirelessLosses += o.Stats.WirelessLosses
-	a.Stats.WiredLosses += o.Stats.WiredLosses
-	a.Stats.UnknownLosses += o.Stats.UnknownLosses
 }
 
 // flowKeyLess orders flow keys for deterministic report output.

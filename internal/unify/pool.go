@@ -33,11 +33,29 @@ import (
 
 var jframePool = sync.Pool{New: func() any { return new(JFrame) }}
 
+// frameCount tallies pooled frames handed out and recycled. Frames are
+// mostly handed out on one goroutine (the stream stage) and recycled on
+// another (the last consumer), so the two tallies sit on separate cache
+// lines and neither add is contended.
+var frameCount struct {
+	gets atomic.Int64
+	_    [56]byte
+	puts atomic.Int64
+}
+
+// LiveJFrames returns how many pooled frames are currently owned by someone:
+// handed out by NewJFrame (or Clone, or the hmerge reader) and not yet
+// recycled by their last Release. A pipeline that has shut down cleanly —
+// or unwound after an error — and kept nothing reads the value it started
+// at; a higher one is a leaked reference.
+func LiveJFrames() int64 { return frameCount.gets.Load() - frameCount.puts.Load() }
+
 // NewJFrame returns a pooled, zeroed jframe owned by the caller: the
 // caller holds its single ownership reference and must balance it with
 // Release.
 func NewJFrame() *JFrame {
 	j := jframePool.Get().(*JFrame)
+	frameCount.gets.Add(1)
 	atomic.StoreInt32(&j.refs, 1)
 	j.pooled = true
 	return j
@@ -60,6 +78,7 @@ func (j *JFrame) Release() {
 	*j = JFrame{}
 	j.wireBuf = wire
 	j.Instances = inst
+	frameCount.puts.Add(1)
 	jframePool.Put(j)
 }
 

@@ -24,9 +24,10 @@ package unify
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/dot80211"
@@ -55,13 +56,6 @@ type Config struct {
 	// SkewCompensation toggles the EWMA skew/drift model (ablation: the
 	// paper found it necessary at scale).
 	SkewCompensation bool
-	// CoalesceWorkers shards each batch's content grouping across this
-	// many goroutines, keyed by content hash. 0 or 1 keeps coalescing
-	// serial. Output is identical at every worker count: instances with
-	// equal content always land in the same shard in batch order, and
-	// shard-local groups are restored to batch creation order before
-	// corrupt attachment and emission.
-	CoalesceWorkers int
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -151,18 +145,37 @@ func (s *sliceSource) Next() (tracefile.Record, error) {
 	return r, nil
 }
 
+// TraceSources adapts every radio of a stored trace set for New: one lazy,
+// self-closing tracefile.RadioSource each. The returned function reports
+// the first fault a source latched, in radio order; call it once the
+// stream is drained (the unifier itself drops a failing radio and goes on).
+func TraceSources(ts *tracefile.TraceSet) (map[int32]Source, func() error) {
+	radios := ts.Radios()
+	sources := make(map[int32]Source, len(radios))
+	for _, r := range radios {
+		sources[r] = ts.Source(r)
+	}
+	return sources, func() error {
+		for _, r := range radios {
+			if err := sources[r].(*tracefile.RadioSource).Err(); err != nil {
+				return fmt.Errorf("trace for radio %d: %w", r, err)
+			}
+		}
+		return nil
+	}
+}
+
 // queueEntry is one radio's head instance in the priority queue. Entries
 // own their frame bytes (buf) — records are copied out of the reader's
 // borrowed block buffer on arrival — and are recycled through the
 // unifier's freelist after their batch is emitted.
 type queueEntry struct {
 	univUS int64
-	hash   uint32           // content hash over frame bytes: dedup pre-filter and coalesce shard key
+	hash   uint32           // content hash over frame bytes: dedup pre-filter
 	rec    tracefile.Record // Frame points into buf
 	buf    []byte           // owned frame storage, reused across reuses
 	radio  int32            // radio id (for output)
 	ri     int32            // dense index into Unifier.radios
-	pos    int32            // position within the current batch
 }
 
 // instanceHeap is a binary min-heap on univUS with concrete sift loops. It
@@ -277,12 +290,6 @@ func (g *grp) addRadio(ri int32) {
 	g.radioBits[w] |= 1 << (uint32(ri) & 63)
 }
 
-// coalesceShard is one worker's slice of a batch's valid-frame grouping.
-type coalesceShard struct {
-	entries []*queueEntry
-	groups  []*grp
-}
-
 // Unifier merges per-radio sources into a jframe stream.
 type Unifier struct {
 	cfg    Config
@@ -300,8 +307,13 @@ type Unifier struct {
 	corruptScratch []*queueEntry
 	groupScratch   []*grp
 	grpFree        []*grp
-	shards         []coalesceShard
 	single         [1]*queueEntry
+
+	// fullScan switches the corrupt-attach window off (see group); only the
+	// differential test sets it. fullScanBatches counts the batches that
+	// took the full scan.
+	fullScan        bool
+	fullScanBatches int64
 
 	Stats Stats
 }
@@ -366,13 +378,12 @@ func (u *Unifier) putGrp(g *grp) {
 
 // wireHash is the content hash over raw frame bytes: the cheap dedup
 // pre-filter (equal content implies equal hash, so grouping skips
-// bytes.Equal on mismatched hashes) and the coalesce shard key. It mixes
-// eight bytes per step (FNV-1a style over a 64-bit lane, folded to 32
-// bits), which the profile showed is ~8× cheaper than the byte-at-a-time
-// FNV it replaced. The exact value never reaches the output stream: equal
-// bytes always map to equal hashes, collisions only cost a bytes.Equal,
-// and the sharded coalescer re-sorts groups into batch order — so any
-// deterministic function of the bytes preserves unifier output.
+// bytes.Equal on mismatched hashes). It mixes eight bytes per step (FNV-1a
+// style over a 64-bit lane, folded to 32 bits), which the profile showed is
+// ~8× cheaper than the byte-at-a-time FNV it replaced. The exact value
+// never reaches the output stream: equal bytes always map to equal hashes
+// and collisions only cost a bytes.Equal — so any deterministic function of
+// the bytes preserves unifier output.
 func wireHash(b []byte) uint32 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -455,9 +466,7 @@ func (u *Unifier) Next() (*JFrame, error) {
 func (u *Unifier) batch() {
 	first := u.heap.popMin()
 	u.advance(first.ri)
-	batch := u.batchScratch[:0]
-	first.pos = 0
-	batch = append(batch, first)
+	batch := append(u.batchScratch[:0], first)
 	last := first.univUS
 	lastRI := first.ri
 	for len(u.heap) > 0 {
@@ -483,7 +492,6 @@ func (u *Unifier) batch() {
 		}
 		e := u.heap.popMin()
 		u.advance(e.ri)
-		e.pos = int32(len(batch))
 		batch = append(batch, e)
 		last = e.univUS
 		lastRI = e.ri
@@ -536,14 +544,14 @@ func contentEqual(a, b *tracefile.Record) bool {
 	return bytes.Equal(a.Frame, b.Frame)
 }
 
-// makeGroup starts a content group from e, decoding its capture once; the
-// decode is reused for transmitter matching and final emission.
-func makeGroup(alloc func() *grp, e *queueEntry, valid bool) *grp {
-	g := alloc()
-	f, _, err := dot80211.DecodeCapture(e.rec.Frame)
+// newGroup starts a group from e with its capture's decode f (decErr set
+// when the header did not parse); the decode is reused for transmitter
+// matching and final emission.
+func (u *Unifier) newGroup(e *queueEntry, f dot80211.Frame, decErr, valid bool) *grp {
+	g := u.getGrp()
 	g.rep = e
 	g.frame = f
-	g.decErr = err != nil
+	g.decErr = decErr
 	g.tx = f.Transmitter()
 	g.ctrl = f.Type == dot80211.TypeControl
 	g.valid = valid
@@ -553,12 +561,12 @@ func makeGroup(alloc func() *grp, e *queueEntry, valid bool) *grp {
 	return g
 }
 
-// groupValidInto places valid entries into content groups: a frame joins
-// the first (creation-order) group with matching content whose radio set
+// groupValid places valid entries into content groups: a frame joins the
+// first (creation-order) group with matching content whose radio set
 // doesn't already contain it — a single radio cannot receive one
 // transmission twice, which is how identical-content frames (ACK trains,
 // retransmissions) in one batch still separate into distinct jframes.
-func (u *Unifier) groupValidInto(entries []*queueEntry, groups []*grp, alloc func() *grp) []*grp {
+func (u *Unifier) groupValid(entries []*queueEntry, groups []*grp) []*grp {
 	for _, e := range entries {
 		placed := false
 		for _, g := range groups {
@@ -574,58 +582,36 @@ func (u *Unifier) groupValidInto(entries []*queueEntry, groups []*grp, alloc fun
 			}
 		}
 		if !placed {
-			groups = append(groups, makeGroup(alloc, e, true))
+			f, _, err := dot80211.DecodeCapture(e.rec.Frame)
+			groups = append(groups, u.newGroup(e, f, err != nil, true))
 		}
 	}
 	return groups
 }
 
-// coalesceMinBatch gates the sharded path: tiny batches aren't worth the
-// goroutine handoff.
-const coalesceMinBatch = 8
-
-// groupValidSharded runs the content grouping across w shards keyed by
-// content hash. Entries with equal content always share a shard (equal
-// bytes ⇒ equal hash) and keep their batch order inside it, so shard-local
-// grouping builds exactly the groups the serial pass would; restoring
-// creation order (= the batch position of each group's first member)
-// afterwards makes the result indistinguishable from serial. Trackers are
-// only read during grouping (resyncs happen at emission, strictly after),
-// so shards share them safely.
-func (u *Unifier) groupValidSharded(valid []*queueEntry, groups []*grp, w int) []*grp {
-	if cap(u.shards) < w {
-		u.shards = make([]coalesceShard, w)
-	}
-	shards := u.shards[:w]
-	for i := range shards {
-		shards[i].entries = shards[i].entries[:0]
-		shards[i].groups = shards[i].groups[:0]
-	}
-	for _, e := range valid {
-		s := &shards[e.hash%uint32(w)]
-		s.entries = append(s.entries, e)
-	}
-	var wg sync.WaitGroup
-	for i := range shards {
-		s := &shards[i]
-		if len(s.entries) == 0 {
+// attachTarget returns the first group of seg that corrupt instance e
+// (decoded as f) may attach to, or nil. Groups whose representative lies
+// past hiUS end the scan: the caller passes e's upper tolerance bound when
+// seg is ascending in representative time, math.MaxInt64 otherwise.
+func attachTarget(seg []*grp, e *queueEntry, f *dot80211.Frame, tol, hiUS int64) *grp {
+	tx := f.Transmitter()
+	ctrl := f.Type == dot80211.TypeControl && !f.Addr1.IsZero()
+	for _, g := range seg {
+		if g.rep.univUS > hiUS {
+			break
+		}
+		if g.hasRadio(e.ri) || !near(e, g.rep, tol) {
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Shard workers allocate groups directly: the serial freelist
-			// isn't goroutine-safe, and recycling still happens serially
-			// after emission.
-			s.groups = u.groupValidInto(s.entries, s.groups, func() *grp { return new(grp) })
-		}()
+		// Attach by transmitter (the paper's rule); control frames carry no
+		// transmitter, so ACK/CTS corruptions match on subtype plus receiver
+		// address instead.
+		if !tx.IsZero() && g.tx == tx ||
+			ctrl && g.ctrl && g.frame.Subtype == f.Subtype && g.frame.Addr1 == f.Addr1 {
+			return g
+		}
 	}
-	wg.Wait()
-	for i := range shards {
-		groups = append(groups, shards[i].groups...)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].rep.pos < groups[j].rep.pos })
-	return groups
+	return nil
 }
 
 // group partitions a batch into jframes appended to pending. Valid frames
@@ -636,9 +622,18 @@ func (u *Unifier) group(batch []*queueEntry) {
 	start := len(u.pending)
 	valid := u.validScratch[:0]
 	corrupt := u.corruptScratch[:0]
-	groups := u.groupScratch[:0]
 
+	// The heap pops a batch in ascending universal time unless a resync at
+	// the previous batch's emission re-mapped a radio's next record to
+	// before the entry just popped; the windowed attach below needs the
+	// order, so note whether this batch has it.
+	ascending := true
+	prevUS := batch[0].univUS
 	for _, e := range batch {
+		if e.univUS < prevUS {
+			ascending = false
+		}
+		prevUS = e.univUS
 		switch {
 		case e.rec.IsPhyErr():
 			u.single[0] = e
@@ -650,58 +645,49 @@ func (u *Unifier) group(batch []*queueEntry) {
 		}
 	}
 
-	if w := u.cfg.CoalesceWorkers; w > 1 && len(valid) >= coalesceMinBatch {
-		groups = u.groupValidSharded(valid, groups, w)
-	} else {
-		groups = u.groupValidInto(valid, groups, u.getGrp)
-	}
+	groups := u.groupValid(valid, u.groupScratch[:0])
 
-	// Attach corrupted instances by transmitter (the paper's rule); control
-	// frames carry no transmitter, so ACK/CTS corruptions match on subtype
-	// plus receiver address instead. Valid groups are preferred over
-	// corrupt-only ones.
+	// Attach corrupted instances, preferring valid groups (groups[:nValid])
+	// over corrupt-only ones (appended behind them as they form). Corrupt
+	// frames never drive resynchronization, so the wide untrusted-radio
+	// tolerance buys nothing and multiplies false matches; always attach
+	// tightly.
+	//
+	// In an ascending batch both segments are ascending in representative
+	// time (valid groups in creation order, corrupt-only ones in corrupt
+	// order) and so are the corrupt instances, so one cursor per segment
+	// tracks the first group not below e-tol and the scan stops past e+tol:
+	// exactly the groups near() would accept, in the same order, without
+	// walking the whole batch for each of them. Any other batch takes the
+	// full scan.
+	tol := 2 * u.cfg.JoinToleranceUS
+	windowed := ascending && !u.fullScan
+	if !windowed && len(corrupt) > 0 {
+		u.fullScanBatches++
+	}
+	nValid := len(groups)
+	vlo, clo := 0, nValid
 	for _, e := range corrupt {
 		f, _, err := dot80211.DecodeCapture(e.rec.Frame) // partial decode is fine
-		tx := f.Transmitter()
-		ctrl := f.Type == dot80211.TypeControl && !f.Addr1.IsZero()
-		var target *grp
-		for _, g := range groups {
-			// Corrupt frames never drive resynchronization, so the wide
-			// untrusted-radio tolerance buys nothing and multiplies false
-			// matches; always attach tightly.
-			tol := 2 * u.cfg.JoinToleranceUS
-			if g.hasRadio(e.ri) || !near(e, g.rep, tol) {
-				continue
+		hiUS := int64(math.MaxInt64)
+		if windowed {
+			hiUS = e.univUS + tol
+			for vlo < nValid && groups[vlo].rep.univUS < e.univUS-tol {
+				vlo++
 			}
-			switch {
-			case !tx.IsZero() && g.tx == tx:
-			case ctrl && g.ctrl && g.frame.Subtype == f.Subtype && g.frame.Addr1 == f.Addr1:
-			default:
-				continue
+			for clo < len(groups) && groups[clo].rep.univUS < e.univUS-tol {
+				clo++
 			}
-			if g.valid {
-				target = g
-				break
-			}
-			if target == nil {
-				target = g
-			}
+		}
+		target := attachTarget(groups[vlo:nValid], e, &f, tol, hiUS)
+		if target == nil {
+			target = attachTarget(groups[clo:], e, &f, tol, hiUS)
 		}
 		if target != nil {
 			target.members = append(target.members, e)
 			target.addRadio(e.ri)
 		} else {
-			g := u.getGrp()
-			g.rep = e
-			g.frame = f
-			g.decErr = err != nil
-			g.tx = tx
-			g.ctrl = f.Type == dot80211.TypeControl
-			g.valid = false
-			g.members = append(g.members[:0], e)
-			g.radioBits = g.radioBits[:0]
-			g.addRadio(e.ri)
-			groups = append(groups, g)
+			groups = append(groups, u.newGroup(e, f, err != nil, false))
 		}
 	}
 

@@ -39,27 +39,32 @@
 //
 // # Concurrency architecture
 //
-// The pipeline runs online in a single pass; with PipelineConfig.Workers
-// greater than one (the default — it auto-sizes to GOMAXPROCS) that pass
-// is spread across the machine:
+// The pipeline runs online in a single pass over three stages, written
+// once in internal/core and composed by PipelineConfig.Workers:
 //
-//	bootstrap pre-scan    worker pool over the independent radio windows
-//	trace decompression   per-radio background prefetchers
-//	unification           serial (one priority queue), on the caller's goroutine
-//	llc reconstruction    sharded by conversation key across Workers
-//	canonical merge       watermark-driven heap re-serializing exchanges
-//	transport analysis    sharded by TCP flow 4-tuple across Workers
+//	stage 1  jframe stream    unification over inline per-radio readers (one
+//	                          priority queue: inherently serial, and most of
+//	                          the work), or the hierarchical global merge
+//	stage 2  reconstruction   llc + the canonical close-order exchange heap,
+//	                          released by the reconstruction watermark
+//	stage 3  consumers        sinks, analysis passes, transport analysis
 //
-// Sharding never changes results: each reconstruction shard receives
-// exactly the jframe subsequence that can touch its state, every exchange
-// carries a deterministic close stamp, and the merge releases exchanges in
-// canonical close order — so Workers=N output is identical to the
-// Workers=1 serial reference, a property the test suite asserts seed by
-// seed and across congestion-control mixes (internal/cc controllers are
-// pure event-driven state machines over integer microsecond time, so
-// Reno/CUBIC/BBR dynamics replay bit-for-bit too). Batch experiment sweeps
-// fan whole scenarios across a pool with scenario.RunBatch (see
-// cmd/jigbench -sweep).
+// Workers=1 calls the stages directly, one inside the other, on the
+// caller's goroutine. Any other value (the default auto-sizes to
+// GOMAXPROCS) runs the same three functions as a pipeline — stage 1 on one
+// goroutine, stage 2 on a second, stage 3 on the caller's — with a small
+// channel of pooled ~64-item slabs at each of the two cuts; the number also
+// sizes the worker pool of the bootstrap pre-scan, whose per-radio windows
+// are independent. There is no sharding and nothing to re-merge: the
+// pipelined run is the inline code cut at two points, so stage 3 sees the
+// inline event order and Workers=N output is identical to Workers=1, a
+// property the test suite asserts seed by seed, slab size by slab size and
+// across congestion-control mixes (internal/cc controllers are pure
+// event-driven state machines over integer microsecond time, so
+// Reno/CUBIC/BBR dynamics replay bit-for-bit too). Every sink and pass
+// callback comes from the caller's goroutine at every setting. Batch
+// experiment sweeps fan whole scenarios across a pool with
+// scenario.RunBatch (see cmd/jigbench -sweep).
 //
 // # On-disk formats
 //
@@ -86,9 +91,8 @@
 //
 // Every analysis in internal/analysis is a streaming pass
 // (analysis.Pass): attach passes to PipelineConfig.Passes and the pipeline
-// feeds them inline as jframes and exchanges are emitted, on both the
-// serial and sharded-parallel paths, with no KeepJFrames/KeepExchanges
-// retention — the property that lets a building-scale trace directory be
+// feeds them inline as jframes and exchanges are emitted, at every Workers
+// setting, with no KeepJFrames/KeepExchanges retention — the property that lets a building-scale trace directory be
 // analyzed in bounded memory. See the "Writing an analysis pass" section
 // of README.md.
 //
