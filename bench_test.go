@@ -1,14 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
 // plus the ablations DESIGN.md calls out. Shapes (who wins, knees,
-// crossovers) are asserted in the test suite; the benches measure cost and
-// report the headline metrics via b.ReportMetric so `go test -bench` output
-// doubles as the experiment record.
+// crossovers) are asserted in the test suite; the benches measure cost —
+// for the figure benchmarks, one pipeline run with the figure's pass
+// attached — and report the headline metrics via b.ReportMetric so
+// `go test -bench` output doubles as the experiment record.
 package jigsaw
 
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -26,24 +26,30 @@ import (
 // benchState caches one scenario + pipeline run shared by all benchmarks
 // (regenerating the substrate per benchmark would swamp the measurements).
 // The cached pieces are treated as immutable: traces holds its own copy of
-// every trace's bytes (not views into out.Traces buffers), and tracesCopy
-// hands each benchmark iteration a fresh map, so re-running core.Run —
-// including from parallel benchmark goroutines — can never alias state that
-// another benchmark (or the cached res) still reads.
+// every trace's bytes (not views into out.Traces buffers), and run hands
+// each benchmark iteration a fresh TraceSet over them, so re-running the
+// pipeline — including from parallel benchmark goroutines — can never alias
+// state that another benchmark (or the cached res) still reads.
+//
+// End-to-end throughput, heap and allocation rates are bench/'s job
+// (`bash bench/run.sh`: paper_serial, paper_flat, ...); the benchmarks here
+// are the experiment record.
 type benchState struct {
 	out    *scenario.Output
 	res    *core.Result
 	traces map[int32][]byte
 }
 
-// tracesCopy returns a fresh radio→bytes map over the immutable trace
-// copies; callers may add or drop radios without affecting the cache.
-func (s *benchState) tracesCopy() map[int32][]byte {
-	m := make(map[int32][]byte, len(s.traces))
-	for k, v := range s.traces {
-		m[k] = v
+// run executes the pipeline over the cached traces with the given passes
+// attached.
+func (s *benchState) run(b *testing.B, cfg core.Config, passes ...core.Pass) *core.Result {
+	b.Helper()
+	cfg.Passes = passes
+	res, err := core.RunFrom(tracefile.NewBufferSet(s.traces), s.out.ClockGroups, cfg, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return m
+	return res
 }
 
 var (
@@ -67,116 +73,20 @@ func setupBench(b *testing.B) *benchState {
 		for r, buf := range out.Traces {
 			traces[r] = append([]byte(nil), buf.Bytes()...)
 		}
-		ccfg := core.DefaultConfig()
-		ccfg.KeepExchanges = true
-		ccfg.KeepJFrames = true
-		res, err := core.Run(traces, out.ClockGroups, ccfg, nil)
-		if err != nil {
-			panic(err)
-		}
-		bench = benchState{out: out, res: res, traces: traces}
+		bench = benchState{out: out, traces: traces}
+		bench.res = bench.run(b, core.DefaultConfig())
 	})
 	return &bench
-}
-
-// BenchmarkMergeThroughput measures the §4 requirement: trace merging must
-// run faster than real time in a single pass. Pinned to Workers=1 (the
-// pipeline's stages inline on one goroutine); BenchmarkPipelineParallel is
-// the pipelined counterpart. Reports events/sec and the realtime multiple.
-func BenchmarkMergeThroughput(b *testing.B) {
-	s := setupBench(b)
-	traces := s.tracesCopy()
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(traces, s.out.ClockGroups, cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = res.UnifyStats.Events
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(events)/perOp, "events/s")
-	b.ReportMetric(s.out.Cfg.Day.SecondsF()/perOp, "x-realtime")
-}
-
-// BenchmarkPipelineParallel runs the identical workload with the stages
-// pipelined (Workers = GOMAXPROCS; inline again on a one-CPU box); compare
-// its events/s against BenchmarkMergeThroughput's for the speedup (the
-// determinism test guarantees the two compositions produce identical
-// results, so the comparison is apples-to-apples).
-func BenchmarkPipelineParallel(b *testing.B) {
-	s := setupBench(b)
-	traces := s.tracesCopy()
-	cfg := core.DefaultConfig()
-	cfg.Workers = 0 // GOMAXPROCS
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(traces, s.out.ClockGroups, cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = res.UnifyStats.Events
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(events)/perOp, "events/s")
-	b.ReportMetric(s.out.Cfg.Day.SecondsF()/perOp, "x-realtime")
-}
-
-// BenchmarkPipelineOutOfCore runs the identical workload through the
-// directory-backed streaming path (tracefile.OpenDir + core.RunFrom): the
-// building-scale configuration, where the compressed trace set exceeds
-// RAM and only file-backed sources can feed the merge. Compare events/s
-// against BenchmarkPipelineParallel (same results, asserted by the
-// determinism tests) and B/op against BenchmarkMergeThroughput for the
-// streaming path's allocation profile; cmd/jigbench -bench-json tracks the
-// peak-heap trajectory itself.
-func BenchmarkPipelineOutOfCore(b *testing.B) {
-	s := setupBench(b)
-	dir := b.TempDir()
-	for r, blob := range s.traces {
-		if err := os.WriteFile(tracefile.TracePath(dir, r), blob, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ts, err := tracefile.OpenDir(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunFrom(ts, s.out.ClockGroups, cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = res.UnifyStats.Events
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(events)/perOp, "events/s")
-	b.ReportMetric(s.out.Cfg.Day.SecondsF()/perOp, "x-realtime")
 }
 
 // BenchmarkFig4GroupDispersion reports the synchronization quality knees of
 // Figure 4 while measuring the unification cost.
 func BenchmarkFig4GroupDispersion(b *testing.B) {
 	s := setupBench(b)
-	traces := s.tracesCopy()
 	b.ResetTimer()
 	var p90, p99 int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(traces, s.out.ClockGroups, core.DefaultConfig(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := s.run(b, core.DefaultConfig())
 		p90, p99 = res.Dispersion.Percentile(0.90), res.Dispersion.Percentile(0.99)
 	}
 	b.ReportMetric(float64(p90), "p90-us")
@@ -189,7 +99,9 @@ func BenchmarkTable1TraceSummary(b *testing.B) {
 	b.ResetTimer()
 	var sum *analysis.TraceSummary
 	for i := 0; i < b.N; i++ {
-		sum = analysis.Summarize(s.res, s.res.JFrames)
+		p := analysis.NewSummaryPass()
+		s.run(b, core.DefaultConfig(), p)
+		sum = p.Finalize().(*analysis.TraceSummary)
 	}
 	b.ReportMetric(sum.AvgInstances, "obs/frame")
 	b.ReportMetric(sum.ErrorEventPct, "err-%")
@@ -201,7 +113,9 @@ func BenchmarkFig6Coverage(b *testing.B) {
 	b.ResetTimer()
 	var cov *analysis.CoverageReport
 	for i := 0; i < b.N; i++ {
-		cov = analysis.Coverage(s.out, s.res.Exchanges)
+		p := analysis.NewCoveragePass(s.out)
+		s.run(b, core.DefaultConfig(), p)
+		cov = p.Finalize().(*analysis.CoverageReport)
 	}
 	b.ReportMetric(100*cov.Overall, "overall-%")
 	b.ReportMetric(100*cov.ClientCoverage, "client-%")
@@ -233,7 +147,9 @@ func BenchmarkFig8TimeSeries(b *testing.B) {
 	b.ResetTimer()
 	var slots []analysis.ActivitySlot
 	for i := 0; i < b.N; i++ {
-		slots = analysis.TimeSeries(s.res.JFrames, slotUS)
+		p := analysis.NewTimeSeriesPass(slotUS)
+		s.run(b, core.DefaultConfig(), p)
+		slots = p.Finalize().([]analysis.ActivitySlot)
 	}
 	b.ReportMetric(100*analysis.BroadcastAirtimeShare(slots), "bcast-air-%")
 }
@@ -249,7 +165,9 @@ func BenchmarkFig9Interference(b *testing.B) {
 	b.ResetTimer()
 	var rep *analysis.InterferenceReport
 	for i := 0; i < b.N; i++ {
-		rep = analysis.Interference(s.res.JFrames, s.res.Exchanges, 100, isAP)
+		p := analysis.NewInterferencePass(100, isAP)
+		s.run(b, core.DefaultConfig(), p)
+		rep = p.Finalize().(*analysis.InterferenceReport)
 	}
 	b.ReportMetric(100*rep.FractionWithInterference, "interfered-%")
 	b.ReportMetric(rep.AvgBackgroundLoss, "bg-loss")
@@ -263,7 +181,9 @@ func BenchmarkFig10Protection(b *testing.B) {
 	b.ResetTimer()
 	var rep *analysis.ProtectionReport
 	for i := 0; i < b.N; i++ {
-		rep = analysis.Protection(s.res.JFrames, slotUS, slotUS)
+		p := analysis.NewProtectionPass(slotUS, slotUS)
+		s.run(b, core.DefaultConfig(), p)
+		rep = p.Finalize().(*analysis.ProtectionReport)
 	}
 	b.ReportMetric(100*rep.PeakAffectedShare, "peak-affected-%")
 	b.ReportMetric(rep.PotentialSpeedup, "speedup-bound")
@@ -291,7 +211,6 @@ func BenchmarkFig11TCPLoss(b *testing.B) {
 // skew/drift model on and off (§4.2: required at scale).
 func BenchmarkAblationSkewCompensation(b *testing.B) {
 	s := setupBench(b)
-	traces := s.tracesCopy()
 	for _, on := range []bool{true, false} {
 		name := "off"
 		if on {
@@ -302,10 +221,7 @@ func BenchmarkAblationSkewCompensation(b *testing.B) {
 			cfg.Unify.SkewCompensation = on
 			var p90 int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(traces, s.out.ClockGroups, cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := s.run(b, cfg)
 				p90 = res.Dispersion.Percentile(0.90)
 			}
 			b.ReportMetric(float64(p90), "p90-us")
@@ -318,17 +234,13 @@ func BenchmarkAblationSkewCompensation(b *testing.B) {
 // drop slow radios).
 func BenchmarkAblationSearchWindow(b *testing.B) {
 	s := setupBench(b)
-	traces := s.tracesCopy()
 	for _, winUS := range []int64{1_000, 10_000, 100_000} {
 		b.Run(formatUS(winUS), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Unify.SearchWindowUS = winUS
 			var jf int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(traces, s.out.ClockGroups, cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := s.run(b, cfg)
 				jf = res.UnifyStats.JFrames
 			}
 			b.ReportMetric(float64(jf), "jframes")
@@ -339,17 +251,13 @@ func BenchmarkAblationSearchWindow(b *testing.B) {
 // BenchmarkAblationResyncThreshold sweeps the 10 µs dispersion threshold.
 func BenchmarkAblationResyncThreshold(b *testing.B) {
 	s := setupBench(b)
-	traces := s.tracesCopy()
 	for _, thr := range []int64{1, 10, 100} {
 		b.Run(formatUS(thr), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Unify.ResyncDispersionUS = thr
 			var p90, resyncs int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(traces, s.out.ClockGroups, cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := s.run(b, cfg)
 				p90, resyncs = res.Dispersion.Percentile(0.90), res.UnifyStats.Resyncs
 			}
 			b.ReportMetric(float64(p90), "p90-us")

@@ -91,8 +91,7 @@ func main() {
 		day      = flag.Duration("day", 120*time.Second, "compressed day (simulate mode)")
 		seed     = flag.Int64("seed", 1, "seed (simulate mode)")
 		spillDir = flag.String("spill-dir", "", "simulate mode: stream generated traces through this directory instead of memory")
-		passesF  = flag.String("passes", "", "which reports to run: comma-separated section names, or 'all' (default)")
-		exp      = flag.String("exp", "all", "deprecated alias for -passes")
+		passesF  = flag.String("passes", "all", "which reports to run: comma-separated section names, or 'all'")
 		workers  = flag.Int("workers", 0, "pipeline workers (1 = inline on one goroutine, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "emit reports as a JSON array of sections (jigd's /reports encoding) instead of text")
 
@@ -133,11 +132,7 @@ func main() {
 	} else if flag.NArg() > 1 {
 		log.Fatalf("expected at most one trace directory argument, got %q", flag.Args())
 	}
-	selector := *exp
-	if *passesF != "" {
-		selector = *passesF
-	}
-	want, err := parseSelector(selector)
+	want, err := parseSelector(*passesF)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -453,7 +448,7 @@ func emitJSON(want func(string) bool, byName map[string]analysis.Pass, res *core
 	}
 }
 
-// parseSelector resolves the -passes/-exp value into a membership test.
+// parseSelector resolves the -passes value into a membership test.
 func parseSelector(sel string) (func(string) bool, error) {
 	sel = strings.TrimSpace(sel)
 	if sel == "" || sel == "all" {

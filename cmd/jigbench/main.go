@@ -20,9 +20,6 @@
 //	jigbench -sweep -sweep-pods 6,9,12 -sweep-bfrac 0.1,0.3 \
 //	         -sweep-seeds 1,2,3 -sweep-day 60s -workers 4
 //
-//	jigbench -bench-json BENCH_pipeline.json -bench-presets campus \
-//	         -bench-work-dir /data/campus    # the two-level scale harness
-//
 // -sweep-cc adds a congestion-control axis to the grid: a pipe-separated
 // list of per-flow CC mixes ("fixed|reno=1,cubic=1,bbr=1"), each mix a
 // weighted spec as accepted by cc.ParseMixSpec. Non-fixed mixes run over
@@ -30,8 +27,11 @@
 // and each JSON row reports the mix, per-algorithm goodput and the CC
 // fingerprinter's accuracy against ground truth.
 //
-// Progress logs and benchmark rows report real elapsed time, so
-// wall-clock reads here are deliberate.
+// Throughput, heap and allocation measurements live in bench/ (`bash
+// bench/run.sh`), not here.
+//
+// Progress logs and sweep rows report real elapsed time, so wall-clock
+// reads here are deliberate.
 //jiglint:allow wallclock
 
 package main
@@ -83,25 +83,8 @@ func main() {
 		sweepSpill   = flag.String("sweep-spill-root", "", "stream each sweep scenario's traces through a subdirectory of this root (out-of-core sweeps; removed after measuring)")
 		mergeWorkers = flag.Int("merge-workers", 1, "pipeline workers inside each sweep scenario (1 keeps the pool unoversubscribed)")
 
-		benchJSON    = flag.String("bench-json", "", "write pipeline bench rows (frames/sec, heap_peak_bytes) to this file, e.g. BENCH_pipeline.json")
-		benchPresets = flag.String("bench-presets", "default,building", "comma-separated presets for -bench-json (default, paper, building)")
-		benchDay     = flag.Duration("bench-day", 0, "override each bench preset's compressed day (0 = preset value)")
-		benchWork    = flag.String("bench-work-dir", "", "trace work directory for -bench-json (default: a temp dir, removed afterwards)")
-		benchWorkers = flag.String("bench-workers", "", "comma-separated worker counts adding a workers sweep axis to -bench-json, e.g. 1,2 (one streaming row per count; empty disables)")
-		benchAssert  = flag.Float64("bench-assert-streaming", 0, "fail unless streaming peak heap < this fraction of the in-memory merge's (e.g. 0.25); 0 disables")
-		benchInline  = flag.Float64("bench-assert-inline", 0, "fail unless inline-pass analysis peak heap < this fraction of the slice-based (KeepJFrames/KeepExchanges) analysis run's (e.g. 0.30); 0 disables")
-		benchJigd    = flag.Float64("bench-assert-jigd", 0, "fail unless the jigd windowed-monitor peak heap < this fraction of the slice-based analysis run's (e.g. 0.30); 0 disables")
-
-		benchFPS    = flag.Float64("bench-assert-fps", 0, "fail unless each preset's streaming merge sustains >= this many frames/sec; 0 disables")
-		benchAllocs = flag.Float64("bench-assert-allocs", 0, "fail unless each preset's streaming merge stays <= this many heap allocs per jframe; 0 disables")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file before exiting (skipped when a bench gate fails)")
-
-		benchCampusBuildings = flag.Int("bench-campus-buildings", 0, "override the Campus() building count for the campus bench preset (0 = preset's 10)")
-		benchCampusDay       = flag.Duration("bench-campus-day", 0, "override the Campus() per-building compressed day (0 = preset's 6m)")
-		benchCampusHeap      = flag.Float64("bench-assert-campus-heap", 0, "fail unless the hierarchical campus merge's peak heap < this fraction of the flat merge's; 0 disables")
-		benchCampusSpeed     = flag.Float64("bench-assert-campus-speed", 0, "fail unless the hierarchical campus merge's x_realtime >= this multiple of the flat merge's; 0 disables")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file before exiting")
 	)
 	flag.Parse()
 
@@ -119,20 +102,6 @@ func main() {
 		defer writeHeapProfile(*memprofile)
 	}
 
-	if *benchJSON != "" {
-		runBenchJSON(benchArgs{
-			path: *benchJSON, presets: *benchPresets, day: *benchDay,
-			workers: *workers, workDir: *benchWork,
-			workersSweep:    parseInts(*benchWorkers),
-			assertStreaming: *benchAssert, assertInline: *benchInline, assertJigd: *benchJigd,
-			assertFPS: *benchFPS, assertAllocs: *benchAllocs,
-			campus: campusBenchArgs{
-				buildings: *benchCampusBuildings, day: *benchCampusDay,
-				assertHeap: *benchCampusHeap, assertSpeed: *benchCampusSpeed,
-			},
-		})
-		return
-	}
 	if *sweep {
 		runSweep(sweepArgs{
 			pods: *sweepPods, aps: *sweepAPs, clients: *sweepClients,
@@ -233,10 +202,10 @@ type sweepRow struct {
 	HandoffMeanLatencyMS float64 `json:"handoff_mean_latency_ms"`
 	MergeMS              int64   `json:"merge_ms"`
 	XRealtime            float64 `json:"x_realtime"`
-	// HeapPeakBytes/BytesPerFrame profile the row's merge the same way
-	// the -bench-json rows do. The sampler reads process-wide heap, so
-	// with a pool (-workers > 1) concurrent scenarios inflate each
-	// other's peaks — treat the values as upper bounds there.
+	// HeapPeakBytes/BytesPerFrame profile the row's merge: sampled peak Go
+	// heap, and that normalized by unified jframes. The sampler reads
+	// process-wide heap, so with a pool (-workers > 1) concurrent scenarios
+	// inflate each other's peaks — treat the values as upper bounds there.
 	HeapPeakBytes uint64  `json:"heap_peak_bytes"`
 	BytesPerFrame float64 `json:"bytes_per_frame"`
 	Err           string  `json:"err,omitempty"`
@@ -258,7 +227,7 @@ func runSweep(a sweepArgs) {
 			if name == "" {
 				continue
 			}
-			cfg, err := benchPreset(name)
+			cfg, err := scenario.Preset(name)
 			if err != nil {
 				log.Fatalf("sweep: %v", err)
 			}

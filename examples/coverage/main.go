@@ -31,7 +31,7 @@ func main() {
 	ccfg := core.DefaultConfig()
 	covPass := analysis.NewCoveragePass(out)
 	ccfg.Passes = []core.Pass{covPass}
-	if _, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil); err != nil {
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		log.Fatal(err)
 	}
 

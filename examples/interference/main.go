@@ -36,7 +36,7 @@ func main() {
 	pass := analysis.NewInterferencePass(50, func(m dot80211.MAC) bool { return apSet[m] })
 	ccfg := core.DefaultConfig()
 	ccfg.Passes = []core.Pass{pass}
-	if _, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil); err != nil {
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		log.Fatal(err)
 	}
 	rep := pass.Finalize().(*analysis.InterferenceReport)

@@ -33,7 +33,7 @@ func main() {
 	pass := analysis.NewProtectionPass(slotUS /* practical 1-"minute" timeout */, slotUS)
 	ccfg := core.DefaultConfig()
 	ccfg.Passes = []core.Pass{pass}
-	if _, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil); err != nil {
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		log.Fatal(err)
 	}
 	rep := pass.Finalize().(*analysis.ProtectionReport)

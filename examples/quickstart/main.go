@@ -31,15 +31,17 @@ func main() {
 	//    clocks are off by up to ±50 ms with tens-of-ppm skew; the
 	//    pipeline synchronizes them to microseconds using nothing but the
 	//    frames they overheard in common. Analyses attach as streaming
-	//    passes — here a Figure-2 visualization window in the middle of
-	//    the day — so nothing retains the merged streams.
+	//    passes — here the Table-1 summary and a Figure-2 visualization
+	//    window in the middle of the day — which is the one way to look at
+	//    the merged streams: the pipeline keeps neither.
 	ccfg := core.DefaultConfig()
+	sum := analysis.NewSummaryPass()
 	// 10 ms of trace at the diurnal peak (hour ~17 of the compressed day).
 	vizAt := int64(cfg.Day.SecondsF() * 1e6 * 17 / 24)
 	viz := analysis.NewVizPassRelative(vizAt, 10_000, 90)
-	ccfg.Passes = []core.Pass{viz}
+	ccfg.Passes = []core.Pass{sum, viz}
 	start := time.Now() //jiglint:allow wallclock (real merge timing for the demo output)
-	res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
+	res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,12 @@ func main() {
 	fmt.Printf("transport: %d TCP flows, %d with complete handshakes\n",
 		res.Transport.Stats.Flows, res.Transport.Stats.CompleteFlows)
 
-	// 3. Show a slice of the synchronized trace (the paper's Figure 2).
+	// 3. Each pass yields its report on Finalize: the trace summary (the
+	//    paper's Table 1) ...
+	fmt.Println()
+	fmt.Print(sum.Finalize())
+
+	// 4. ... and a slice of the synchronized trace (the paper's Figure 2).
 	if res.UnifyStats.JFrames > 100 {
 		fmt.Println()
 		fmt.Print(viz.Finalize().(string))

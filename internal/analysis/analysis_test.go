@@ -11,16 +11,26 @@ import (
 	"repro/internal/transport"
 )
 
-// Shared scenario + pipeline run for all analysis tests.
-var (
-	sharedOut *scenario.Output
-	sharedRes *core.Result
-)
+// Shared scenario + pipeline run for all analysis tests: every pass the
+// tests look at rides the one run inline, finalized once.
+type sharedRun struct {
+	out    *scenario.Output
+	res    *core.Result
+	cov    *CoverageReport
+	sum    *TraceSummary
+	slots  []ActivitySlot
+	intf   *InterferenceReport
+	prot   *ProtectionReport
+	diags  []StationDiagnosis
+	vizStr string
+}
+
+var shared sharedRun
 
 func setup(t *testing.T) (*scenario.Output, *core.Result) {
 	t.Helper()
-	if sharedOut != nil {
-		return sharedOut, sharedRes
+	if shared.out != nil {
+		return shared.out, shared.res
 	}
 	cfg := scenario.Default()
 	cfg.Seed = 3
@@ -32,20 +42,33 @@ func setup(t *testing.T) (*scenario.Output, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	apSet := scenario.APSet(out.APs)
+	slotUS := out.Cfg.HourDur().US64() // one "hour" per slot
+	cov := NewCoveragePass(out)
+	sum := NewSummaryPass()
+	ts := NewTimeSeriesPass(slotUS)
+	intf := NewInterferencePass(20, func(m dot80211.MAC) bool { return apSet[m] })
+	prot := NewProtectionPass(slotUS, slotUS)
+	diag := NewDiagnosisPass()
+	viz := NewVizPassRelative(0, 5000, 100)
 	ccfg := core.DefaultConfig()
-	ccfg.KeepExchanges = true
-	ccfg.KeepJFrames = true
-	res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
+	ccfg.Passes = []core.Pass{cov, sum, ts, intf, prot, diag, viz}
+	res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedOut, sharedRes = out, res
+	shared = sharedRun{
+		out: out, res: res,
+		cov: cov.finalize(), sum: sum.finalize(), slots: ts.finalize(),
+		intf: intf.finalize(), prot: prot.finalize(), diags: diag.finalize(),
+		vizStr: viz.Finalize().(string),
+	}
 	return out, res
 }
 
 func TestCoverageHighAndShaped(t *testing.T) {
-	out, res := setup(t)
-	rep := Coverage(out, res.Exchanges)
+	setup(t)
+	rep := shared.cov
 	if rep.TotalWired == 0 {
 		t.Fatal("no wired packets to compare")
 	}
@@ -104,8 +127,8 @@ func TestPodSweepShape(t *testing.T) {
 }
 
 func TestSummaryTable1(t *testing.T) {
-	out, res := setup(t)
-	s := Summarize(res, res.JFrames)
+	out, _ := setup(t)
+	s := shared.sum
 	if s.Events == 0 || s.JFrames == 0 {
 		t.Fatal("empty summary")
 	}
@@ -148,9 +171,8 @@ func TestInferenceRates(t *testing.T) {
 }
 
 func TestTimeSeriesFig8(t *testing.T) {
-	out, res := setup(t)
-	slotUS := out.Cfg.HourDur().US64() // one "hour" per slot
-	slots := TimeSeries(res.JFrames, slotUS)
+	setup(t)
+	slots := shared.slots
 	if len(slots) < 20 {
 		t.Fatalf("slots = %d, want ~24", len(slots))
 	}
@@ -189,12 +211,8 @@ func TestTimeSeriesFig8(t *testing.T) {
 }
 
 func TestInterferenceFig9(t *testing.T) {
-	out, res := setup(t)
-	apSet := map[dot80211.MAC]bool{}
-	for _, ap := range out.APs {
-		apSet[ap.MAC] = true
-	}
-	rep := Interference(res.JFrames, res.Exchanges, 20, func(m dot80211.MAC) bool { return apSet[m] })
+	setup(t)
+	rep := shared.intf
 	if len(rep.Pairs) == 0 {
 		t.Fatal("no qualifying (s,r) pairs")
 	}
@@ -219,9 +237,8 @@ func TestInterferenceFig9(t *testing.T) {
 }
 
 func TestProtectionFig10(t *testing.T) {
-	out, res := setup(t)
-	slotUS := out.Cfg.HourDur().US64()
-	rep := Protection(res.JFrames, slotUS, slotUS)
+	setup(t)
+	rep := shared.prot
 	if rep.PotentialSpeedup < 1.9 || rep.PotentialSpeedup > 2.05 {
 		t.Errorf("potential speedup = %.2f, want ≈2 (footnote 7)", rep.PotentialSpeedup)
 	}
@@ -264,16 +281,11 @@ func TestTCPLossFig11(t *testing.T) {
 }
 
 func TestVisualize(t *testing.T) {
-	_, res := setup(t)
-	if len(res.JFrames) < 10 {
-		t.Skip("too few jframes")
-	}
-	from := res.JFrames[100].UnivUS
-	s := Visualize(res.JFrames, from, from+5000, 100)
-	if !strings.Contains(s, "universal time") || !strings.Contains(s, "frames:") {
+	setup(t)
+	if s := shared.vizStr; !strings.Contains(s, "universal time") || !strings.Contains(s, "frames:") {
 		t.Error("visualization missing sections")
 	}
-	if Visualize(nil, 0, 100, 80) == "" {
+	if NewVizPassRelative(0, 100, 80).Finalize().(string) == "" {
 		t.Error("empty window should still render a message")
 	}
 }
@@ -319,8 +331,8 @@ func TestRoamingOracleExperiment(t *testing.T) {
 }
 
 func TestDiagnose(t *testing.T) {
-	_, res := setup(t)
-	diags := Diagnose(res.JFrames, res.Exchanges)
+	setup(t)
+	diags := shared.diags
 	if len(diags) < 5 {
 		t.Fatalf("only %d stations diagnosed", len(diags))
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/llc"
 	"repro/internal/scenario"
 	"repro/internal/tcpsim"
+	"repro/internal/tracefile"
 )
 
 // segIdentity keys a TCP packet for wired↔wireless matching: the flow, the
@@ -213,20 +214,6 @@ func (p *CoveragePass) FinalizeWindow(int64) Report {
 // the window reset.
 func (p *CoveragePass) Evict(int64) {}
 
-// Coverage compares the wired distribution trace against the unified
-// wireless trace: for every wired packet that must have appeared as a
-// unicast DATA frame on the air, was it captured by any monitor (§6)?
-// Uplink packets were transmitted by the client; downlink (delivered)
-// packets were transmitted by the client's AP. Compatibility wrapper over
-// CoveragePass for retained exchange slices.
-func Coverage(out *scenario.Output, exchanges []*llc.Exchange) *CoverageReport {
-	p := NewCoveragePass(out)
-	for _, ex := range exchanges {
-		p.ObserveExchange(ex)
-	}
-	return p.finalize()
-}
-
 // OracleCoverage reproduces the §6 controlled experiment: the simulator's
 // ground truth is the oracle that knows every link-level event each station
 // generated; coverage is the fraction captured by at least one monitor
@@ -303,7 +290,7 @@ func PodSweep(out *scenario.Output, podCounts []int) ([]PodCoverage, error) {
 		cfg := core.DefaultConfig()
 		covPass := NewCoveragePass(out)
 		cfg.Passes = []core.Pass{covPass}
-		res, err := core.Run(traces, groups, cfg, nil)
+		res, err := core.RunFrom(tracefile.NewBufferSet(traces), groups, cfg, nil)
 		if err != nil {
 			return rows, err
 		}

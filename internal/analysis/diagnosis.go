@@ -202,12 +202,6 @@ func (p *DiagnosisPass) Evict(beforeUS int64) {
 	p.idx.prune(beforeUS - overlapPruneHorizonUS)
 }
 
-// Diagnose builds per-station reports from retained slices. Compatibility
-// wrapper over DiagnosisPass.
-func Diagnose(jframes []*unify.JFrame, exchanges []*llc.Exchange) []StationDiagnosis {
-	return drivePass(NewDiagnosisPass(), jframes, exchanges).([]StationDiagnosis)
-}
-
 // findings turns the aggregates into actionable diagnoses.
 func findings(d *StationDiagnosis) []string {
 	var f []string

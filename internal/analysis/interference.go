@@ -242,12 +242,6 @@ func (p *InterferencePass) Evict(beforeUS int64) {
 	p.idx.prune(beforeUS - overlapPruneHorizonUS)
 }
 
-// Interference estimates co-channel interference from retained slices.
-// Compatibility wrapper over InterferencePass.
-func Interference(jframes []*unify.JFrame, exchanges []*llc.Exchange, minPackets int, isAP func(dot80211.MAC) bool) *InterferenceReport {
-	return drivePass(NewInterferencePass(minPackets, isAP), jframes, exchanges).(*InterferenceReport)
-}
-
 // XPercentile returns the p-th percentile of the interference loss rate,
 // by the nearest-rank rule: the smallest X with at least a p fraction of
 // pairs at or below it (rank ⌈p·n⌉, i.e. index ⌈p·n⌉−1).

@@ -13,8 +13,8 @@
 // function over fully materialized slices. A pass accumulates only the
 // bounded state its report needs (per-station counters, per-slot buckets,
 // a sliding interval window for overlap queries), so the out-of-core merge
-// can run every analysis inline at streaming heap instead of retaining
-// O(trace) jframes/exchanges behind core.Config.KeepJFrames/KeepExchanges.
+// can run every analysis inline at streaming heap; the pipeline keeps no
+// O(trace) jframe or exchange slices for anyone to analyze afterwards.
 //
 // Contract (mirrors core.Pass, which these passes satisfy structurally):
 //
@@ -29,13 +29,8 @@
 //     jframe frontier clears CloseUS + emitSlackUS, which makes the query
 //     results exactly those of a whole-trace index.
 //   - Finalize is called once, after both streams end (and, for passes
-//     implementing core.ResultSink, after SetResult); it returns the same
-//     report value the legacy slice-based function produces.
-//
-// The legacy slice-taking functions (Coverage, Diagnose, Interference,
-// Protection, TimeSeries, Summarize, DetectHandoffs, Visualize) remain as
-// thin compatibility wrappers that replay the slices through a pass via
-// Runner.DriveSlices.
+//     implementing core.ResultSink, after SetResult); it returns the
+//     pass's report.
 package analysis
 
 import (
@@ -65,8 +60,7 @@ type Pass interface {
 	ObserveJFrame(*unify.JFrame)
 	ObserveExchange(*llc.Exchange)
 	// Finalize computes the report. Call exactly once, after the streams
-	// end; the result is the same value the legacy slice-based function
-	// returns for the same streams.
+	// end.
 	Finalize() Report
 }
 
@@ -121,72 +115,6 @@ func (noExchange) ObserveExchange(*llc.Exchange) {}
 type noJFrame struct{}
 
 func (noJFrame) ObserveJFrame(*unify.JFrame) {}
-
-// PassReport pairs a pass's name with its finalized report.
-type PassReport struct {
-	Name   string
-	Report Report
-}
-
-// Runner drives a set of passes outside the live pipeline — over retained
-// slices (the compatibility path) — and collects their reports. Inside the
-// pipeline core.Config.Passes takes the passes directly.
-type Runner struct {
-	Passes []Pass
-}
-
-// DriveSlices replays retained jframe/exchange slices through the passes
-// in the streaming contract's order: exchanges in canonical close order,
-// each preceded by every jframe with UnivUS <= its CloseUS. This is
-// exactly the interleaving the live pipeline guarantees, so a pass fed
-// either way produces the identical report.
-func (r *Runner) DriveSlices(jframes []*unify.JFrame, exchanges []*llc.Exchange) {
-	i := 0
-	for _, ex := range exchanges {
-		for i < len(jframes) && jframes[i].UnivUS <= ex.CloseUS {
-			for _, p := range r.Passes {
-				p.ObserveJFrame(jframes[i])
-			}
-			i++
-		}
-		for _, p := range r.Passes {
-			p.ObserveExchange(ex)
-		}
-	}
-	for ; i < len(jframes); i++ {
-		for _, p := range r.Passes {
-			p.ObserveJFrame(jframes[i])
-		}
-	}
-}
-
-// SetResult forwards the completed pipeline result to every pass that
-// wants it (core calls this itself for inline passes; slice-driven runs
-// call it before Reports).
-func (r *Runner) SetResult(res *core.Result) {
-	for _, p := range r.Passes {
-		if rs, ok := p.(core.ResultSink); ok {
-			rs.SetResult(res)
-		}
-	}
-}
-
-// Reports finalizes every pass, in registration order.
-func (r *Runner) Reports() []PassReport {
-	out := make([]PassReport, len(r.Passes))
-	for i, p := range r.Passes {
-		out[i] = PassReport{Name: p.Name(), Report: p.Finalize()}
-	}
-	return out
-}
-
-// drivePass is the compatibility wrappers' helper: replay slices through
-// one pass and finalize it.
-func drivePass(p Pass, jframes []*unify.JFrame, exchanges []*llc.Exchange) Report {
-	r := Runner{Passes: []Pass{p}}
-	r.DriveSlices(jframes, exchanges)
-	return p.Finalize()
-}
 
 // PassParams carries the operating points the registry's constructors
 // need. Zero values select the paper's defaults where one exists.

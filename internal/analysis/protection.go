@@ -263,16 +263,6 @@ func (p *ProtectionPass) FinalizeWindow(int64) Report {
 // window and dropped wholesale by the reset.
 func (p *ProtectionPass) Evict(int64) {}
 
-// Protection analyzes 802.11g protection-mode usage from a retained jframe
-// slice. Compatibility wrapper over ProtectionPass.
-func Protection(jframes []*unify.JFrame, practicalTimeoutUS, slotUS int64) *ProtectionReport {
-	p := NewProtectionPass(practicalTimeoutUS, slotUS)
-	for _, j := range jframes {
-		p.ObserveJFrame(j)
-	}
-	return p.finalize()
-}
-
 // dataAP extracts the AP side of a data frame from its DS bits.
 func dataAP(f *dot80211.Frame) dot80211.MAC {
 	switch {

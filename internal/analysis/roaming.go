@@ -206,17 +206,6 @@ func (p *RoamingPass) FinalizeWindow(int64) Report {
 // by the window reset.
 func (p *RoamingPass) Evict(int64) {}
 
-// DetectHandoffs runs the handoff detector over a retained canonical
-// exchange slice (the order core.Run emits). Compatibility wrapper over
-// RoamingPass.
-func DetectHandoffs(exchanges []*llc.Exchange, isAP func(dot80211.MAC) bool) *RoamingReport {
-	p := NewRoamingPass(isAP)
-	for _, ex := range exchanges {
-		p.ObserveExchange(ex)
-	}
-	return p.finalize()
-}
-
 // observeDataTransition updates a station's serving-AP belief from a data
 // exchange and emits a management-less transition once enough consecutive
 // exchanges agree.

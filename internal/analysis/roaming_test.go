@@ -10,29 +10,39 @@ import (
 	"repro/internal/unify"
 )
 
-// Shared roaming scenario + pipeline run for the handoff tests.
+// Shared roaming scenario + pipeline run for the handoff tests, the
+// handoff detector attached inline.
 var (
 	roamOut *scenario.Output
-	roamRes *core.Result
+	roamRep *RoamingReport
 )
 
-func roamSetup(t *testing.T) (*scenario.Output, *core.Result) {
+func roamSetup(t *testing.T) (*scenario.Output, *RoamingReport) {
 	t.Helper()
 	if roamOut != nil {
-		return roamOut, roamRes
+		return roamOut, roamRep
 	}
 	out, err := scenario.Run(scenario.Roaming())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pass := NewRoamingPass(apPredicate(out))
 	ccfg := core.DefaultConfig()
-	ccfg.KeepExchanges = true
-	res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
-	if err != nil {
+	ccfg.Passes = []core.Pass{pass}
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	roamOut, roamRes = out, res
-	return out, res
+	roamOut, roamRep = out, pass.finalize()
+	return out, roamRep
+}
+
+// detect feeds a synthetic exchange sequence to a fresh RoamingPass.
+func detect(exs []*llc.Exchange, isAP func(dot80211.MAC) bool) *RoamingReport {
+	p := NewRoamingPass(isAP)
+	for _, ex := range exs {
+		p.ObserveExchange(ex)
+	}
+	return p.finalize()
 }
 
 func apPredicate(out *scenario.Output) func(dot80211.MAC) bool {
@@ -73,8 +83,7 @@ func TestRoamingScenarioGroundTruth(t *testing.T) {
 // TestDetectHandoffsRecall: the analysis pass, fed only reconstructed
 // exchanges, must recover at least 90%% of ground-truth handoffs.
 func TestDetectHandoffsRecall(t *testing.T) {
-	out, res := roamSetup(t)
-	rep := DetectHandoffs(res.Exchanges, apPredicate(out))
+	out, rep := roamSetup(t)
 	sc := ScoreHandoffs(out.Handoffs, rep)
 	t.Logf("truth=%d matched=%d events=%d recall=%.2f meanEndErr=%.1fms meanLatency=%.1fms",
 		sc.Truth, sc.Matched, sc.Events, sc.Recall, sc.MeanAbsEndErrUS/1e3, rep.MeanLatencyUS/1e3)
@@ -105,7 +114,7 @@ func TestDetectHandoffsRecall(t *testing.T) {
 // scenario's stream must not produce phantom handoffs per client beyond a
 // small tolerance.
 func TestDetectHandoffsEmpty(t *testing.T) {
-	rep := DetectHandoffs(nil, func(dot80211.MAC) bool { return false })
+	rep := detect(nil, func(dot80211.MAC) bool { return false })
 	if len(rep.Events) != 0 {
 		t.Fatalf("events from empty stream: %d", len(rep.Events))
 	}
@@ -134,7 +143,7 @@ func TestDetectHandoffsDataOnlyTransition(t *testing.T) {
 		dataEx(cli, ap2, 3000),
 		dataEx(cli, ap1, 4000), dataEx(cli, ap1, 5000),
 	}
-	rep := DetectHandoffs(exs, isAP)
+	rep := detect(exs, isAP)
 	if len(rep.Events) != 0 {
 		t.Fatalf("straggler produced events: %+v", rep.Events)
 	}
@@ -144,7 +153,7 @@ func TestDetectHandoffsDataOnlyTransition(t *testing.T) {
 		dataEx(cli, ap2, 6000), dataEx(ap2, cli, 7000), dataEx(cli, ap2, 8000),
 		dataEx(cli, ap2, 9000),
 	)
-	rep = DetectHandoffs(exs, isAP)
+	rep = detect(exs, isAP)
 	if len(rep.Events) != 1 {
 		t.Fatalf("sustained transition events = %d, want 1", len(rep.Events))
 	}
@@ -162,7 +171,7 @@ func TestDetectHandoffsDataOnlyTransition(t *testing.T) {
 // TestRoamDisruptionByCC: every algorithm in the mix shows up, mobile
 // flows exist, and at least one algorithm saw a disrupted flow.
 func TestRoamDisruptionByCC(t *testing.T) {
-	out, _ := roamSetup(t)
+	out, rep := roamSetup(t)
 	rows := RoamDisruptionByCC(out)
 	if len(rows) < 3 {
 		t.Fatalf("disruption rows = %d, want >= 3 (reno/cubic/bbr): %+v", len(rows), rows)
@@ -181,7 +190,7 @@ func TestRoamDisruptionByCC(t *testing.T) {
 	if disrupted == 0 {
 		t.Error("no flow was disrupted by any handoff")
 	}
-	if s := RoamingTable(DetectHandoffs(roamRes.Exchanges, apPredicate(out)), rows); s == "" {
+	if s := RoamingTable(rep, rows); s == "" {
 		t.Error("empty roaming table")
 	}
 }

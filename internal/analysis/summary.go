@@ -142,17 +142,6 @@ func (p *SummaryPass) FinalizeWindow(int64) Report {
 // window reset; nothing slides mid-window.
 func (p *SummaryPass) Evict(int64) {}
 
-// Summarize builds Table 1 from a pipeline result and a retained jframe
-// slice. Compatibility wrapper over SummaryPass.
-func Summarize(res *core.Result, jframes []*unify.JFrame) *TraceSummary {
-	p := NewSummaryPass()
-	for _, j := range jframes {
-		p.ObserveJFrame(j)
-	}
-	p.SetResult(res)
-	return p.finalize()
-}
-
 // String renders the summary as a paper-style table.
 func (s *TraceSummary) String() string {
 	var b strings.Builder

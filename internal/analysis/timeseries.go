@@ -157,16 +157,6 @@ func (p *TimeSeriesPass) FinalizeWindow(int64) Report {
 // dropped wholesale by the reset.
 func (p *TimeSeriesPass) Evict(int64) {}
 
-// TimeSeries builds Fig. 8 from a retained jframe slice. Compatibility
-// wrapper over TimeSeriesPass.
-func TimeSeries(jframes []*unify.JFrame, slotUS int64) []ActivitySlot {
-	p := NewTimeSeriesPass(slotUS)
-	for _, j := range jframes {
-		p.ObserveJFrame(j)
-	}
-	return p.finalize()
-}
-
 // isARP recognizes the broadcast ARP payloads in the trace.
 func isARP(body []byte) bool {
 	return len(body) >= 3 && body[0] == 'A' && body[1] == 'R' && body[2] == 'P'

@@ -9,41 +9,36 @@ import (
 )
 
 // VizPass collects the jframes inside one time window from the stream and
-// renders a Figure-2-style view on Finalize. Memory is O(window), so the
+// renders a Figure-2-style view on Finalize: time on the x-axis, one row per
+// radio, a mark where each radio heard each jframe ('#' decoded, 'x' corrupt,
+// '.' phy error), and a legend line per jframe. Memory is O(window), so the
 // out-of-core merge can produce a visualization without retaining the
-// trace. The window is fixed either absolutely (NewVizPass) or relative to
-// the first jframe observed (NewVizPassRelative — how the cmds frame "2s
-// into the trace").
+// trace. The window is anchored on the first jframe observed — how the cmds
+// frame "2s into the trace".
 type VizPass struct {
 	named
 	noExchange
-	fromUS, toUS int64
-	width        int
-
-	relative         bool
 	relFromUS, durUS int64
-	started          bool
+	width            int
+
+	started      bool
+	fromUS, toUS int64
 
 	// O(window) retention, clamped to the requested render span. Each
 	// buffered jframe carries a reference (Retain on append, Release when
-	// the window is dropped).
+	// the window is rendered).
 	window []*unify.JFrame
-}
-
-// NewVizPass renders [fromUS, toUS) in absolute universal time.
-func NewVizPass(fromUS, toUS int64, width int) *VizPass {
-	return &VizPass{named: "viz", fromUS: fromUS, toUS: toUS, width: width}
 }
 
 // NewVizPassRelative renders [first+relFromUS, first+relFromUS+durUS),
 // anchored on the first jframe in the stream.
 func NewVizPassRelative(relFromUS, durUS int64, width int) *VizPass {
-	return &VizPass{named: "viz", relative: true, relFromUS: relFromUS, durUS: durUS, width: width}
+	return &VizPass{named: "viz", relFromUS: relFromUS, durUS: durUS, width: width}
 }
 
 // ObserveJFrame implements Pass.
 func (p *VizPass) ObserveJFrame(j *unify.JFrame) {
-	if p.relative && !p.started {
+	if !p.started {
 		p.started = true
 		p.fromUS = j.UnivUS + p.relFromUS
 		p.toUS = p.fromUS + p.durUS
@@ -55,48 +50,27 @@ func (p *VizPass) ObserveJFrame(j *unify.JFrame) {
 	p.window = append(p.window, j)
 }
 
-// Finalize implements Pass, returning the rendered string.
-func (p *VizPass) Finalize() Report { return p.finalize() }
-
-func (p *VizPass) finalize() string {
-	return renderWindow(p.window, p.fromUS, p.toUS, p.width)
-}
+// Finalize implements Pass, returning the rendered string and releasing
+// the collected frames.
+func (p *VizPass) Finalize() Report { return p.FinalizeWindow(0) }
 
 // FinalizeWindow implements WindowedPass: render the collected span and
-// drop it. In relative mode the next window re-anchors on its first
-// jframe, so a live run renders one span per report window.
+// drop it. The next window re-anchors on its first jframe, so a live run
+// renders one span per report window.
 func (p *VizPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
+	rep := renderWindow(p.window, p.fromUS, p.toUS, p.width)
 	for _, j := range p.window {
 		j.Release()
 	}
 	p.window = nil
-	if p.relative {
-		p.started = false
-		p.fromUS, p.toUS = 0, 0
-	}
+	p.started = false
+	p.fromUS, p.toUS = 0, 0
 	return rep
 }
 
 // Evict implements WindowedPass: retention is already clamped to the
 // render span, which the window reset drops.
 func (p *VizPass) Evict(int64) {}
-
-// Visualize renders a Figure-2-style view of a slice of the synchronized
-// trace: time on the x-axis, one row per radio, a mark where each radio
-// heard each jframe ('#' decoded, 'x' corrupt, '.' phy error), and a legend
-// line per jframe. Compatibility wrapper over VizPass.
-func Visualize(jframes []*unify.JFrame, fromUS, toUS int64, width int) string {
-	p := NewVizPass(fromUS, toUS, width)
-	for _, j := range jframes {
-		p.ObserveJFrame(j)
-	}
-	out := p.finalize()
-	for _, j := range p.window {
-		j.Release()
-	}
-	return out
-}
 
 // renderWindow draws the collected window.
 func renderWindow(window []*unify.JFrame, fromUS, toUS int64, width int) string {

@@ -57,11 +57,6 @@ type Config struct {
 	// BootstrapWindowUS is how much of each trace the bootstrap examines
 	// (paper: the first second).
 	BootstrapWindowUS int64
-	// KeepExchanges retains all frame exchanges in the result (memory
-	// permitting); analyses that stream should use the Sink instead.
-	KeepExchanges bool
-	// KeepJFrames retains all jframes (for visualization and small runs).
-	KeepJFrames bool
 	// Workers selects how the pipeline's three stages are composed: 1 runs
 	// them inline on the caller's goroutine; any other value runs them as a
 	// three-stage pipeline (stream | reconstruction | consumers, see the
@@ -73,9 +68,9 @@ type Config struct {
 	// up.
 	Workers int
 	// Passes are streaming analysis observers fed inline as the pipeline
-	// emits jframes and exchanges — the bounded-memory replacement for
-	// KeepJFrames/KeepExchanges plus post-hoc slice analysis. The
-	// internal/analysis passes satisfy this interface.
+	// emits jframes and exchanges: the one way to look at a run's products,
+	// in memory bounded by what each pass keeps. The internal/analysis
+	// passes satisfy this interface.
 	Passes []Pass
 	// SnapshotEveryUS, when > 0, re-delivers the run's aggregate result
 	// (unify/llc/transport stats) to every ResultSink pass each time the
@@ -182,33 +177,15 @@ func (h *DispersionHistogram) Percentile(p float64) int64 {
 	return -1
 }
 
-// Result summarizes one pipeline run.
+// Result summarizes one pipeline run: the stages' aggregate counters and the
+// transport analyzer. The jframes and exchanges themselves are not kept;
+// Config.Passes (or a Sink) sees each one as it streams by.
 type Result struct {
 	Bootstrap  *timesync.Result
 	UnifyStats unify.Stats
 	LLCStats   llc.Stats
 	Transport  *transport.Analyzer
 	Dispersion DispersionHistogram
-
-	// Retained products (per Config). Exchanges are in canonical close
-	// order (llc.Exchange.CloseUS with deterministic tiebreaks), the same
-	// order the transport analyzer consumed them in.
-	JFrames   []*unify.JFrame
-	Exchanges []*llc.Exchange
-}
-
-// Run executes the full pipeline over per-radio compressed traces (the
-// bytes produced by tracefile.Writer). clockGroups lists radios sharing a
-// physical clock for cross-channel bridging.
-//
-// Run is the in-memory compatibility wrapper around RunFrom: the whole
-// compressed trace set stays resident for the run. Callers operating at
-// building scale should hand RunFrom a directory-backed TraceSet instead.
-func Run(traces map[int32][]byte, clockGroups [][]int32, cfg Config, sink *Sink) (*Result, error) {
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("core: no traces")
-	}
-	return RunFrom(tracefile.NewBufferSet(traces), clockGroups, cfg, sink)
 }
 
 // RunFrom executes the full pipeline over a TraceSet, streaming each
@@ -406,8 +383,7 @@ func (c *consumer) handle(ev event) {
 	res, cfg := c.res, c.cfg
 	switch {
 	case ev.j != nil:
-		// Sinks and passes borrow the frame for the duration of the call;
-		// keeping it in the result takes its own reference.
+		// Sinks and passes borrow the frame for the duration of the call.
 		j := ev.j
 		if len(j.Instances) >= 2 {
 			res.Dispersion.Add(j.DispersionUS)
@@ -418,10 +394,6 @@ func (c *consumer) handle(ev event) {
 		for _, p := range cfg.Passes {
 			p.ObserveJFrame(j)
 		}
-		if cfg.KeepJFrames {
-			j.Retain()
-			res.JFrames = append(res.JFrames, j)
-		}
 		j.Release()
 	case ev.ex != nil:
 		ex := ev.ex
@@ -430,10 +402,6 @@ func (c *consumer) handle(ev event) {
 		}
 		for _, p := range cfg.Passes {
 			p.ObserveExchange(ex)
-		}
-		if cfg.KeepExchanges {
-			ex.Retain()
-			res.Exchanges = append(res.Exchanges, ex)
 		}
 		// The transport analyzer copies what it keeps; the stream's
 		// ownership of the exchange's jframes ends here.
@@ -613,14 +581,4 @@ func run(src jframeStream, boot *timesync.Result, cfg Config, sink *Sink, worker
 	}
 	res.UnifyStats, res.LLCStats = final.unify, final.llc
 	return res, nil
-}
-
-// TracesFromBuffers converts the scenario's buffer map into the byte map
-// Run consumes.
-func TracesFromBuffers(bufs map[int32]*bytes.Buffer) map[int32][]byte {
-	out := make(map[int32][]byte, len(bufs))
-	for r, b := range bufs {
-		out[r] = b.Bytes()
-	}
-	return out
 }

@@ -31,10 +31,10 @@ func scenarioOut(t *testing.T) *scenario.Output {
 	return out
 }
 
-func runPipeline(t *testing.T, cfg Config) (*Result, *scenario.Output) {
+func runPipeline(t *testing.T, cfg Config, sink *Sink) (*Result, *scenario.Output) {
 	t.Helper()
 	out := scenarioOut(t)
-	res, err := Run(TracesFromBuffers(out.Traces), out.ClockGroups, cfg, nil)
+	res, err := RunFrom(out.TraceSet(), out.ClockGroups, cfg, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,12 @@ func runPipeline(t *testing.T, cfg Config) (*Result, *scenario.Output) {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	res, out := runPipeline(t, DefaultConfig())
+	var validJF int64
+	res, out := runPipeline(t, DefaultConfig(), &Sink{OnJFrame: func(j *unify.JFrame) {
+		if j.Valid {
+			validJF++
+		}
+	}})
 	if !res.Bootstrap.Synced() {
 		t.Errorf("bootstrap left radios unsynced: %v", res.Bootstrap.Unsynced)
 	}
@@ -63,18 +68,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	for _, tx := range out.Truth {
 		if out.CapturedValid[tx.ID] > 0 && tx.Kind != scenario.TxNoise {
 			capturedValidTx++
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.KeepJFrames = true
-	resK, err := Run(TracesFromBuffers(out.Traces), out.ClockGroups, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var validJF int64
-	for _, j := range resK.JFrames {
-		if j.Valid {
-			validJF++
 		}
 	}
 	// The surplus sits near 10–20% in this sparse 6-pod deployment (quiet
@@ -99,7 +92,7 @@ func TestPipelineDispersionFig4Shape(t *testing.T) {
 	// monitor density (the full-scale benches reproduce it — the tail is
 	// governed by how long quiet radios coast, which falls with density,
 	// exactly the paper's argument for 39 pods).
-	res, _ := runPipeline(t, DefaultConfig())
+	res, _ := runPipeline(t, DefaultConfig(), nil)
 	p90 := res.Dispersion.Percentile(0.90)
 	p95 := res.Dispersion.Percentile(0.95)
 	if p90 < 0 || p90 >= 10 {
@@ -114,13 +107,10 @@ func TestPipelineDispersionFig4Shape(t *testing.T) {
 }
 
 func TestPipelineDeliveryVerdicts(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KeepExchanges = true
-	res, _ := runPipeline(t, cfg)
 	counts := map[llc.Delivery]int{}
-	for _, ex := range res.Exchanges {
+	res, _ := runPipeline(t, DefaultConfig(), &Sink{OnExchange: func(ex *llc.Exchange) {
 		counts[ex.Delivery]++
-	}
+	}})
 	if counts[llc.DeliveryObserved] == 0 {
 		t.Error("no exchanges with observed ACKs")
 	}
@@ -136,7 +126,7 @@ func TestPipelineDeliveryVerdicts(t *testing.T) {
 func TestPipelineInferenceRateSmall(t *testing.T) {
 	// §5.1: only 0.58% of attempts and 0.14% of exchanges need inference.
 	// Coverage here is denser than the paper's, so just require "small".
-	res, _ := runPipeline(t, DefaultConfig())
+	res, _ := runPipeline(t, DefaultConfig(), nil)
 	st := res.LLCStats
 	if st.Attempts == 0 {
 		t.Fatal("no attempts")
@@ -152,16 +142,18 @@ func TestPipelineInferenceRateSmall(t *testing.T) {
 }
 
 func TestPipelineSinkStreams(t *testing.T) {
-	out := scenarioOut(t)
 	var jframes, exchanges int
-	sink := &Sink{
-		OnJFrame:   func(*unify.JFrame) { jframes++ },
+	prev := int64(-1 << 62)
+	res, _ := runPipeline(t, DefaultConfig(), &Sink{
+		OnJFrame: func(j *unify.JFrame) {
+			jframes++
+			if j.UnivUS < prev {
+				t.Error("jframes out of order")
+			}
+			prev = j.UnivUS
+		},
 		OnExchange: func(*llc.Exchange) { exchanges++ },
-	}
-	res, err := Run(TracesFromBuffers(out.Traces), out.ClockGroups, DefaultConfig(), sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if int64(jframes) != res.UnifyStats.JFrames {
 		t.Errorf("sink saw %d jframes, stats say %d", jframes, res.UnifyStats.JFrames)
 	}
@@ -170,25 +162,11 @@ func TestPipelineSinkStreams(t *testing.T) {
 	}
 }
 
-func TestPipelineKeepJFrames(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KeepJFrames = true
-	res, _ := runPipeline(t, cfg)
-	if int64(len(res.JFrames)) != res.UnifyStats.JFrames {
-		t.Errorf("kept %d jframes, stats say %d", len(res.JFrames), res.UnifyStats.JFrames)
-	}
-	prev := int64(-1 << 62)
-	for _, j := range res.JFrames {
-		if j.UnivUS < prev {
-			t.Fatal("jframes out of order")
-		}
-		prev = j.UnivUS
-	}
-}
-
 func TestPipelineEmptyInput(t *testing.T) {
-	if _, err := Run(nil, nil, DefaultConfig(), nil); err == nil {
-		t.Error("empty input accepted")
+	for _, ts := range []*tracefile.TraceSet{nil, tracefile.NewBufferSet(nil)} {
+		if _, err := RunFrom(ts, nil, DefaultConfig(), nil); err == nil {
+			t.Error("empty input accepted")
+		}
 	}
 }
 
@@ -221,10 +199,7 @@ func TestPipelineCrossChannelBridging(t *testing.T) {
 	// them. The bootstrap must still cover every radio.
 	out := scenarioOut(t)
 	channels := map[uint8]int{}
-	res, err := Run(TracesFromBuffers(out.Traces), out.ClockGroups, DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runPipeline(t, DefaultConfig(), nil)
 	for rid, buf := range out.Traces {
 		recs, err := tracefile.ReadAll(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -243,7 +218,7 @@ func TestPipelineCrossChannelBridging(t *testing.T) {
 	}
 
 	// Ablation: without the clock groups, the channels partition.
-	res2, err := Run(TracesFromBuffers(out.Traces), nil, DefaultConfig(), nil)
+	res2, err := RunFrom(out.TraceSet(), nil, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

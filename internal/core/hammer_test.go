@@ -9,19 +9,19 @@ import (
 	"repro/internal/dot80211"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/tracefile"
 	"repro/internal/unify"
 )
 
 // TestRetainReleaseHammer drives the full pipeline — every registered
-// pass plus the frame-retaining viz pass, retention on, and a sink that
-// churns extra Retain/Release pairs — across worker counts. Its job is
-// to put the reference-counted frame lifecycle under the race detector
-// (`go test -race`): frames cross the router→shard and shard→transport
-// channels while passes retain and release them concurrently, so any
-// unsynchronized refcount or use-after-release shows up here. Without
-// -race it still verifies the counted lifecycle reaches the same result
-// at every concurrency level.
+// pass plus the frame-retaining viz pass, and a collecting sink that
+// retains everything while churning extra Retain/Release pairs — across
+// worker counts. Its job is to put the reference-counted frame lifecycle
+// under the race detector (`go test -race`): frames cross the stage
+// channels while reconstruction, passes and the sink retain and release
+// them concurrently, so any unsynchronized refcount or use-after-release
+// shows up here. Without -race it still verifies the counted lifecycle
+// reaches the same result at every concurrency level, and that every
+// frame is back in the pool once the collection is released.
 func TestRetainReleaseHammer(t *testing.T) {
 	cfg := scenario.Default()
 	cfg.Pods, cfg.APs, cfg.Clients = 4, 4, 6
@@ -31,7 +31,8 @@ func TestRetainReleaseHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := tracefile.NewBufferSet(core.TracesFromBuffers(out.Traces))
+	ts := out.TraceSet()
+	live := unify.LiveJFrames()
 	apSet := scenario.APSet(out.APs)
 	params := analysis.PassParams{
 		SlotUS:     out.Cfg.HourDur().US64(),
@@ -62,15 +63,17 @@ func TestRetainReleaseHammer(t *testing.T) {
 
 		ccfg := core.DefaultConfig()
 		ccfg.Workers = workers
-		ccfg.KeepJFrames = true
-		ccfg.KeepExchanges = true
 		ccfg.Passes = analysis.CorePasses(passes)
 		// The sink churns an extra retain/release pair per frame, so the
 		// atomic refcount sees contention beyond the pipeline's own.
-		sink := &core.Sink{OnJFrame: func(j *unify.JFrame) {
+		var kept core.Collection
+		sink := kept.Sink()
+		collect := sink.OnJFrame
+		sink.OnJFrame = func(j *unify.JFrame) {
 			j.Retain()
 			j.Release()
-		}}
+			collect(j)
+		}
 		res, err := core.RunFrom(ts, out.ClockGroups, ccfg, sink)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -80,13 +83,12 @@ func TestRetainReleaseHammer(t *testing.T) {
 				t.Fatalf("workers=%d: pass %s returned no report", workers, p.Name())
 			}
 		}
-		got := outcome{unify: res.UnifyStats, exchanges: len(res.Exchanges), jframes: len(res.JFrames)}
+		got := outcome{unify: res.UnifyStats, exchanges: len(kept.Exchanges), jframes: len(kept.JFrames)}
 		if workers == 1 {
 			want = got
 			if want.exchanges == 0 || want.jframes == 0 {
 				t.Fatal("hammer scenario produced no traffic")
 			}
-			continue
 		}
 		if got != want {
 			t.Fatalf("workers=%d: outcome %+v differs from serial %+v", workers, got, want)
@@ -94,9 +96,13 @@ func TestRetainReleaseHammer(t *testing.T) {
 		// Retained frames must still be alive and consistent after the
 		// run: spot-check that the kept slice is readable end to end.
 		var sum int64
-		for _, j := range res.JFrames {
+		for _, j := range kept.JFrames {
 			sum += j.UnivUS + int64(len(j.Wire))
 		}
 		_ = fmt.Sprintf("%d", sum)
+		kept.Release()
+		if n := unify.LiveJFrames() - live; n != 0 {
+			t.Fatalf("workers=%d: %d pooled jframes still referenced after releasing the collection", workers, n)
+		}
 	}
 }

@@ -186,11 +186,12 @@ func hierPasses(t *testing.T, apSet map[dot80211.MAC]bool, hourUS int64) []analy
 }
 
 // hierBuilding is one generated building plus everything the parity checks
-// reference: its flat serial run (retained slices, stream digest) and its
+// reference: its flat serial run (collected products, stream digest) and its
 // intermediate stream in both buffer- and file-backed form.
 type hierBuilding struct {
 	out        *scenario.Output
 	flat       *core.Result
+	kept       core.Collection // the flat run's jframes and exchanges
 	flatDigest string
 	stream     []byte // buffer-backed hmerge.Unify output
 	meta       *hmerge.Meta
@@ -210,9 +211,12 @@ func hierTemplate() scenario.Config {
 // prepares, per building: the flat serial reference run and the
 // intermediate stream — produced twice (buffer-backed unify worker and
 // directory-backed UnifyDir with a different bootstrap pool size), which
-// must serialize byte-identically: the separate-process contract.
+// must serialize byte-identically: the separate-process contract. When the
+// test ends the collections are released and every pooled jframe must be
+// back where it started.
 func buildHierBuildings(t *testing.T, seed int64, n int) ([]*hierBuilding, map[dot80211.MAC]bool) {
 	t.Helper()
+	live := unify.LiveJFrames()
 	camp := scenario.CampusConfig{Buildings: n, Seed: seed, Building: hierTemplate()}
 	blds := make([]*hierBuilding, n)
 	apSet := make(map[dot80211.MAC]bool)
@@ -224,19 +228,22 @@ func buildHierBuildings(t *testing.T, seed int64, n int) ([]*hierBuilding, map[d
 		for _, ap := range out.APs {
 			apSet[ap.MAC] = true
 		}
-		bufTS := tracefile.NewBufferSet(core.TracesFromBuffers(out.Traces))
+		bufTS := out.TraceSet()
 
 		ccfg := core.DefaultConfig()
 		ccfg.Workers = 1
-		ccfg.KeepJFrames = true
-		ccfg.KeepExchanges = true
-		d := newHierDigest()
-		flat, err := core.RunFrom(bufTS, out.ClockGroups, ccfg, &core.Sink{OnJFrame: d.observe})
+		b := &hierBuilding{out: out}
+		blds[k] = b
+		b.flat, err = core.RunFrom(bufTS, out.ClockGroups, ccfg, b.kept.Sink())
 		if err != nil {
 			t.Fatalf("building %d: flat run: %v", k, err)
 		}
-		if len(flat.Exchanges) == 0 {
+		if len(b.kept.Exchanges) == 0 {
 			t.Fatalf("building %d: no exchanges; the scenario is too small", k)
+		}
+		d := newHierDigest()
+		for _, j := range b.kept.JFrames {
+			d.observe(j)
 		}
 
 		var sb bytes.Buffer
@@ -270,11 +277,17 @@ func buildHierBuildings(t *testing.T, seed int64, n int) ([]*hierBuilding, map[d
 			t.Fatalf("building %d: sidecars differ across sources:\n  dir %+v\n  buf %+v", k, dmeta, meta)
 		}
 
-		blds[k] = &hierBuilding{
-			out: out, flat: flat, flatDigest: d.sum(),
-			stream: sb.Bytes(), meta: meta, streamPath: spath,
-		}
+		b.flatDigest = d.sum()
+		b.stream, b.meta, b.streamPath = sb.Bytes(), meta, spath
 	}
+	t.Cleanup(func() {
+		for _, b := range blds {
+			b.kept.Release()
+		}
+		if n := unify.LiveJFrames() - live; n != 0 {
+			t.Errorf("%d pooled jframes still referenced after releasing every collection", n)
+		}
+	})
 	return blds, apSet
 }
 
@@ -292,22 +305,34 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 			const maxB = 4
 			blds, apSet := buildHierBuildings(t, seed, maxB)
 
-			runHier := func(streams []*hmerge.Stream, workers, slab int) (*core.Result, string, map[string]analysis.Report) {
+			// hierRun is one hierarchical run: its result, the jframe stream's
+			// digest, the exchanges it delivered and every pass report.
+			type hierRun struct {
+				res     *core.Result
+				digest  string
+				kept    core.Collection
+				reports map[string]analysis.Report
+			}
+			runHier := func(streams []*hmerge.Stream, workers, slab int) *hierRun {
 				defer core.SetSlabSize(slab)()
 				ccfg := core.DefaultConfig()
 				ccfg.Workers = workers
-				ccfg.KeepExchanges = true
 				passes := hierPasses(t, apSet, hourUS)
 				ccfg.Passes = analysis.CorePasses(passes)
 				d := newHierDigest()
-				res, err := core.RunHierarchical(streams, ccfg, &core.Sink{OnJFrame: d.observe})
+				run := &hierRun{}
+				sink := run.kept.Sink()
+				sink.OnJFrame = d.observe // digest the jframes, keep the exchanges
+				var err error
+				run.res, err = core.RunHierarchical(streams, ccfg, sink)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if n := core.SlabBalance(); n != 0 {
 					t.Fatalf("workers=%d/slab=%d: %d slabs outstanding after the run", workers, slab, n)
 				}
-				return res, d.sum(), finalizeAll(passes)
+				run.digest, run.reports = d.sum(), finalizeAll(passes)
+				return run
 			}
 
 			for _, B := range []int{1, 2, 4} {
@@ -324,8 +349,8 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 				var refLLC llc.Stats
 				refOffsets := make(map[int32]int64)
 				for k := 0; k < B; k++ {
-					jlists[k] = blds[k].flat.JFrames
-					xlists[k] = blds[k].flat.Exchanges
+					jlists[k] = blds[k].kept.JFrames
+					xlists[k] = blds[k].kept.Exchanges
 					refStats.Add(blds[k].meta.Unify)
 					refLLC.Add(blds[k].flat.LLCStats)
 					for r, off := range blds[k].meta.Bootstrap.OffsetUS {
@@ -351,21 +376,22 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 					refTA.AddExchange(ex)
 				}
 				fresh := hierPasses(t, apSet, hourUS)
-				refRunner := analysis.Runner{Passes: fresh}
-				refRunner.DriveSlices(mergedJF, mergedEx)
-				refRunner.SetResult(&core.Result{
+				core.DriveSlices(analysis.CorePasses(fresh), mergedJF, mergedEx)
+				setResult(fresh, &core.Result{
 					UnifyStats: refStats,
 					LLCStats:   refLLC,
 					Transport:  refTA,
 				})
 				refReports := finalizeAll(fresh)
 
-				check := func(label string, res *core.Result, digest string, reports map[string]analysis.Report) {
+				check := func(label string, run *hierRun) {
 					t.Helper()
+					res, digest, reports := run.res, run.digest, run.reports
 					if digest != refDigest {
 						t.Errorf("%s: jframe stream digest differs from the flat reference merge", label)
 					}
-					requireExchangesEqual(t, label, res.Exchanges, mergedEx)
+					requireExchangesEqual(t, label, run.kept.Exchanges, mergedEx)
+					run.kept.Release()
 					if res.UnifyStats != refStats {
 						t.Errorf("%s: unify stats differ from the per-building aggregate:\n  got  %+v\n  want %+v",
 							label, res.UnifyStats, refStats)
@@ -402,21 +428,22 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 						streams[k] = hmerge.NewStream(blds[k].meta, bytes.NewReader(blds[k].stream))
 						paths[k] = blds[k].streamPath
 					}
-					res, digest, reports := runHier(streams, w, v.slab)
-					check(fmt.Sprintf("B=%d buf/workers=%d/slab=%d", B, w, v.slab), res, digest, reports)
+					run := runHier(streams, w, v.slab)
+					check(fmt.Sprintf("B=%d buf/workers=%d/slab=%d", B, w, v.slab), run)
+					res, digest := run.res, run.digest
 
 					// File-backed streams through the sidecar/open path.
 					fstreams, err := hmerge.OpenStreams(paths)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fres, fdigest, freports := runHier(fstreams, w, v.slab)
+					frun := runHier(fstreams, w, v.slab)
 					for _, s := range fstreams {
 						if err := s.Close(); err != nil {
 							t.Fatal(err)
 						}
 					}
-					check(fmt.Sprintf("B=%d file/workers=%d/slab=%d", B, w, v.slab), fres, fdigest, freports)
+					check(fmt.Sprintf("B=%d file/workers=%d/slab=%d", B, w, v.slab), frun)
 
 					// A single building must also match its flat run exactly
 					// (the degenerate hierarchy is the flat pipeline).
@@ -456,10 +483,9 @@ func TestHierarchicalWindowedPassParity(t *testing.T) {
 	}
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = 1
-	ccfg.KeepJFrames = true
-	ccfg.KeepExchanges = true
-	res, err := core.RunHierarchical(streams, ccfg, nil)
-	if err != nil {
+	var res core.Collection
+	defer res.Release()
+	if _, err := core.RunHierarchical(streams, ccfg, res.Sink()); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.JFrames) == 0 || len(res.Exchanges) == 0 {
@@ -491,7 +517,6 @@ func TestHierarchicalWindowedPassParity(t *testing.T) {
 		}
 		windowed[i] = wp
 	}
-	contRunner := analysis.Runner{Passes: cont}
 
 	prev := firstUS - 1
 	for k := 0; k < windows; k++ {
@@ -504,7 +529,7 @@ func TestHierarchicalWindowedPassParity(t *testing.T) {
 			t.Fatalf("window %d is empty; widen the scenario", k)
 		}
 
-		contRunner.DriveSlices(wj, wx)
+		core.DriveSlices(analysis.CorePasses(cont), wj, wx)
 		contReps := make(map[string]analysis.Report, len(windowed))
 		for _, wp := range windowed {
 			contReps[wp.Name()] = wp.FinalizeWindow(end)
@@ -512,8 +537,7 @@ func TestHierarchicalWindowedPassParity(t *testing.T) {
 		}
 
 		fresh := hierPasses(t, apSet, hourUS)
-		fr := analysis.Runner{Passes: fresh}
-		fr.DriveSlices(wj, wx)
+		core.DriveSlices(analysis.CorePasses(fresh), wj, wx)
 		for _, p := range fresh {
 			want := p.Finalize()
 			if got := contReps[p.Name()]; !reflect.DeepEqual(got, want) {

@@ -117,11 +117,18 @@ func summarizeFlows(ta *transport.Analyzer) map[tcpsim.FlowKey]flowSummary {
 	return out
 }
 
-// requireIdentical asserts two pipeline results agree on everything the
+// collected is one run's result plus the products a Collection retained
+// from it.
+type collected struct {
+	*Result
+	Collection
+}
+
+// requireIdentical asserts two pipeline runs agree on everything the
 // paper's analyses consume: unification stats, dispersion histogram,
 // jframe count, the exact canonical exchange sequence, reconstruction
 // stats, transport stats and per-flow summaries.
-func requireIdentical(t *testing.T, label string, a, b *Result) {
+func requireIdentical(t *testing.T, label string, a, b *collected) {
 	t.Helper()
 	if a.UnifyStats != b.UnifyStats {
 		t.Errorf("%s: unify stats differ:\n  a=%+v\n  b=%+v", label, a.UnifyStats, b.UnifyStats)
@@ -233,34 +240,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if tc.name == "roaming" && len(out.Handoffs) == 0 {
 					t.Fatal("roaming scenario produced no handoffs; the case is not exercising handoff-heavy traces")
 				}
-				bufTS := tracefile.NewBufferSet(TracesFromBuffers(out.Traces))
+				bufTS := out.TraceSet()
 				dirTS := writeTraceDir(t, out)
+				live := unify.LiveJFrames()
 
-				run := func(ts *tracefile.TraceSet, workers, slab int) (*Result, string) {
+				run := func(ts *tracefile.TraceSet, workers, slab int) (*collected, string) {
 					defer SetSlabSize(slab)()
 					ccfg := DefaultConfig()
 					ccfg.Workers = workers
-					ccfg.KeepExchanges = true
-					ccfg.KeepJFrames = true
-					d := newJFDigest()
-					res, err := RunFrom(ts, out.ClockGroups, ccfg, &Sink{OnJFrame: d.observe})
+					got := &collected{}
+					res, err := RunFrom(ts, out.ClockGroups, ccfg, got.Sink())
 					if err != nil {
 						t.Fatal(err)
 					}
 					if n := slabBalance.Load(); n != 0 {
 						t.Fatalf("workers=%d/slab=%d: %d slabs outstanding after the run", workers, slab, n)
 					}
-					return res, d.sum()
+					got.Result = res
+					d := newJFDigest()
+					for _, j := range got.JFrames {
+						d.observe(j)
+					}
+					return got, d.sum()
 				}
 
 				ref, refDigest := run(bufTS, 1, defaultSlabSize)
 				check := func(label string, ts *tracefile.TraceSet, workers, slab int) {
-					res, digest := run(ts, workers, slab)
+					got, digest := run(ts, workers, slab)
 					label = fmt.Sprintf("%s/workers=%d/slab=%d", label, workers, slab)
-					requireIdentical(t, label, ref, res)
+					requireIdentical(t, label, ref, got)
 					if digest != refDigest {
 						t.Errorf("%s: jframe stream digest differs from the inline reference", label)
 					}
+					got.Release()
 				}
 				// {workers, slab}: the whole pipelined table on the first
 				// case, a diagonal of it on the rest. (The inline composition
@@ -277,6 +289,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 				// analysis output — inline and pipelined.
 				check("dir", dirTS, 1, defaultSlabSize)
 				check("dir", dirTS, 2, defaultSlabSize)
+				ref.Release()
+				if n := unify.LiveJFrames() - live; n != 0 {
+					t.Errorf("%d pooled jframes still referenced after releasing every collection", n)
+				}
 			})
 		}
 	}
@@ -446,24 +462,22 @@ type nopPass struct{}
 func (nopPass) ObserveJFrame(*unify.JFrame)   {}
 func (nopPass) ObserveExchange(*llc.Exchange) {}
 
-// TestParallelExchangeOrderCanonical asserts the retained exchange slice is
-// in canonical close order (the order the transport analyzer consumed).
+// TestParallelExchangeOrderCanonical asserts the pipelined run delivers
+// exchanges in canonical close order (the order the transport analyzer
+// consumes).
 func TestParallelExchangeOrderCanonical(t *testing.T) {
-	out := scenarioOut(t)
 	cfg := DefaultConfig()
 	cfg.Workers = 3
-	cfg.KeepExchanges = true
-	res, err := Run(TracesFromBuffers(out.Traces), out.ClockGroups, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Exchanges) == 0 {
+	var got Collection
+	defer got.Release()
+	runPipeline(t, cfg, got.Sink())
+	if len(got.Exchanges) == 0 {
 		t.Fatal("no exchanges")
 	}
-	for i := 1; i < len(res.Exchanges); i++ {
-		if exchangeLess(res.Exchanges[i], res.Exchanges[i-1]) {
+	for i := 1; i < len(got.Exchanges); i++ {
+		if exchangeLess(got.Exchanges[i], got.Exchanges[i-1]) {
 			t.Fatalf("exchange %d out of canonical order: %d after %d",
-				i, res.Exchanges[i].CloseUS, res.Exchanges[i-1].CloseUS)
+				i, got.Exchanges[i].CloseUS, got.Exchanges[i-1].CloseUS)
 		}
 	}
 }

@@ -5,11 +5,13 @@
 //
 // For Default(), MixedCC() and Roaming() scenarios, every registered
 // analysis pass fed inline by the pipeline must finalize to a report
-// identical to the legacy slice-based function over the retained
-// jframe/exchange slices — and identical again across worker counts, slab
-// sizes and buffer- vs directory-backed trace sources. This is the contract that
-// lets jiganalyze drop KeepJFrames/KeepExchanges: inline output is
-// byte-for-byte what post-hoc analysis would have produced.
+// identical to a fresh instance of the same pass fed the run's collected
+// jframe/exchange slices by the canonical-order replayer
+// (core.DriveSlices, the tests' reference driver) — and identical again
+// across worker counts, slab sizes and buffer- vs directory-backed trace
+// sources. This is the contract that lets the pipeline keep nothing:
+// inline output is byte-for-byte what analysis over the whole
+// materialized streams would have produced.
 package core_test
 
 import (
@@ -24,6 +26,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tracefile"
+	"repro/internal/unify"
 )
 
 // parityTraceDir spills a scenario's in-memory traces to a temp directory
@@ -81,6 +84,16 @@ func finalizeAll(passes []analysis.Pass) map[string]analysis.Report {
 	return out
 }
 
+// setResult hands the run's aggregate result to every pass that finalizes
+// from it, as the pipeline does for inline passes.
+func setResult(passes []analysis.Pass, res *core.Result) {
+	for _, p := range passes {
+		if rs, ok := p.(core.ResultSink); ok {
+			rs.SetResult(res)
+		}
+	}
+}
+
 func TestPassParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,51 +127,47 @@ func TestPassParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bufTS := tracefile.NewBufferSet(core.TracesFromBuffers(out.Traces))
+			bufTS := out.TraceSet()
 			dirTS := parityTraceDir(t, out)
+			live := unify.LiveJFrames()
 
-			run := func(ts *tracefile.TraceSet, workers, slab int, keep bool) (*core.Result, map[string]analysis.Report) {
+			run := func(ts *tracefile.TraceSet, workers, slab int, sink *core.Sink) (*core.Result, map[string]analysis.Report) {
 				defer core.SetSlabSize(slab)()
 				ccfg := core.DefaultConfig()
 				ccfg.Workers = workers
-				ccfg.KeepJFrames = keep
-				ccfg.KeepExchanges = keep
 				passes := parityPasses(t, out)
 				ccfg.Passes = analysis.CorePasses(passes)
-				res, err := core.RunFrom(ts, out.ClockGroups, ccfg, nil)
+				res, err := core.RunFrom(ts, out.ClockGroups, ccfg, sink)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res, finalizeAll(passes)
 			}
 
-			// Reference: the inline run with retention, so the same run
-			// yields both inline-pass reports and the legacy slice inputs.
-			res, ref := run(bufTS, 1, 64, true)
+			// Reference: the inline run with a collecting sink, so the same
+			// run yields both inline-pass reports and the slices to replay.
+			var kept core.Collection
+			res, ref := run(bufTS, 1, 64, kept.Sink())
 
-			apSet := scenario.APSet(out.APs)
-			isAP := func(m dot80211.MAC) bool { return apSet[m] }
-			hourUS := out.Cfg.HourDur().US64()
-			vizFrom := res.JFrames[0].UnivUS + int64(out.Cfg.Day.SecondsF()*5e5)
-			legacy := map[string]analysis.Report{
-				"summary":      analysis.Summarize(res, res.JFrames),
-				"coverage":     analysis.Coverage(out, res.Exchanges),
-				"timeseries":   analysis.TimeSeries(res.JFrames, hourUS),
-				"interference": analysis.Interference(res.JFrames, res.Exchanges, 50, isAP),
-				"protection":   analysis.Protection(res.JFrames, hourUS, hourUS),
-				"diagnose":     analysis.Diagnose(res.JFrames, res.Exchanges),
-				"tcploss":      analysis.TCPLoss(analysis.TransportFlowLosses(res.Transport, 5)),
-				"roam":         analysis.DetectHandoffs(res.Exchanges, isAP),
-				"viz":          analysis.Visualize(res.JFrames, vizFrom, vizFrom+vizWindowUS, 96),
+			replayed := parityPasses(t, out)
+			core.DriveSlices(analysis.CorePasses(replayed), kept.JFrames, kept.Exchanges)
+			setResult(replayed, res)
+			slices := finalizeAll(replayed)
+			if n := len(analysis.PassSpecs()); len(slices) != n {
+				t.Fatalf("replayed %d passes, want every registered one (%d)", len(slices), n)
 			}
-			for name, want := range legacy {
+			for name, want := range slices {
 				got, ok := ref[name]
 				if !ok {
 					t.Fatalf("pass %q missing from inline run", name)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: inline pass report differs from slice-based analysis:\n inline: %+v\n slices: %+v", name, got, want)
+					t.Errorf("%s: inline pass report differs from the same pass over replayed slices:\n inline: %+v\n slices: %+v", name, got, want)
 				}
+			}
+			kept.Release()
+			if n := unify.LiveJFrames() - live; n != 0 {
+				t.Errorf("%d pooled jframes still referenced after releasing the collection", n)
 			}
 
 			// Worker counts, slab sizes and trace sources must not change
@@ -172,7 +181,7 @@ func TestPassParity(t *testing.T) {
 			}
 			for _, v := range variants {
 				label := fmt.Sprintf("dir=%v/workers=%d/slab=%d", v.ts == dirTS, v.workers, v.slab)
-				_, got := run(v.ts, v.workers, v.slab, false)
+				_, got := run(v.ts, v.workers, v.slab, nil)
 				for name, want := range ref {
 					if !reflect.DeepEqual(got[name], want) {
 						t.Errorf("%s: pass %q differs from the inline reference:\n got:  %+v\n want: %+v", label, name, got[name], want)

@@ -49,7 +49,7 @@ func TestSnapshotEveryUS(t *testing.T) {
 		ccfg.SnapshotEveryUS = 2_000_000
 		rc := &resultCounter{}
 		ccfg.Passes = []core.Pass{rc}
-		res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
+		res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -5,7 +5,7 @@
 // driver side of the contract — only events at or before the boundary are
 // delivered before the boundary's FinalizeWindow — is what serve.Monitor
 // enforces with its delivery buffer; this test mimics that delivery over
-// retained slices.
+// collected slices.
 package core_test
 
 import (
@@ -67,12 +67,11 @@ func TestWindowedPassParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			live := unify.LiveJFrames()
 			ccfg := core.DefaultConfig()
 			ccfg.Workers = 1
-			ccfg.KeepJFrames = true
-			ccfg.KeepExchanges = true
-			res, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil)
-			if err != nil {
+			var res core.Collection
+			if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, res.Sink()); err != nil {
 				t.Fatal(err)
 			}
 			if len(res.JFrames) == 0 || len(res.Exchanges) == 0 {
@@ -103,7 +102,6 @@ func TestWindowedPassParity(t *testing.T) {
 				}
 				windowed[i] = wp
 			}
-			contRunner := analysis.Runner{Passes: cont}
 
 			prev := firstUS - 1
 			for k := 0; k < windows; k++ {
@@ -116,7 +114,7 @@ func TestWindowedPassParity(t *testing.T) {
 					t.Fatalf("window %d is empty; widen the scenario", k)
 				}
 
-				contRunner.DriveSlices(wj, wx)
+				core.DriveSlices(analysis.CorePasses(cont), wj, wx)
 				contReps := make(map[string]analysis.Report, len(windowed))
 				for _, wp := range windowed {
 					contReps[wp.Name()] = wp.FinalizeWindow(end)
@@ -127,8 +125,7 @@ func TestWindowedPassParity(t *testing.T) {
 				}
 
 				fresh := parityPasses(t, out)
-				fr := analysis.Runner{Passes: fresh}
-				fr.DriveSlices(wj, wx)
+				core.DriveSlices(analysis.CorePasses(fresh), wj, wx)
 				for _, p := range fresh {
 					want := p.Finalize()
 					if got := contReps[p.Name()]; !reflect.DeepEqual(got, want) {
@@ -137,6 +134,10 @@ func TestWindowedPassParity(t *testing.T) {
 					}
 				}
 				prev = end
+			}
+			res.Release()
+			if n := unify.LiveJFrames() - live; n != 0 {
+				t.Errorf("%d pooled jframes still referenced after releasing the collection", n)
 			}
 		})
 	}

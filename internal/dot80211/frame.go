@@ -12,7 +12,6 @@ package dot80211
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -44,7 +43,8 @@ func (m MAC) IsZero() bool { return m == MAC{} }
 // rosters (meta.json) and report rows carry "aa:bb:cc:dd:ee:ff" strings.
 func (m MAC) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
+// UnmarshalText implements encoding.TextUnmarshaler; JSON uses it too, so
+// only the string form decodes (an array of octets is a type error).
 func (m *MAC) UnmarshalText(b []byte) error {
 	p, err := ParseMAC(string(b))
 	if err != nil {
@@ -52,33 +52,6 @@ func (m *MAC) UnmarshalText(b []byte) error {
 	}
 	*m = p
 	return nil
-}
-
-// UnmarshalJSON accepts both the colon-separated string form and the
-// legacy six-element byte array that trace directories written before the
-// text encoding carry in their meta.json.
-func (m *MAC) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '[' {
-		var raw []int
-		if err := json.Unmarshal(b, &raw); err != nil {
-			return fmt.Errorf("dot80211: bad MAC array: %w", err)
-		}
-		if len(raw) != 6 {
-			return fmt.Errorf("dot80211: MAC array has %d elements, want 6", len(raw))
-		}
-		for i, v := range raw {
-			if v < 0 || v > 255 {
-				return fmt.Errorf("dot80211: MAC array octet %d out of range", v)
-			}
-			m[i] = byte(v)
-		}
-		return nil
-	}
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("dot80211: bad MAC: %w", err)
-	}
-	return m.UnmarshalText([]byte(s))
 }
 
 // ParseMAC parses a colon-separated MAC address.

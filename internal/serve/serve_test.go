@@ -50,7 +50,7 @@ func liveRun(t *testing.T, windowUS int64) (*serve.Monitor, []int64) {
 	ccfg.Workers = 1
 	ccfg.SnapshotEveryUS = windowUS
 	ccfg.Passes = []core.Pass{mon}
-	if _, err := core.Run(core.TracesFromBuffers(out.Traces), out.ClockGroups, ccfg, nil); err != nil {
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	mon.Flush()

@@ -155,16 +155,14 @@ func IndexPath(dir string, radio int32) string {
 	return filepath.Join(dir, fmt.Sprintf("radio-%d.idx", radio))
 }
 
-// ParseTraceName extracts the radio id from a trace filename. Both the
-// directory layout's radio-<id>.jig and the legacy zero-padded
-// radioNNN.jig spelling are accepted.
+// ParseTraceName extracts the radio id from a trace filename of the
+// directory layout, radio-<id>.jig.
 func ParseTraceName(name string) (int32, bool) {
 	base := filepath.Base(name)
-	if !strings.HasPrefix(base, "radio") || !strings.HasSuffix(base, ".jig") {
+	if !strings.HasPrefix(base, "radio-") || !strings.HasSuffix(base, ".jig") {
 		return 0, false
 	}
-	num := strings.TrimSuffix(strings.TrimPrefix(base, "radio"), ".jig")
-	num = strings.TrimPrefix(num, "-")
+	num := strings.TrimSuffix(strings.TrimPrefix(base, "radio-"), ".jig")
 	id, err := strconv.ParseUint(num, 10, 31)
 	if err != nil {
 		return 0, false
@@ -173,11 +171,10 @@ func ParseTraceName(name string) (int32, bool) {
 }
 
 // OpenDir builds a directory-backed TraceSet from every radio trace file
-// (radio-<id>.jig, or the legacy radioNNN.jig) in dir. Unrecognized files
-// are ignored; an empty directory is an error, and so are two files
-// naming the same radio (e.g. a stale legacy radio003.jig next to a fresh
-// radio-3.jig) — silently picking one would merge mixed-generation
-// traces.
+// (radio-<id>.jig) in dir. Unrecognized files are ignored; an empty
+// directory is an error, and so are two files naming the same radio (e.g. a
+// stale zero-padded radio-03.jig next to a fresh radio-3.jig) — silently
+// picking one would merge mixed-generation traces.
 func OpenDir(dir string) (*TraceSet, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -204,36 +201,6 @@ func OpenDir(dir string) (*TraceSet, error) {
 		return nil, fmt.Errorf("tracefile: no radio traces in %s", dir)
 	}
 	return &TraceSet{sources: m, dir: dir}, nil
-}
-
-// OpenDirs unions several trace directories into one TraceSet — the flat
-// (single-merge) view of a campus laid out as per-building directories.
-// Radio ids must be globally unique across the directories: a radio
-// appearing twice means two buildings claim the same monitor, and merging
-// both traces would double-count its frames.
-func OpenDirs(dirs ...string) (*TraceSet, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("tracefile: no trace dirs")
-	}
-	if len(dirs) == 1 {
-		return OpenDir(dirs[0])
-	}
-	m := make(map[int32]Source)
-	owner := make(map[int32]string)
-	for _, dir := range dirs {
-		ts, err := OpenDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		for r, src := range ts.sources {
-			if prev, dup := owner[r]; dup {
-				return nil, fmt.Errorf("tracefile: radio %d appears in both %s and %s", r, prev, dir)
-			}
-			owner[r] = dir
-			m[r] = src
-		}
-	}
-	return &TraceSet{sources: m}, nil
 }
 
 // Dir returns the backing directory ("" for buffer-backed sets).

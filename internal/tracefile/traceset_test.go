@@ -16,8 +16,9 @@ func TestParseTraceName(t *testing.T) {
 	}{
 		{"radio-7.jig", 7, true},
 		{"radio-123.jig", 123, true},
-		{"radio007.jig", 7, true}, // legacy zero-padded spelling
-		{"radio7.jig", 7, true},
+		{"radio-007.jig", 7, true},
+		{"radio007.jig", 0, false}, // the pre-JIG2 spelling: such a file cannot be read anyway
+		{"radio7.jig", 0, false},
 		{"radio-7.idx", 0, false},
 		{"meta.json", 0, false},
 		{"radio-.jig", 0, false},
@@ -116,16 +117,28 @@ func TestOpenDirErrors(t *testing.T) {
 	}
 }
 
-// TestOpenDirRejectsDuplicateRadio: a stale legacy-named trace next to a
-// fresh one for the same radio must be an error, not a silent pick.
+// TestOpenDirDuplicateRadio: two spellings of one radio id must be an
+// error, not a silent pick; a file in the unrecognized pre-JIG2 spelling is
+// ignored like any other stray file.
 func TestOpenDirDuplicateRadio(t *testing.T) {
 	dir := t.TempDir()
 	b := sampleTrace(t, 3)
-	for _, name := range []string{"radio-3.jig", "radio003.jig"} {
+	write := func(name string) {
+		t.Helper()
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	write("radio-3.jig")
+	write("radio003.jig")
+	ts, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("an unrecognized radio003.jig must be ignored: %v", err)
+	}
+	if ts.Len() != 1 {
+		t.Fatalf("set has %d radios, want 1", ts.Len())
+	}
+	write("radio-03.jig")
 	if _, err := OpenDir(dir); err == nil {
 		t.Fatal("OpenDir accepted two traces for one radio")
 	}

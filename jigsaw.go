@@ -84,17 +84,22 @@
 // # Quick start
 //
 //	out, _ := jigsaw.Simulate(jigsaw.DefaultScenario())
-//	res, _ := jigsaw.Merge(out, jigsaw.DefaultPipeline())
-//	fmt.Println(jigsaw.Summarize(res))
+//	sum := jigsaw.NewSummaryPass()
+//	cfg := jigsaw.DefaultPipeline()
+//	cfg.Passes = []jigsaw.Pass{sum}
+//	res, _ := jigsaw.Merge(out, cfg)
+//	fmt.Println(sum.Finalize()) // Table 1
+//	fmt.Println(res.Dispersion.Percentile(0.99), "µs p99 dispersion")
 //
 // # Streaming analyses
 //
 // Every analysis in internal/analysis is a streaming pass
 // (analysis.Pass): attach passes to PipelineConfig.Passes and the pipeline
 // feeds them inline as jframes and exchanges are emitted, at every Workers
-// setting, with no KeepJFrames/KeepExchanges retention — the property that lets a building-scale trace directory be
-// analyzed in bounded memory. See the "Writing an analysis pass" section
-// of README.md.
+// setting. That is the one way to look at a run's products — the Result
+// carries counters, not the streams — and the property that lets a
+// building-scale trace directory be analyzed in bounded memory. See the
+// "Writing an analysis pass" section of README.md.
 //
 // Congestion-control workloads: MixedCCScenario runs a Reno/CUBIC/BBR
 // flow mix over a finite bottleneck queue, the transport analyzer
@@ -125,8 +130,12 @@ type ScenarioConfig = scenario.Config
 type ScenarioOutput = scenario.Output
 
 // PipelineConfig tunes the merge pipeline (search window, resync threshold,
-// skew compensation, retention).
+// skew compensation, workers) and carries the analysis passes to feed.
 type PipelineConfig = core.Config
+
+// Pass is a streaming observer of the pipeline's jframe and exchange
+// streams, the element type of PipelineConfig.Passes.
+type Pass = core.Pass
 
 // Result is the pipeline output: bootstrap state, unification statistics,
 // dispersion histogram, reconstruction stats and the transport analyzer.
@@ -163,10 +172,7 @@ func Merge(out *ScenarioOutput, cfg PipelineConfig) (*Result, error) {
 	return core.RunFrom(out.TraceSet(), out.ClockGroups, cfg, nil)
 }
 
-// Summarize builds the Table-1 style trace summary. With
-// cfg.KeepJFrames set during Merge it reads the retained slice; without
-// retention, attach analysis.NewSummaryPass() to PipelineConfig.Passes
-// instead and Finalize it after Merge.
-func Summarize(res *Result) string {
-	return analysis.Summarize(res, res.JFrames).String()
-}
+// NewSummaryPass returns the Table-1 trace summary as a streaming pass:
+// attach it to PipelineConfig.Passes before Merge and print its Finalize()
+// afterwards.
+func NewSummaryPass() *analysis.SummaryPass { return analysis.NewSummaryPass() }
