@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus the ablations DESIGN.md calls out. Shapes (who wins, knees,
-// crossovers) are asserted in the test suite; the benches measure cost —
+// plus the skew-compensation, search-window and resync-threshold
+// ablations. Shapes (who wins, knees, crossovers) are asserted in the test
+// suite; the benches measure cost —
 // for the figure benchmarks, one pipeline run with the figure's pass
 // attached — and report the headline metrics via b.ReportMetric so
 // `go test -bench` output doubles as the experiment record.

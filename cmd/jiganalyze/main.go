@@ -27,8 +27,10 @@
 // simulate mode, -spill-dir streams generated traces through a directory
 // instead of holding them in memory — required for building-scale runs.
 //
-// -passes selects which reports to run (comma-separated section names, or
-// "all").
+// -passes selects which reports to run: "all", or a comma-separated list of
+// the analysis registry's pass names (summary, coverage, timeseries, …, the
+// names -json prints and jigd serves) and fig4, the one report that is not
+// a pass — the pipeline accumulates the dispersion histogram itself.
 //
 // -json replaces the text report with a JSON array of sections — the
 // analysis.Section encoding, one element per selected report, byte-wise
@@ -60,24 +62,53 @@ import (
 	"repro/internal/tracefile"
 )
 
-// section maps one report section to the streaming pass (if any) behind it.
-type section struct {
-	name       string // -passes token
-	pass       string // analysis registry name ("" = derived from Result only)
-	needsTruth bool   // requires simulator ground truth (wired tap / oracle)
+// selectReports resolves the -passes value: which reports were asked for
+// (want, by report name) and the analysis selector that builds the passes
+// behind them. A truth-needing report asked for without ground truth stays
+// in want but out of the selector, so it is announced as skipped instead of
+// refused. Unknown names are left for analysis.Select to reject.
+func selectReports(sel string, haveTruth bool) (want map[string]bool, passes string) {
+	specs := analysis.PassSpecs()
+	var tokens []string
+	if sel = strings.TrimSpace(sel); sel == "" || sel == "all" {
+		tokens = []string{"fig4"}
+		for _, spec := range specs {
+			if !spec.Optional {
+				tokens = append(tokens, spec.Name)
+			}
+		}
+	} else {
+		tokens = strings.Split(sel, ",")
+	}
+	needsTruth := map[string]bool{}
+	for _, spec := range specs {
+		needsTruth[spec.Name] = spec.NeedsTruth
+	}
+	want = map[string]bool{}
+	var names []string
+	for _, name := range tokens {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		want[name] = true
+		if name != "fig4" && (haveTruth || !needsTruth[name]) {
+			names = append(names, name)
+		}
+	}
+	return want, strings.Join(names, ",")
 }
 
-// sections lists the report set in print order.
-var sections = []section{
-	{name: "table1", pass: "summary"},
-	{name: "fig4"}, // dispersion CDF, accumulated by the pipeline itself
-	{name: "coverage", pass: "coverage", needsTruth: true},
-	{name: "timeseries", pass: "timeseries"},
-	{name: "interference", pass: "interference"},
-	{name: "protection", pass: "protection"},
-	{name: "diagnose", pass: "diagnose"},
-	{name: "tcploss", pass: "tcploss"},
-	{name: "roam", pass: "roam"},
+// reportOrder is the print order: the registry's, with fig4 after the trace
+// summary, where the paper has it.
+func reportOrder() []analysis.PassSpec {
+	var order []analysis.PassSpec
+	for _, spec := range analysis.PassSpecs() {
+		order = append(order, spec)
+		if spec.Name == "summary" {
+			order = append(order, analysis.PassSpec{Name: "fig4", Desc: "Fig. 4 group dispersion CDF"})
+		}
+	}
+	return order
 }
 
 func main() {
@@ -91,7 +122,7 @@ func main() {
 		day      = flag.Duration("day", 120*time.Second, "compressed day (simulate mode)")
 		seed     = flag.Int64("seed", 1, "seed (simulate mode)")
 		spillDir = flag.String("spill-dir", "", "simulate mode: stream generated traces through this directory instead of memory")
-		passesF  = flag.String("passes", "all", "which reports to run: comma-separated section names, or 'all'")
+		passesF  = flag.String("passes", "all", "which reports to run: comma-separated pass names (jiganalyze -json prints them) and fig4, or 'all'")
 		workers  = flag.Int("workers", 0, "pipeline workers (1 = inline on one goroutine, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "emit reports as a JSON array of sections (jigd's /reports encoding) instead of text")
 
@@ -132,11 +163,6 @@ func main() {
 	} else if flag.NArg() > 1 {
 		log.Fatalf("expected at most one trace directory argument, got %q", flag.Args())
 	}
-	want, err := parseSelector(*passesF)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var (
 		traces      *tracefile.TraceSet
 		clockGroups [][]int32
@@ -203,31 +229,27 @@ func main() {
 		MinPackets: 50,
 		IsAP:       func(m dot80211.MAC) bool { return apSet[m] },
 		Out:        out,
+		// A viz report, when named, shows the trace's first 5 ms.
+		VizDurUS: 5_000,
+		VizWidth: 100,
 	}
-	var names []string
-	for _, sec := range sections {
-		if !want(sec.name) || sec.pass == "" || (sec.needsTruth && out == nil) {
-			continue
-		}
-		names = append(names, sec.pass)
-	}
+	want, names := selectReports(*passesF, out != nil)
 	var passes []analysis.Pass
-	if len(names) > 0 { // an empty selector list must not expand to "all"
+	if names != "" { // an empty selector must not expand to "all"
 		var err error
-		passes, err = analysis.NewPasses(strings.Join(names, ","), params)
+		passes, err = analysis.NewPasses(names, params)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%v; jiganalyze also takes fig4", err)
 		}
-	}
-	byName := make(map[string]analysis.Pass, len(passes))
-	for _, p := range passes {
-		byName[p.Name()] = p
 	}
 
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = *workers
 	ccfg.Passes = analysis.CorePasses(passes)
-	var res *core.Result
+	var (
+		res *core.Result
+		err error
+	)
 	if buildingDirs != nil {
 		res, err = runCampus(buildingDirs, ccfg, *workers)
 	} else {
@@ -237,54 +259,102 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *jsonOut {
-		emitJSON(want, byName, res, out)
-		return
+	if u := res.Bootstrap.Unsynced; len(u) > 0 {
+		log.Printf("warning: radios %v could not be synchronized; their records are in no report", u)
+	}
+	reports := make(map[string]analysis.Report, len(passes))
+	for _, p := range passes {
+		reports[p.Name()] = p.Finalize()
 	}
 
-	if want("table1") {
+	var secs []analysis.Section // -json: the reports in print order
+	for _, spec := range reportOrder() {
+		if !want[spec.Name] {
+			continue
+		}
+		rep, ran := reports[spec.Name]
+		switch {
+		case spec.Name == "fig4":
+			if *jsonOut {
+				secs = append(secs, fig4Section(res))
+				continue
+			}
+			fmt.Println("== Fig. 4: group dispersion CDF ==")
+			for _, p := range fig4Percentiles {
+				fmt.Printf("p%-3.0f %4d us\n", p*100, res.Dispersion.Percentile(p))
+			}
+			fmt.Println()
+		case !ran && *jsonOut:
+			log.Printf("%s: skipped — needs simulator ground truth", spec.Name)
+		case !ran:
+			fmt.Printf("== %s: skipped — needs the wired distribution tap and simulator ground truth (a trace directory carries neither) ==\n\n", spec.Desc)
+		case *jsonOut:
+			sec, err := analysis.SectionJSON(spec.Name, rep)
+			if err != nil {
+				log.Fatal(err)
+			}
+			secs = append(secs, sec)
+		default:
+			printReport(spec.Name, rep, res, out)
+		}
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(secs); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+var fig4Percentiles = []float64{0.5, 0.75, 0.9, 0.95, 0.99}
+
+// fig4Section is the -json form of the dispersion CDF, which is derived
+// from the pipeline result rather than a pass: a section of percentile rows.
+func fig4Section(res *core.Result) analysis.Section {
+	type prow struct {
+		P  float64 `json:"p"`
+		US int64   `json:"dispersion_us"`
+	}
+	rows := make([]prow, 0, len(fig4Percentiles))
+	for _, p := range fig4Percentiles {
+		rows = append(rows, prow{P: p, US: res.Dispersion.Percentile(p)})
+	}
+	return analysis.Section{Pass: "fig4", Rows: rows}
+}
+
+// printReport renders one pass's report as its text section. out is nil
+// without simulator ground truth.
+func printReport(name string, rep analysis.Report, res *core.Result, out *scenario.Output) {
+	switch name {
+	case "summary":
 		fmt.Println("== Table 1: trace summary ==")
-		fmt.Print(byName["summary"].Finalize().(*analysis.TraceSummary).String())
+		fmt.Print(rep.(*analysis.TraceSummary).String())
 		inf := analysis.Inference(res.LLCStats)
 		fmt.Printf("%-28s %.3f%% attempts, %.3f%% exchanges\n\n",
 			"inference required", 100*inf.AttemptRate(), 100*inf.ExchangeRate())
-	}
-	if want("fig4") {
-		fmt.Println("== Fig. 4: group dispersion CDF ==")
-		for _, p := range []float64{0.5, 0.75, 0.9, 0.95, 0.99} {
-			fmt.Printf("p%-3.0f %4d us\n", p*100, res.Dispersion.Percentile(p))
-		}
-		fmt.Println()
-	}
-	if want("coverage") {
-		if out == nil {
-			fmt.Println("== Fig. 6 / §6: wired-trace coverage: skipped — needs the wired distribution tap and simulator ground truth (a trace directory carries neither) ==")
-			fmt.Println()
-		} else {
-			fmt.Println("== Fig. 6 / §6: wired-trace coverage ==")
-			cov := byName["coverage"].Finalize().(*analysis.CoverageReport)
-			fmt.Printf("overall %.1f%% of %d wired packets seen wirelessly\n", 100*cov.Overall, cov.TotalWired)
-			fmt.Printf("clients: %.1f%% aggregate, %.0f%% of stations at 100%%, %.0f%% at >=95%%\n",
-				100*cov.ClientCoverage, 100*cov.ClientsAt100, 100*cov.ClientsOver95)
-			fmt.Printf("APs:     %.1f%% aggregate, %.0f%% of stations at 100%%, %.0f%% at >=95%%\n",
-				100*cov.APCoverage, 100*cov.APsAt100, 100*cov.APsOver95)
-			oracle, _ := analysis.OracleCoverage(out)
-			fmt.Printf("oracle (ground truth) coverage of client events: %.1f%%\n\n", 100*oracle)
-		}
-	}
-	if want("timeseries") {
+	case "coverage":
+		fmt.Println("== Fig. 6 / §6: wired-trace coverage ==")
+		cov := rep.(*analysis.CoverageReport)
+		fmt.Printf("overall %.1f%% of %d wired packets seen wirelessly\n", 100*cov.Overall, cov.TotalWired)
+		fmt.Printf("clients: %.1f%% aggregate, %.0f%% of stations at 100%%, %.0f%% at >=95%%\n",
+			100*cov.ClientCoverage, 100*cov.ClientsAt100, 100*cov.ClientsOver95)
+		fmt.Printf("APs:     %.1f%% aggregate, %.0f%% of stations at 100%%, %.0f%% at >=95%%\n",
+			100*cov.APCoverage, 100*cov.APsAt100, 100*cov.APsOver95)
+		oracle, _ := analysis.OracleCoverage(out)
+		fmt.Printf("oracle (ground truth) coverage of client events: %.1f%%\n\n", 100*oracle)
+	case "timeseries":
 		fmt.Println("== Fig. 8: activity time series (per compressed hour) ==")
-		slots := byName["timeseries"].Finalize().([]analysis.ActivitySlot)
+		slots := rep.([]analysis.ActivitySlot)
 		fmt.Printf("%4s %7s %5s %10s %10s %9s %9s\n", "hr", "clients", "APs", "data B", "mgmt B", "beacon B", "ARP B")
 		for i, s := range slots {
 			fmt.Printf("%4d %7d %5d %10d %10d %9d %9d\n",
 				i, s.ActiveClients, s.ActiveAPs, s.DataBytes, s.MgmtBytes, s.BeaconBytes, s.ARPBytes)
 		}
 		fmt.Printf("broadcast airtime share: %.1f%%\n\n", 100*analysis.BroadcastAirtimeShare(slots))
-	}
-	if want("interference") {
+	case "interference":
 		fmt.Println("== Fig. 9: interference loss rate ==")
-		rep := byName["interference"].Finalize().(*analysis.InterferenceReport)
+		rep := rep.(*analysis.InterferenceReport)
 		fmt.Printf("(s,r) pairs with >=50 packets: %d of %d\n", len(rep.Pairs), rep.PairsConsidered)
 		fmt.Printf("pairs with interference: %.0f%% (paper 88%%); negative Pi truncated: %.0f%% (paper 11%%)\n",
 			100*rep.FractionWithInterference, 100*rep.NegativePiFraction)
@@ -294,10 +364,9 @@ func main() {
 			fmt.Printf("X p%-3.0f = %.4f\n", p*100, rep.XPercentile(p))
 		}
 		fmt.Println()
-	}
-	if want("protection") {
+	case "protection":
 		fmt.Println("== Fig. 10: overprotective APs ==")
-		rep := byName["protection"].Finalize().(*analysis.ProtectionReport)
+		rep := rep.(*analysis.ProtectionReport)
 		fmt.Printf("%4s %10s %15s %10s %12s\n", "hr", "protected", "overprotective", "g active", "g affected")
 		for i, s := range rep.Slots {
 			if s.ProtectedAPs == 0 && s.ActiveGClients == 0 {
@@ -308,16 +377,12 @@ func main() {
 		}
 		fmt.Printf("peak affected g-client share: %.0f%% (paper 25-50%%)\n", 100*rep.PeakAffectedShare)
 		fmt.Printf("potential throughput factor without protection: %.2f (paper 1.98)\n\n", rep.PotentialSpeedup)
-	}
-	if want("diagnose") {
+	case "diagnose":
 		fmt.Println("== §8: per-station diagnosis (top airtime consumers) ==")
-		diags := byName["diagnose"].Finalize().([]analysis.StationDiagnosis)
-		n := 0
-		for _, d := range diags {
+		for n, d := range rep.([]analysis.StationDiagnosis) {
 			if n >= 8 {
 				break
 			}
-			n++
 			fmt.Printf("%v  airtime %5.1f%%  rate %5.1f Mbps  retries/exch %.2f\n",
 				d.MAC, 100*d.AirtimeShare, d.MeanRateMbps, d.RetryRate)
 			for _, f := range d.Findings {
@@ -325,17 +390,15 @@ func main() {
 			}
 		}
 		fmt.Println()
-	}
-	if want("tcploss") {
+	case "tcploss":
 		fmt.Println("== Fig. 11: TCP loss ==")
-		rep := byName["tcploss"].Finalize().(*analysis.TCPLossReport)
+		rep := rep.(*analysis.TCPLossReport)
 		fmt.Printf("flows analyzed: %d, total losses: %d\n", rep.Flows, rep.TotalLosses)
 		fmt.Printf("wireless share of classified losses: %.0f%% (paper: wireless dominant)\n\n",
 			100*rep.WirelessShare)
-	}
-	if want("roam") {
+	case "roam":
 		fmt.Println("== Roaming: handoffs reconstructed from the air ==")
-		rep := byName["roam"].Finalize().(*analysis.RoamingReport)
+		rep := rep.(*analysis.RoamingReport)
 		fmt.Print(analysis.RoamingTable(rep, nil))
 		if out != nil {
 			sc := analysis.ScoreHandoffs(out.Handoffs, rep)
@@ -349,6 +412,9 @@ func main() {
 		} else {
 			fmt.Println("handoff scoring / per-CC disruption: skipped — needs simulator ground truth (not carried by a trace directory)")
 		}
+	case "viz":
+		fmt.Println("== Fig. 2: synchronized trace, first 5 ms ==")
+		fmt.Println(rep.(string))
 	}
 }
 
@@ -404,72 +470,4 @@ func runCampus(buildingDirs []string, ccfg core.Config, workers int) (*core.Resu
 		}
 	}
 	return core.RunHierarchicalPaths(paths, ccfg, nil)
-}
-
-// emitJSON prints the selected reports as a JSON array of sections in
-// print order. Pass-backed sections use the shared Section encoding
-// (identical to jigd's /reports/<pass>); fig4, which is derived from the
-// pipeline result rather than a pass, gets a section of percentile rows.
-func emitJSON(want func(string) bool, byName map[string]analysis.Pass, res *core.Result, out *scenario.Output) {
-	var secs []analysis.Section
-	for _, sec := range sections {
-		if !want(sec.name) {
-			continue
-		}
-		if sec.name == "fig4" {
-			type prow struct {
-				P  float64 `json:"p"`
-				US int64   `json:"dispersion_us"`
-			}
-			rows := make([]prow, 0, 5)
-			for _, p := range []float64{0.5, 0.75, 0.9, 0.95, 0.99} {
-				rows = append(rows, prow{P: p, US: res.Dispersion.Percentile(p)})
-			}
-			secs = append(secs, analysis.Section{Pass: "fig4", Rows: rows})
-			continue
-		}
-		if sec.pass == "" {
-			continue
-		}
-		if sec.needsTruth && out == nil {
-			log.Printf("%s: skipped — needs simulator ground truth", sec.name)
-			continue
-		}
-		s, err := analysis.SectionJSON(sec.pass, byName[sec.pass].Finalize())
-		if err != nil {
-			log.Fatal(err)
-		}
-		secs = append(secs, s)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(secs); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// parseSelector resolves the -passes value into a membership test.
-func parseSelector(sel string) (func(string) bool, error) {
-	sel = strings.TrimSpace(sel)
-	if sel == "" || sel == "all" {
-		return func(string) bool { return true }, nil
-	}
-	known := make(map[string]bool, len(sections))
-	names := make([]string, len(sections))
-	for i, sec := range sections {
-		known[sec.name] = true
-		names[i] = sec.name
-	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(sel, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !known[name] {
-			return nil, fmt.Errorf("unknown report %q (have: %s)", name, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	return func(s string) bool { return want[s] }, nil
 }

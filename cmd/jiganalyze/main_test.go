@@ -1,19 +1,104 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/dot80211"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/tracefile"
 )
+
+// jiganalyze runs the command from source and returns its stdout and
+// stderr.
+func jiganalyze(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	var o, e bytes.Buffer
+	cmd := exec.Command("go", append([]string{"run", "."}, args...)...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err = cmd.Run()
+	return o.String(), e.String(), err
+}
 
 // TestExpFlagGone: -passes is the one report selector; its deprecated -exp
 // alias is an unknown flag.
 func TestExpFlagGone(t *testing.T) {
+	_, stderr, err := jiganalyze(t, "-exp", "summary")
+	if err == nil || !strings.Contains(stderr, "flag provided but not defined: -exp") {
+		t.Fatalf("jiganalyze -exp summary: err = %v, stderr:\n%s", err, stderr)
+	}
+}
+
+// TestSelectorIsRegistryNames: -passes takes the names -json prints and
+// jigd serves; the old section token for the summary is an unknown report,
+// and the error lists what is valid.
+func TestSelectorIsRegistryNames(t *testing.T) {
+	args := []string{"-pods", "3", "-aps", "3", "-clients", "4", "-day", "5s"}
+	_, stderr, err := jiganalyze(t, append(args, "-passes", "table1")...)
+	if err == nil || !strings.Contains(stderr, `unknown pass "table1"`) ||
+		!strings.Contains(stderr, "summary, coverage, timeseries") || !strings.Contains(stderr, "fig4") {
+		t.Errorf("jiganalyze -passes table1: err = %v, stderr:\n%s", err, stderr)
+	}
+	stdout, stderr, err := jiganalyze(t, append(args, "-passes", "summary,fig4")...)
+	if err != nil {
+		t.Fatalf("jiganalyze -passes summary,fig4: %v\n%s", err, stderr)
+	}
+	if !strings.Contains(stdout, "== Table 1") || !strings.Contains(stdout, "== Fig. 4") || strings.Contains(stdout, "== Fig. 8") {
+		t.Errorf("jiganalyze -passes summary,fig4 printed:\n%s", stdout)
+	}
+}
+
+// TestUnsyncedRadioWarned: a radio the bootstrap cannot synchronize is never
+// read, so the run must say which one instead of reporting on a smaller
+// deployment in silence.
+func TestUnsyncedRadioWarned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the command")
 	}
-	out, err := exec.Command("go", "run", ".", "-exp", "table1").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -exp") {
-		t.Fatalf("jiganalyze -exp table1: err = %v, output:\n%s", err, out)
+	dir := t.TempDir()
+	cfg := scenario.Default()
+	cfg.Pods, cfg.APs, cfg.Clients = 3, 3, 4
+	cfg.Day = 5 * sim.Second
+	cfg.SpillDir = dir
+	out, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One more radio, on a channel nobody else hears and in no clock group.
+	const lone = 9000
+	frame := dot80211.NewData(dot80211.MAC{2, 1}, dot80211.MAC{2, 2}, dot80211.MAC{2, 3}, 1, []byte("x"))
+	f, err := os.Create(tracefile.TracePath(dir, lone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracefile.WriteAll(f, []tracefile.Record{{
+		LocalUS: 1_000_000, RadioID: lone, Channel: 14,
+		Rate: uint16(dot80211.Rate11Mbps), Flags: tracefile.FlagFCSOK, Frame: frame.Encode(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.WriteMeta(dir, scenario.MetaFromOutput(out)); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, stderr, err := jiganalyze(t, "-passes", "summary", dir)
+	if err != nil {
+		t.Fatalf("jiganalyze: %v\n%s", err, stderr)
+	}
+	if !strings.Contains(stderr, "warning: radios [9000] could not be synchronized") {
+		t.Errorf("no unsynced-radio warning on stderr:\n%s", stderr)
+	}
+	if !strings.Contains(stdout, "jframes") {
+		t.Errorf("the synchronized radios were not reported on:\n%s", stdout)
 	}
 }

@@ -1,7 +1,6 @@
 // Command jigbench regenerates every table and figure of the paper's
 // evaluation end-to-end at a chosen scale and prints paper-vs-measured for
-// each, in the order they appear in the paper. This is the harness behind
-// EXPERIMENTS.md.
+// each, in the order they appear in the paper.
 //
 // With -sweep it becomes a batch harness instead: it fans a list of
 // scenario configurations (the cartesian product of deployments, 802.11b

@@ -9,9 +9,10 @@
 // Endpoints: /healthz (readiness), /summary (cumulative pipeline stats),
 // /reports/<pass> (latest closed-window report, jiganalyze -json rows),
 // /metrics (frames/sec, watermark lag, heap). Analysis state is bounded:
-// every pass finalizes per window and evicts sliding state behind the
-// delivery frontier, so heap stays flat no matter how long the capture
-// runs. SIGINT/SIGTERM drains the pipeline, closes the trailing window
+// every window gets a fresh set of passes, finalized and dropped when the
+// window closes, so heap stays flat no matter how long the capture runs.
+// Radios the bootstrap could not synchronize are never read; they are
+// logged once and listed in /summary's unsynced_radios. SIGINT/SIGTERM drains the pipeline, closes the trailing window
 // and exits cleanly; when the capture marks itself done, jigd finishes
 // the trace and keeps serving the final reports until signalled.
 //
@@ -138,15 +139,23 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 		MinPackets: 50,
 		IsAP:       func(m dot80211.MAC) bool { return apSet[m] },
 	}
-	passes, err := analysis.NewPasses(selector, params)
+	passes, err := analysis.Select(selector, params)
 	if err != nil {
 		return err
 	}
-	mon, err := serve.NewMonitor(serve.MonitorConfig{
+	var mon *serve.Monitor
+	warned := false
+	mon, err = serve.NewMonitor(serve.MonitorConfig{
 		WindowUS: window.Microseconds(),
 		SlackUS:  slack.Microseconds(),
 		Passes:   passes,
-		OnWindow: func(endUS int64) { log.Printf("window closed at %s trace time", time.Duration(endUS)*time.Microsecond) },
+		OnWindow: func(endUS int64) {
+			if u := mon.Summary().UnsyncedRadios; len(u) > 0 && !warned {
+				warned = true
+				log.Printf("warning: radios %v could not be synchronized; their records are in no report", u)
+			}
+			log.Printf("window closed at %s trace time", time.Duration(endUS)*time.Microsecond)
+		},
 	})
 	if err != nil {
 		return err

@@ -59,8 +59,12 @@ func setup(t *testing.T) (*scenario.Output, *core.Result) {
 	}
 	shared = sharedRun{
 		out: out, res: res,
-		cov: cov.finalize(), sum: sum.finalize(), slots: ts.finalize(),
-		intf: intf.finalize(), prot: prot.finalize(), diags: diag.finalize(),
+		cov:    cov.Finalize().(*CoverageReport),
+		sum:    sum.Finalize().(*TraceSummary),
+		slots:  ts.Finalize().([]ActivitySlot),
+		intf:   intf.Finalize().(*InterferenceReport),
+		prot:   prot.Finalize().(*ProtectionReport),
+		diags:  diag.Finalize().([]StationDiagnosis),
 		vizStr: viz.Finalize().(string),
 	}
 	return out, res

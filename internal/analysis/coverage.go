@@ -89,9 +89,7 @@ func (p *CoveragePass) ObserveExchange(ex *llc.Exchange) {
 }
 
 // Finalize implements Pass, returning the *CoverageReport.
-func (p *CoveragePass) Finalize() Report { return p.finalize() }
-
-func (p *CoveragePass) finalize() *CoverageReport {
+func (p *CoveragePass) Finalize() Report {
 	out, seen := p.out, p.seen
 	clientAP := make(map[dot80211.MAC]dot80211.MAC, len(out.Clients))
 	clientByIP := make(map[uint32]dot80211.MAC, len(out.Clients))
@@ -199,21 +197,6 @@ func (p *CoveragePass) finalize() *CoverageReport {
 	return rep
 }
 
-// FinalizeWindow implements WindowedPass: match the window's captured
-// segment-identity multiset against the full wired tap, then start a
-// fresh multiset. (Windowed coverage reads as "what share of the whole
-// wired trace this window captured"; the one-shot run remains the §6
-// figure.)
-func (p *CoveragePass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.seen = make(map[segIdentity]int)
-	return rep
-}
-
-// Evict implements WindowedPass: identity counts are dropped wholesale by
-// the window reset.
-func (p *CoveragePass) Evict(int64) {}
-
 // OracleCoverage reproduces the §6 controlled experiment: the simulator's
 // ground truth is the oracle that knows every link-level event each station
 // generated; coverage is the fraction captured by at least one monitor
@@ -294,7 +277,7 @@ func PodSweep(out *scenario.Output, podCounts []int) ([]PodCoverage, error) {
 		if err != nil {
 			return rows, err
 		}
-		cov := covPass.finalize()
+		cov := covPass.Finalize().(*CoverageReport)
 		rows = append(rows, PodCoverage{
 			Pods: len(reduced.Pods), Radios: len(traces),
 			Synced:     res.Bootstrap.Synced(),

@@ -151,9 +151,7 @@ func (p *DiagnosisPass) process(ex *llc.Exchange) {
 
 // Finalize implements Pass, returning []StationDiagnosis sorted by airtime
 // (the biggest channel consumers first).
-func (p *DiagnosisPass) Finalize() Report { return p.finalize() }
-
-func (p *DiagnosisPass) finalize() []StationDiagnosis {
+func (p *DiagnosisPass) Finalize() Report {
 	p.pending.drain(p.process)
 	out := make([]StationDiagnosis, 0, len(p.accs))
 	for _, a := range p.accs {
@@ -182,24 +180,6 @@ func (p *DiagnosisPass) finalize() []StationDiagnosis {
 		return bytes.Compare(out[i].MAC[:], out[j].MAC[:]) < 0
 	})
 	return out
-}
-
-// FinalizeWindow implements WindowedPass: drain the deferral, report the
-// window's per-station diagnoses, then drop all accumulators and the
-// interval window for a fresh start.
-func (p *DiagnosisPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.accs = make(map[dot80211.MAC]*diagAcc)
-	p.idx = newOverlapIndex()
-	p.pending = exchangeDeferral{}
-	p.totalAir = 0
-	return rep
-}
-
-// Evict implements WindowedPass: prune the sliding interval window, as
-// the interference pass does.
-func (p *DiagnosisPass) Evict(beforeUS int64) {
-	p.idx.prune(beforeUS - overlapPruneHorizonUS)
 }
 
 // findings turns the aggregates into actionable diagnoses.

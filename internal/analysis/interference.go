@@ -164,9 +164,7 @@ func (p *InterferencePass) process(ex *llc.Exchange) {
 }
 
 // Finalize implements Pass, returning the *InterferenceReport.
-func (p *InterferencePass) Finalize() Report { return p.finalize() }
-
-func (p *InterferencePass) finalize() *InterferenceReport {
+func (p *InterferencePass) Finalize() Report {
 	p.pending.drain(p.process)
 	rep := &InterferenceReport{PairsConsidered: len(p.pairs)}
 	// Aggregate in sorted key order: the float accumulation below must not
@@ -221,25 +219,6 @@ func (p *InterferencePass) finalize() *InterferenceReport {
 		rep.SenderSplitAP = float64(apSenders) / float64(interfered)
 	}
 	return rep
-}
-
-// FinalizeWindow implements WindowedPass: drain the deferral, report the
-// window's pair statistics, then drop every pair counter and the interval
-// window for a fresh start.
-func (p *InterferencePass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.idx = newOverlapIndex()
-	p.pending = exchangeDeferral{}
-	p.pairs = make(map[[2]dot80211.MAC]*PairStats)
-	return rep
-}
-
-// Evict implements WindowedPass: prune the sliding interval window behind
-// beforeUS minus the overlap query horizon. Callers must stay at or
-// behind the delivered-exchange frontier, so no later query can reach the
-// pruned intervals.
-func (p *InterferencePass) Evict(beforeUS int64) {
-	p.idx.prune(beforeUS - overlapPruneHorizonUS)
 }
 
 // XPercentile returns the p-th percentile of the interference loss rate,

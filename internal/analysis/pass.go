@@ -30,7 +30,19 @@
 //     results exactly those of a whole-trace index.
 //   - Finalize is called once, after both streams end (and, for passes
 //     implementing core.ResultSink, after SetResult); it returns the
-//     pass's report.
+//     pass's report and drops every frame reference the pass still holds.
+//
+// # Windows
+//
+// A pass reports on everything it observed and is then finished; there is
+// no reset. A driver that wants a report per time window (jigd, through
+// internal/serve) builds a fresh set of passes for each window from a
+// Selection and finalizes the set when the window closes, so a window's
+// report is by construction the one-shot report over the window's events
+// and memory is bounded by the window, not the capture. Passes that
+// finalize from the run-aggregate Result (summary's pipeline counters,
+// tcploss) report those fields as of the latest SetResult — cumulative,
+// because the pipeline aggregates them monotonically.
 package analysis
 
 import (
@@ -62,43 +74,6 @@ type Pass interface {
 	// Finalize computes the report. Call exactly once, after the streams
 	// end.
 	Finalize() Report
-}
-
-// WindowedPass extends Pass for long-running, windowed operation (the
-// jigd daemon, internal/serve): instead of one Finalize at end of stream,
-// the driver closes report windows as the stream's watermark advances,
-// and the pass drops each window's state behind it so memory is bounded
-// by the window, not the capture length.
-//
-// Contract:
-//
-//   - FinalizeWindow(upToUS) closes the current window: it returns
-//     exactly the Report a freshly constructed pass's one-shot Finalize
-//     would produce over the subsequence observed since the previous
-//     FinalizeWindow (or construction) — windows are self-contained, a
-//     property the parity tests assert per window against a fresh pass —
-//     and then resets the pass's observational state for the next window.
-//     upToUS is the window's end (universal µs), advisory: the driver
-//     guarantees it has delivered every jframe with UnivUS < upToUS and
-//     every exchange with CloseUS < upToUS (modulo the stream's bounded
-//     emission slack) before calling. The returned Report is detached:
-//     later observations never mutate it.
-//   - Evict(beforeUS) drops any sliding mid-window state that cannot
-//     influence reports at or after beforeUS (overlap-index intervals,
-//     drained deferral slots). It must only be called at or behind the
-//     driver's delivered-exchange frontier. For most passes the
-//     per-window reset inside FinalizeWindow already evicts everything,
-//     and Evict is a cheap no-op.
-//   - Passes that finalize from the run-aggregate Result
-//     (core.ResultSink: summary's pipeline counters, tcploss) report
-//     those fields as of the latest SetResult — cumulative, not
-//     per-window — because the pipeline aggregates them monotonically.
-//
-// Every pass in the registry implements WindowedPass.
-type WindowedPass interface {
-	Pass
-	FinalizeWindow(upToUS int64) Report
-	Evict(beforeUS int64)
 }
 
 // named implements Pass.Name by value.
@@ -201,12 +176,30 @@ func PassSpecs() []PassSpec {
 	return out
 }
 
-// NewPasses resolves a selector — "all" or a comma-separated name list —
-// into constructed passes, in registry order. "all" expands to every
+// specNames lists the specs' names, in order.
+func specNames(specs []PassSpec) []string {
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
+	}
+	return names
+}
+
+// Selection is a validated choice of passes with the parameters they are
+// built from: everything that can be wrong with a selector is reported by
+// Select, so New has no error path and can be called once per run or once
+// per report window.
+type Selection struct {
+	specs  []PassSpec
+	params PassParams
+}
+
+// Select resolves a selector — "all" or a comma-separated name list —
+// against the registry, in registry order. "all" expands to every
 // non-optional pass, silently skipping truth-needing ones when params.Out
 // is nil (the caller reports those as skipped); naming a truth-needing
 // pass explicitly without ground truth is an error.
-func NewPasses(selector string, params PassParams) ([]Pass, error) {
+func Select(selector string, params PassParams) (Selection, error) {
 	want := map[string]bool{}
 	all := selector == "" || selector == "all"
 	if !all {
@@ -223,12 +216,12 @@ func NewPasses(selector string, params PassParams) ([]Pass, error) {
 				}
 			}
 			if !found {
-				return nil, fmt.Errorf("analysis: unknown pass %q", name)
+				return Selection{}, fmt.Errorf("analysis: unknown pass %q (have: %s)", name, strings.Join(specNames(passRegistry), ", "))
 			}
 			want[name] = true
 		}
 	}
-	var out []Pass
+	sel := Selection{params: params}
 	for _, spec := range passRegistry {
 		switch {
 		case all && (spec.Optional || (spec.NeedsTruth && params.Out == nil)):
@@ -237,11 +230,33 @@ func NewPasses(selector string, params PassParams) ([]Pass, error) {
 			continue
 		}
 		if spec.NeedsTruth && params.Out == nil {
-			return nil, fmt.Errorf("analysis: pass %q needs simulator ground truth (wired tap)", spec.Name)
+			return Selection{}, fmt.Errorf("analysis: pass %q needs simulator ground truth (wired tap)", spec.Name)
 		}
-		out = append(out, spec.New(params))
+		sel.specs = append(sel.specs, spec)
 	}
-	return out, nil
+	return sel, nil
+}
+
+// Names lists the selected passes in registry order.
+func (s Selection) Names() []string { return specNames(s.specs) }
+
+// New constructs a fresh instance of every selected pass.
+func (s Selection) New() []Pass {
+	out := make([]Pass, len(s.specs))
+	for i, spec := range s.specs {
+		out[i] = spec.New(s.params)
+	}
+	return out
+}
+
+// NewPasses is Select followed by New, for the callers that build their
+// passes once.
+func NewPasses(selector string, params PassParams) ([]Pass, error) {
+	sel, err := Select(selector, params)
+	if err != nil {
+		return nil, err
+	}
+	return sel.New(), nil
 }
 
 // CorePasses converts to the slice type core.Config.Passes takes (Go's

@@ -152,9 +152,7 @@ func (p *ProtectionPass) ObserveJFrame(j *unify.JFrame) {
 }
 
 // Finalize implements Pass, returning the *ProtectionReport.
-func (p *ProtectionPass) Finalize() Report { return p.finalize() }
-
-func (p *ProtectionPass) finalize() *ProtectionReport {
+func (p *ProtectionPass) Finalize() Report {
 	rep := &ProtectionReport{PotentialSpeedup: dot80211.ProtectionOverheadFactor()}
 	if !p.started || p.slotUS <= 0 {
 		return rep
@@ -240,28 +238,6 @@ func (p *ProtectionPass) bNear(ap dot80211.MAC, slot int64) bool {
 	}
 	return false
 }
-
-// FinalizeWindow implements WindowedPass: the window's Fig. 10 rows, then
-// a fresh start. Identity evidence (beacon rosters, associations, PHY
-// tags) resets with the window too: stations re-announce themselves
-// continuously (probes, beacons, associations), so each window is a
-// self-contained view — the property the parity test asserts.
-func (p *ProtectionPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.started = false
-	p.startUS, p.lastUS = 0, 0
-	p.phyOf = make(map[dot80211.MAC]byte)
-	p.assoc = make(map[dot80211.MAC]dot80211.MAC)
-	p.apSeen = make(map[dot80211.MAC]bool)
-	p.ctsSlots = make(map[dot80211.MAC]map[int64]bool)
-	p.bNearMax = make(map[dot80211.MAC]map[int64]int64)
-	p.gSlot = make(map[int64]map[dot80211.MAC]bool)
-	return rep
-}
-
-// Evict implements WindowedPass: all evidence is slot-keyed within the
-// window and dropped wholesale by the reset.
-func (p *ProtectionPass) Evict(int64) {}
 
 // dataAP extracts the AP side of a data frame from its DS bits.
 func dataAP(f *dot80211.Frame) dot80211.MAC {

@@ -181,30 +181,12 @@ func (p *RoamingPass) ObserveExchange(ex *llc.Exchange) {
 }
 
 // Finalize implements Pass, returning the *RoamingReport.
-func (p *RoamingPass) Finalize() Report { return p.finalize() }
-
-func (p *RoamingPass) finalize() *RoamingReport {
+func (p *RoamingPass) Finalize() Report {
 	if p.latN > 0 {
 		p.rep.MeanLatencyUS = float64(p.latSum) / float64(p.latN)
 	}
 	return p.rep
 }
-
-// FinalizeWindow implements WindowedPass: the window's handoff events,
-// then a fresh start. Serving-AP beliefs reset with the window and are
-// re-learned from the next window's traffic (dataTransitionMin exchanges,
-// or a management handshake), exactly as a fresh detector would.
-func (p *RoamingPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.rep = &RoamingReport{PerClient: make(map[dot80211.MAC]int)}
-	p.tracks = make(map[dot80211.MAC]*roamTrack)
-	p.latSum, p.latN = 0, 0
-	return rep
-}
-
-// Evict implements WindowedPass: per-station tracks are dropped wholesale
-// by the window reset.
-func (p *RoamingPass) Evict(int64) {}
 
 // observeDataTransition updates a station's serving-AP belief from a data
 // exchange and emits a management-less transition once enough consecutive

@@ -32,7 +32,7 @@ func roamSetup(t *testing.T) (*scenario.Output, *RoamingReport) {
 	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	roamOut, roamRep = out, pass.finalize()
+	roamOut, roamRep = out, pass.Finalize().(*RoamingReport)
 	return out, roamRep
 }
 
@@ -42,7 +42,7 @@ func detect(exs []*llc.Exchange, isAP func(dot80211.MAC) bool) *RoamingReport {
 	for _, ex := range exs {
 		p.ObserveExchange(ex)
 	}
-	return p.finalize()
+	return p.Finalize().(*RoamingReport)
 }
 
 func apPredicate(out *scenario.Output) func(dot80211.MAC) bool {

@@ -69,9 +69,9 @@ type roamingSummary struct {
 }
 
 // SectionJSON converts a finalized report into its Section encoding. rep
-// must be the value returned by the named pass's Finalize or
-// FinalizeWindow; any other type is an error, not a panic, so callers can
-// surface registry/report drift cleanly.
+// must be the value returned by the named pass's Finalize; any other type
+// is an error, not a panic, so callers can surface registry/report drift
+// cleanly.
 func SectionJSON(name string, rep Report) (Section, error) {
 	sec := Section{Pass: name}
 	bad := func() (Section, error) {

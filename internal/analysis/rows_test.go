@@ -9,23 +9,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestEveryPassIsWindowed pins the WindowedPass contract to the registry:
-// jigd drives FinalizeWindow/Evict on whatever NewPasses returns, so a
-// pass that only implements Pass would break the daemon at runtime.
-func TestEveryPassIsWindowed(t *testing.T) {
-	params := PassParams{
-		SlotUS: 1_000_000,
-		IsAP:   func(dot80211.MAC) bool { return false },
-		Out:    &scenario.Output{},
-	}
-	for _, spec := range PassSpecs() {
-		p := spec.New(params)
-		if _, ok := p.(WindowedPass); !ok {
-			t.Errorf("pass %q (%T) does not implement WindowedPass", spec.Name, p)
-		}
-	}
-}
-
 // TestSectionJSONEveryPass feeds each registry pass's empty-trace report
 // through SectionJSON and checks the encoding is valid JSON with a
 // non-null rows array — the shape jigd's /reports/<pass> and jiganalyze

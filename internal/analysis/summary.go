@@ -97,9 +97,7 @@ func (p *SummaryPass) ObserveJFrame(j *unify.JFrame) {
 }
 
 // Finalize implements Pass, returning the *TraceSummary.
-func (p *SummaryPass) Finalize() Report { return p.finalize() }
-
-func (p *SummaryPass) finalize() *TraceSummary {
+func (p *SummaryPass) Finalize() Report {
 	s := p.s
 	if p.res != nil {
 		s.Events = p.res.UnifyStats.Events
@@ -123,24 +121,6 @@ func (p *SummaryPass) finalize() *TraceSummary {
 	}
 	return &s
 }
-
-// FinalizeWindow implements WindowedPass: the window's Table 1, then a
-// fresh start. The result-derived rows (event/flow counters) reflect the
-// latest SetResult — cumulative pipeline aggregates, not per-window ones.
-func (p *SummaryPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.started = false
-	p.firstUS, p.lastUS = 0, 0
-	p.multi, p.instances = 0, 0
-	p.aps = make(map[dot80211.MAC]bool)
-	p.clients = make(map[dot80211.MAC]bool)
-	p.s = TraceSummary{}
-	return rep
-}
-
-// Evict implements WindowedPass: per-station state is dropped by the
-// window reset; nothing slides mid-window.
-func (p *SummaryPass) Evict(int64) {}
 
 // String renders the summary as a paper-style table.
 func (s *TraceSummary) String() string {
@@ -217,19 +197,9 @@ func NewTCPLossPass(minSegs int) *TCPLossPass {
 func (p *TCPLossPass) SetResult(res *core.Result) { p.res = res }
 
 // Finalize implements Pass, returning the *TCPLossReport.
-func (p *TCPLossPass) Finalize() Report { return p.finalize() }
-
-func (p *TCPLossPass) finalize() *TCPLossReport {
+func (p *TCPLossPass) Finalize() Report {
 	if p.res == nil {
 		return &TCPLossReport{}
 	}
 	return TCPLoss(TransportFlowLosses(p.res.Transport, p.minSegs))
 }
-
-// FinalizeWindow implements WindowedPass. The pass is purely
-// result-derived, so each window reports the transport analyzer's loss
-// attribution as of the latest SetResult — cumulative over the run.
-func (p *TCPLossPass) FinalizeWindow(int64) Report { return p.finalize() }
-
-// Evict implements WindowedPass: no observational state at all.
-func (p *TCPLossPass) Evict(int64) {}

@@ -119,11 +119,9 @@ func (p *TimeSeriesPass) ObserveJFrame(j *unify.JFrame) {
 }
 
 // Finalize implements Pass, returning []ActivitySlot.
-func (p *TimeSeriesPass) Finalize() Report { return p.finalize() }
-
-func (p *TimeSeriesPass) finalize() []ActivitySlot {
+func (p *TimeSeriesPass) Finalize() Report {
 	if p.slotUS <= 0 || !p.started {
-		return nil
+		return []ActivitySlot(nil)
 	}
 	// The last jframe in stream order bounds the series: activity past it
 	// (emission-order stragglers) falls outside the figure, exactly as the
@@ -140,22 +138,6 @@ func (p *TimeSeriesPass) finalize() []ActivitySlot {
 	}
 	return slots
 }
-
-// FinalizeWindow implements WindowedPass: the window's activity series
-// (slot 0 re-anchors at the window's first jframe, exactly like a fresh
-// pass), then a fresh start. The returned slots are detached — the reset
-// drops the backing arrays.
-func (p *TimeSeriesPass) FinalizeWindow(int64) Report {
-	rep := p.finalize()
-	p.started = false
-	p.startUS, p.lastUS = 0, 0
-	p.slots, p.acts = nil, nil
-	return rep
-}
-
-// Evict implements WindowedPass: slot state is bounded by the window and
-// dropped wholesale by the reset.
-func (p *TimeSeriesPass) Evict(int64) {}
 
 // isARP recognizes the broadcast ARP payloads in the trace.
 func isARP(body []byte) bool {

@@ -52,25 +52,14 @@ func (p *VizPass) ObserveJFrame(j *unify.JFrame) {
 
 // Finalize implements Pass, returning the rendered string and releasing
 // the collected frames.
-func (p *VizPass) Finalize() Report { return p.FinalizeWindow(0) }
-
-// FinalizeWindow implements WindowedPass: render the collected span and
-// drop it. The next window re-anchors on its first jframe, so a live run
-// renders one span per report window.
-func (p *VizPass) FinalizeWindow(int64) Report {
+func (p *VizPass) Finalize() Report {
 	rep := renderWindow(p.window, p.fromUS, p.toUS, p.width)
 	for _, j := range p.window {
 		j.Release()
 	}
 	p.window = nil
-	p.started = false
-	p.fromUS, p.toUS = 0, 0
 	return rep
 }
-
-// Evict implements WindowedPass: retention is already clamped to the
-// render span, which the window reset drops.
-func (p *VizPass) Evict(int64) {}
 
 // renderWindow draws the collected window.
 func renderWindow(window []*unify.JFrame, fromUS, toUS int64, width int) string {

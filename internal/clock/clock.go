@@ -38,12 +38,6 @@ func (c *Clock) LocalUS(tNS int64) int64 {
 	return int64(math.Floor(local / 1e3)) // ns → µs, quantize down like a counter
 }
 
-// SkewAt returns the instantaneous skew in ppm at true time tNS.
-func (c *Clock) SkewAt(tNS int64) float64 {
-	hours := float64(tNS) / float64(3600e9)
-	return c.SkewPPM + c.DriftPPMH*hours
-}
-
 // meanSkewOver returns the average skew over [0, tNS] (the integral form
 // that governs accumulated timestamp error).
 func (c *Clock) meanSkewOver(tNS int64) float64 {

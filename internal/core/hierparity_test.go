@@ -465,86 +465,3 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 		})
 	}
 }
-
-// TestHierarchicalWindowedPassParity mirrors TestWindowedPassParity over
-// the global merge: a windowed pass driven continuously over the
-// hierarchical pipeline's merged stream, finalized and evicted per window,
-// must report exactly what a fresh pass fed only that window's
-// subsequence reports — the contract that lets jigd sit on top of the
-// campus merge unchanged.
-func TestHierarchicalWindowedPassParity(t *testing.T) {
-	const buildings = 2
-	hourUS := hierTemplate().HourDur().US64()
-	blds, apSet := buildHierBuildings(t, 1, buildings)
-
-	streams := make([]*hmerge.Stream, buildings)
-	for k, b := range blds {
-		streams[k] = hmerge.NewStream(b.meta, bytes.NewReader(b.stream))
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.Workers = 1
-	var res core.Collection
-	defer res.Release()
-	if _, err := core.RunHierarchical(streams, ccfg, res.Sink()); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.JFrames) == 0 || len(res.Exchanges) == 0 {
-		t.Fatal("empty streams")
-	}
-
-	firstUS := res.JFrames[0].UnivUS
-	lastUS := firstUS
-	for _, j := range res.JFrames {
-		if j.UnivUS > lastUS {
-			lastUS = j.UnivUS
-		}
-	}
-	for _, ex := range res.Exchanges {
-		if ex.CloseUS > lastUS {
-			lastUS = ex.CloseUS
-		}
-	}
-	const windows = 3
-	span := lastUS - firstUS + 1
-	step := span / windows
-
-	cont := hierPasses(t, apSet, hourUS)
-	windowed := make([]analysis.WindowedPass, len(cont))
-	for i, p := range cont {
-		wp, ok := p.(analysis.WindowedPass)
-		if !ok {
-			t.Fatalf("pass %q does not implement WindowedPass", p.Name())
-		}
-		windowed[i] = wp
-	}
-
-	prev := firstUS - 1
-	for k := 0; k < windows; k++ {
-		end := firstUS + int64(k+1)*step - 1
-		if k == windows-1 {
-			end = lastUS
-		}
-		wj, wx := windowSlices(res.JFrames, res.Exchanges, prev, end)
-		if len(wj) == 0 {
-			t.Fatalf("window %d is empty; widen the scenario", k)
-		}
-
-		core.DriveSlices(analysis.CorePasses(cont), wj, wx)
-		contReps := make(map[string]analysis.Report, len(windowed))
-		for _, wp := range windowed {
-			contReps[wp.Name()] = wp.FinalizeWindow(end)
-			wp.Evict(end)
-		}
-
-		fresh := hierPasses(t, apSet, hourUS)
-		core.DriveSlices(analysis.CorePasses(fresh), wj, wx)
-		for _, p := range fresh {
-			want := p.Finalize()
-			if got := contReps[p.Name()]; !reflect.DeepEqual(got, want) {
-				t.Errorf("window %d pass %q: windowed report over the global merge differs from one-shot:\n got:  %+v\n want: %+v",
-					k, p.Name(), got, want)
-			}
-		}
-		prev = end
-	}
-}

@@ -15,6 +15,9 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -189,5 +192,49 @@ func TestPassParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReportGolden pins what the pipeline reports, not only what it is fed
+// (scenario's TestDefaultTraceGolden pins the input records): a sha256 over
+// the reconstructor's counters and the Section encoding of every
+// registered pass, in registry order, on scenario.Default(). Any change to unify, llc, transport or a pass that
+// moves a reported number moves this digest; it is the same at every
+// Workers setting.
+func TestReportGolden(t *testing.T) {
+	const want = "2a2d67fad4e49649f0ef949cee0b54cf2c7fc3d7296ba3ba8732eb18a44c52fb"
+	out, err := scenario.Run(scenario.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		passes := parityPasses(t, out)
+		if n := len(analysis.PassSpecs()); len(passes) != n {
+			t.Fatalf("built %d passes, want every registered one (%d)", len(passes), n)
+		}
+		ccfg := core.DefaultConfig()
+		ccfg.Workers = workers
+		ccfg.Passes = analysis.CorePasses(passes)
+		res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%+v\n", res.LLCStats)
+		for _, p := range passes {
+			sec, err := analysis.SectionJSON(p.Name(), p.Finalize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+			h.Write([]byte{'\n'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("workers=%d: report digest %s, want %s", workers, got, want)
+		}
 	}
 }

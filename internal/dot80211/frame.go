@@ -73,15 +73,6 @@ func ParseMAC(s string) (MAC, error) {
 	return m, nil
 }
 
-// MustParseMAC is ParseMAC that panics on error; for tests and tables.
-func MustParseMAC(s string) MAC {
-	m, err := ParseMAC(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Type is the 2-bit 802.11 frame type.
 type Type uint8
 

@@ -8,7 +8,6 @@
 package llc
 
 import (
-	"io"
 	"math"
 
 	"repro/internal/dot80211"
@@ -184,17 +183,7 @@ func (s *Stats) Add(o Stats) {
 type Reconstructor struct {
 	Stats Stats
 
-	// pendingCTS holds CTS frames awaiting their protected DATA, keyed by
-	// the protected transmitter (CTS-to-self carries it in Addr1; an RTS
-	// response is likewise addressed to the data transmitter).
-	pendingCTS map[dot80211.MAC]*unify.JFrame
-	// pendingRTS holds RTS frames awaiting their CTS/DATA, keyed by the
-	// transmitter (RTS carries it in Addr2).
-	pendingRTS map[dot80211.MAC]*unify.JFrame
-	// awaiting is the open attempt per transmitter whose ACK window is
-	// still open.
-	awaiting map[dot80211.MAC]*openAttempt
-	// senders holds per-transmitter exchange state.
+	// senders holds everything open per data transmitter.
 	senders map[dot80211.MAC]*senderState
 
 	out       []*Exchange
@@ -202,26 +191,30 @@ type Reconstructor struct {
 	watermark int64
 }
 
-type openAttempt struct {
-	attempt  *Attempt
-	deadline int64 // latest universal time an ACK may arrive
-}
-
+// senderState is one data transmitter's open state: its exchange stream
+// and the frames of an attempt still being assembled.
 type senderState struct {
 	cur       *Exchange
 	lastSeen  int64
 	orphanAck *unify.JFrame // queued ACK awaiting position resolution
+
+	// rts and cts await the DATA they announce: an RTS names its
+	// transmitter in Addr2; a CTS-to-self carries the protecting
+	// transmitter in Addr1, and a CTS answering an RTS is addressed to the
+	// data transmitter the same way, so one slot serves both.
+	rts, cts *unify.JFrame
+	// open is the attempt whose ACK window is still open, until
+	// openDeadline, the latest universal time the ACK may arrive.
+	open         *Attempt
+	openDeadline int64
 }
 
 // NewReconstructor creates an empty reconstructor.
 func NewReconstructor() *Reconstructor {
 	return &Reconstructor{
-		pendingCTS: make(map[dot80211.MAC]*unify.JFrame),
-		pendingRTS: make(map[dot80211.MAC]*unify.JFrame),
-		awaiting:   make(map[dot80211.MAC]*openAttempt),
-		senders:    make(map[dot80211.MAC]*senderState),
-		now:        math.MinInt64,
-		watermark:  math.MinInt64,
+		senders:   make(map[dot80211.MAC]*senderState),
+		now:       math.MinInt64,
+		watermark: math.MinInt64,
 	}
 }
 
@@ -248,26 +241,35 @@ func (r *Reconstructor) Process(j *unify.JFrame) {
 	f := &j.Frame
 	switch {
 	case f.Type == dot80211.TypeControl && f.Subtype == dot80211.SubtypeRTS:
-		// RTS: Addr2 is the transmitter about to send data.
-		j.Retain()
-		if old := r.pendingRTS[f.Addr2]; old != nil {
-			old.Release()
-		}
-		r.pendingRTS[f.Addr2] = j
+		setPending(&r.sender(f.Addr2).rts, j)
 	case f.IsCTS():
-		// CTS-to-self carries the protecting transmitter in Addr1; a CTS
-		// answering an RTS is addressed to the data transmitter the same
-		// way, so one pending slot serves both.
-		j.Retain()
-		if old := r.pendingCTS[f.Addr1]; old != nil {
-			old.Release()
-		}
-		r.pendingCTS[f.Addr1] = j
+		setPending(&r.sender(f.Addr1).cts, j)
 	case f.IsACK():
 		r.handleAck(j)
 	case f.IsData() || f.Type == dot80211.TypeManagement:
 		r.handleData(j)
 	}
+}
+
+// setPending stores j in a pending RTS/CTS slot, dropping what it held.
+func setPending(slot **unify.JFrame, j *unify.JFrame) {
+	j.Retain()
+	clearPending(slot)
+	*slot = j
+}
+
+// clearPending empties a pending RTS/CTS slot, dropping its reference.
+func clearPending(slot **unify.JFrame) {
+	if *slot != nil {
+		(*slot).Release()
+		*slot = nil
+	}
+}
+
+// reserved reports whether the medium reservation a pending RTS/CTS made
+// still holds at now: its Duration field counts from the frame's end.
+func reserved(j *unify.JFrame, now int64) bool {
+	return now <= j.EndUS()+int64(j.Frame.Duration)+ackSlackUS
 }
 
 // expire closes ACK windows and exchanges that have timed out by r.now, and
@@ -277,13 +279,17 @@ func (r *Reconstructor) Process(j *unify.JFrame) {
 // an intervening frame cleared it earlier — and timed-out closes are
 // stamped with their deadline, not with r.now.
 func (r *Reconstructor) expire() {
-	for tx, oa := range r.awaiting {
-		if r.now > oa.deadline {
-			delete(r.awaiting, tx)
-		}
-	}
 	wm := r.now
 	for tx, ss := range r.senders {
+		if ss.open != nil && r.now > ss.openDeadline {
+			ss.open = nil
+		}
+		if ss.cts != nil && !reserved(ss.cts, r.now) {
+			clearPending(&ss.cts)
+		}
+		if ss.rts != nil && !reserved(ss.rts, r.now) {
+			clearPending(&ss.rts)
+		}
 		// An orphan ACK whose sender has no open exchange can only ever
 		// resolve to a fully inferred exchange (resolveOrphan runs before a
 		// new exchange opens); once it ages past the exchange timeout, emit
@@ -294,7 +300,8 @@ func (r *Reconstructor) expire() {
 		if ss.cur != nil && r.now-ss.lastSeen > exchangeTimeoutUS {
 			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
 		}
-		if ss.cur == nil && ss.orphanAck == nil && r.now-ss.lastSeen > exchangeTimeoutUS {
+		if ss.cur == nil && ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil &&
+			r.now-ss.lastSeen > exchangeTimeoutUS {
 			delete(r.senders, tx)
 			continue
 		}
@@ -310,25 +317,13 @@ func (r *Reconstructor) expire() {
 		}
 	}
 	r.watermark = wm
-	for tx, cts := range r.pendingCTS {
-		// The Duration field reserves the medium from the frame's end.
-		if r.now > cts.EndUS()+int64(cts.Frame.Duration)+ackSlackUS {
-			delete(r.pendingCTS, tx)
-			cts.Release()
-		}
-	}
-	for tx, rts := range r.pendingRTS {
-		if r.now > rts.EndUS()+int64(rts.Frame.Duration)+ackSlackUS {
-			delete(r.pendingRTS, tx)
-			rts.Release()
-		}
-	}
 }
 
 // handleData starts a transmission attempt for a DATA or management frame.
 func (r *Reconstructor) handleData(j *unify.JFrame) {
 	f := &j.Frame
 	tx := f.Addr2
+	ss := r.sender(tx)
 	j.Retain()
 	a := &Attempt{
 		Data:        j,
@@ -344,8 +339,8 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 	// (the pending slot's reference transfers to the attempt), and the RTS
 	// before that. Either way the pending slot empties: an unattachable
 	// frame is dropped.
-	if cts, ok := r.pendingCTS[tx]; ok {
-		delete(r.pendingCTS, tx)
+	if cts := ss.cts; cts != nil {
+		ss.cts = nil
 		if gap := j.UnivUS - cts.EndUS(); gap >= 0 && gap <= ctsGapMaxUS {
 			a.CTS = cts
 			a.StartUS = cts.UnivUS
@@ -353,8 +348,8 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 			cts.Release()
 		}
 	}
-	if rts, ok := r.pendingRTS[tx]; ok {
-		delete(r.pendingRTS, tx)
+	if rts := ss.rts; rts != nil {
+		ss.rts = nil
 		start := j.UnivUS
 		if a.CTS != nil {
 			start = a.CTS.UnivUS
@@ -370,7 +365,6 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 
 	if f.Addr1.IsMulticast() {
 		// R1: broadcast — attempt and exchange are identical.
-		ss := r.sender(tx)
 		r.assignAttempt(ss, a, true)
 		return
 	}
@@ -381,8 +375,7 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 		window = dot80211.SIFS + 304 // 1 Mbps long-preamble ACK
 	}
 	a.EndUS = j.EndUS()
-	r.awaiting[tx] = &openAttempt{attempt: a, deadline: j.EndUS() + window + ackSlackUS}
-	ss := r.sender(tx)
+	ss.open, ss.openDeadline = a, j.EndUS()+window+ackSlackUS
 	r.assignAttempt(ss, a, false)
 }
 
@@ -390,13 +383,14 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 // it as an orphan for later inference.
 func (r *Reconstructor) handleAck(j *unify.JFrame) {
 	dataTx := j.Frame.Addr1 // the station being acknowledged
-	if oa, ok := r.awaiting[dataTx]; ok && j.UnivUS <= oa.deadline {
+	ss := r.senders[dataTx]
+	if ss != nil && ss.open != nil && j.UnivUS <= ss.openDeadline {
 		j.Retain()
-		oa.attempt.Ack = j
-		oa.attempt.EndUS = j.EndUS()
-		delete(r.awaiting, dataTx)
+		ss.open.Ack = j
+		ss.open.EndUS = j.EndUS()
+		ss.open = nil
 		// A captured ACK completes the exchange.
-		if ss := r.senders[dataTx]; ss != nil && ss.cur != nil {
+		if ss.cur != nil {
 			ss.lastSeen = r.now
 			r.closeExchange(ss, DeliveryObserved, r.now)
 		}
@@ -405,7 +399,9 @@ func (r *Reconstructor) handleAck(j *unify.JFrame) {
 	// Orphan: the DATA (or the whole attempt) was not captured. Queue it
 	// until more frames from this sender resolve its position (§5.1).
 	r.Stats.OrphanAcks++
-	ss := r.sender(dataTx)
+	if ss == nil {
+		ss = r.sender(dataTx)
+	}
 	j.Retain()
 	if ss.orphanAck != nil {
 		ss.orphanAck.Release()
@@ -589,35 +585,9 @@ func (r *Reconstructor) Flush() []*Exchange {
 		if ss.cur != nil {
 			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
 		}
-	}
-	for tx, j := range r.pendingCTS {
-		delete(r.pendingCTS, tx)
-		j.Release()
-	}
-	for tx, j := range r.pendingRTS {
-		delete(r.pendingRTS, tx)
-		j.Release()
+		clearPending(&ss.cts)
+		clearPending(&ss.rts)
 	}
 	r.watermark = math.MaxInt64
 	return r.Take()
-}
-
-// Run drains a jframe iterator through the reconstructor, returning all
-// exchanges in completion order.
-func Run(next func() (*unify.JFrame, error)) ([]*Exchange, *Stats, error) {
-	r := NewReconstructor()
-	var out []*Exchange
-	for {
-		j, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, &r.Stats, err
-		}
-		r.Process(j)
-		out = append(out, r.Take()...)
-	}
-	out = append(out, r.Flush()...)
-	return out, &r.Stats, nil
 }

@@ -1,7 +1,6 @@
 package llc
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/dot80211"
@@ -36,22 +35,16 @@ func ackJF(dataTx dot80211.MAC, data *unify.JFrame) *unify.JFrame {
 	return jf(dot80211.NewAck(dataTx), data.EndUS()+dot80211.SIFS, dot80211.Rate2Mbps)
 }
 
-// runSeq processes jframes and returns exchanges.
+// runSeq processes jframes and returns exchanges in completion order.
 func runSeq(t *testing.T, js ...*unify.JFrame) ([]*Exchange, *Stats) {
 	t.Helper()
-	i := 0
-	ex, st, err := Run(func() (*unify.JFrame, error) {
-		if i >= len(js) {
-			return nil, io.EOF
-		}
-		j := js[i]
-		i++
-		return j, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	r := NewReconstructor()
+	var out []*Exchange
+	for _, j := range js {
+		r.Process(j)
+		out = append(out, r.Take()...)
 	}
-	return ex, st
+	return append(out, r.Flush()...), &r.Stats
 }
 
 func TestSimpleExchangeWithAck(t *testing.T) {

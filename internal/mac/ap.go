@@ -187,6 +187,3 @@ func (ap *AP) Associated(c dot80211.MAC) (PHYMode, bool) {
 	}
 	return a.phy, true
 }
-
-// ClientCount returns the number of associated clients.
-func (ap *AP) ClientCount() int { return len(ap.clients) }

@@ -11,7 +11,7 @@
 //
 // Time compression: the simulated day maps 24 "hours" onto Config.Day of
 // simulation time. MAC and TCP dynamics run at natural timescales; only the
-// workload schedule compresses. EXPERIMENTS.md documents the scaling.
+// workload schedule compresses.
 package scenario
 
 import (

@@ -2,29 +2,31 @@
 // inside the pipeline as a core.Pass and publishes windowed analysis
 // reports, plus the HTTP surface over it.
 //
-// # Watermark and eviction contract
+// # Windows
 //
-// The Monitor is the driver side of analysis.WindowedPass. It observes the
-// raw jframe stream to maintain a frontier (the maximum UnivUS emitted so
-// far) and buffers every event whose timestamp lies beyond the open
-// report window. Because the unifier's emission order can locally invert
-// by up to its search window, a window [start, end] only closes once the
-// frontier reaches end + SlackUS: at that point every jframe with UnivUS
-// <= end has been emitted, the buffered window events are delivered in
-// arrival order, and each pass's FinalizeWindow(end) is called followed
-// by Evict(end). Passes therefore never observe an event beyond the
-// boundary before the boundary's FinalizeWindow — the precondition that
-// makes windowed reports equal one-shot reports over the window's
-// subsequence (see TestWindowedPassParity). Eviction trails the delivery
-// frontier by construction, so sliding state (the interference overlap
-// index) is pruned only behind what has already been consumed.
+// A report window is a fresh set of passes. The Monitor builds the selected
+// passes when a window opens, feeds them exactly the events that belong to
+// the window, and when the window closes hands them the latest core.Result,
+// calls their ordinary Finalize, publishes the reports and drops the set —
+// so a window's report is the one-shot report over the window's events, and
+// pass state is bounded by the window, not the capture length.
+//
+// Which events belong to a window is the Monitor's job. It observes the raw
+// jframe stream to maintain a frontier (the maximum UnivUS emitted so far)
+// and buffers every event whose timestamp lies beyond the open window.
+// Because the unifier's emission order can locally invert by up to its
+// search window, a window [start, end] only closes once the frontier
+// reaches end + SlackUS: at that point every jframe with UnivUS <= end has
+// been emitted and delivered, in arrival order. A pass set therefore never
+// observes an event beyond its window's end (TestMonitorWindowGolden pins
+// the published windows and checks that none is dropped or seen twice).
 //
 // All pipeline-facing methods (ObserveJFrame, ObserveExchange, SetResult,
 // Flush) run on the goroutine that called core.RunFrom, one at a time, at
-// every Workers setting (core's Pass contract). The read side (Healthy, Summary, Report, Metrics) is safe
-// from any goroutine: closed-window reports are detached snapshots
-// published under a lock, and counters are atomics — HTTP handlers never
-// touch pass state.
+// every Workers setting (core's Pass contract). The read side (Healthy,
+// Summary, Report, Metrics) is safe from any goroutine: closed-window
+// reports are detached snapshots published under a lock, and counters are
+// atomics — HTTP handlers never touch pass state.
 package serve
 
 import (
@@ -55,12 +57,11 @@ type MonitorConfig struct {
 	// SlackUS delays window closes past the boundary to cover emission
 	// reordering (0: DefaultSlackUS).
 	SlackUS int64
-	// Passes are the analyses to serve; every one must implement
-	// analysis.WindowedPass.
-	Passes []analysis.Pass
+	// Passes selects the analyses to serve; the Monitor builds one set of
+	// them per window.
+	Passes analysis.Selection
 	// OnWindow, when non-nil, runs on the pipeline goroutine after each
-	// window closes — the hook jigd logs from and jigbench samples heap
-	// under.
+	// window closes — the hook jigd logs from.
 	OnWindow func(endUS int64)
 }
 
@@ -105,17 +106,19 @@ func (e pendingEvent) timeUS() int64 {
 	return e.ex.CloseUS
 }
 
-// Monitor drives windowed passes inside a live pipeline run and publishes
-// their reports. It implements core.Pass and core.ResultSink; run it as
-// the only entry in core.Config.Passes (jigd does).
+// Monitor drives one pass set per window inside a live pipeline run and
+// publishes their reports. It implements core.Pass and core.ResultSink;
+// run it as the only entry in core.Config.Passes (jigd does).
 type Monitor struct {
 	windowUS int64
 	slackUS  int64
-	passes   []analysis.WindowedPass
+	sel      analysis.Selection
+	names    []string
 	onWindow func(endUS int64)
 
 	// Pipeline-goroutine state.
 	started         bool
+	passes          []analysis.Pass // the open window's set
 	winStartUS      int64
 	winEndUS        int64
 	frontierUS      int64
@@ -145,9 +148,12 @@ type SummaryStats struct {
 	WindowUS      int64       `json:"window_us"`
 	LastWindowEnd int64       `json:"last_window_end_us"`
 	Passes        []string    `json:"passes"`
+	// UnsyncedRadios are the radios the bootstrap could not synchronize:
+	// the pipeline never opens them, so their records are in no report.
+	UnsyncedRadios []int32 `json:"unsynced_radios"`
 }
 
-// NewMonitor validates the pass set and builds a Monitor.
+// NewMonitor validates the configuration and builds a Monitor.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.WindowUS <= 0 {
 		return nil, fmt.Errorf("serve: WindowUS must be positive, have %d", cfg.WindowUS)
@@ -155,33 +161,23 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.SlackUS <= 0 {
 		cfg.SlackUS = DefaultSlackUS
 	}
-	if len(cfg.Passes) == 0 {
+	names := cfg.Passes.Names()
+	if len(names) == 0 {
 		return nil, fmt.Errorf("serve: no passes")
 	}
-	m := &Monitor{
+	return &Monitor{
 		windowUS: cfg.WindowUS,
 		slackUS:  cfg.SlackUS,
+		sel:      cfg.Passes,
+		names:    names,
 		onWindow: cfg.OnWindow,
-		reports:  make(map[string]WindowReport, len(cfg.Passes)),
-	}
-	for _, p := range cfg.Passes {
-		wp, ok := p.(analysis.WindowedPass)
-		if !ok {
-			return nil, fmt.Errorf("serve: pass %q (%T) does not implement WindowedPass", p.Name(), p)
-		}
-		m.passes = append(m.passes, wp)
-	}
-	return m, nil
+		reports:  make(map[string]WindowReport, len(names)),
+	}, nil
 }
 
-// PassNames lists the served passes in registry order.
-func (m *Monitor) PassNames() []string {
-	names := make([]string, len(m.passes))
-	for i, p := range m.passes {
-		names[i] = p.Name()
-	}
-	return names
-}
+// PassNames lists the served passes in registry order. The slice is
+// shared; callers must not modify it.
+func (m *Monitor) PassNames() []string { return m.names }
 
 // ObserveJFrame implements core.Pass. Window closes are pumped BEFORE the
 // incoming jframe advances the frontier: core releases an iteration's
@@ -198,6 +194,7 @@ func (m *Monitor) ObserveJFrame(j *unify.JFrame) {
 		m.started = true
 		m.winStartUS = j.UnivUS
 		m.winEndUS = j.UnivUS + m.windowUS
+		m.passes = m.sel.New()
 	}
 	if j.UnivUS > m.frontierUS {
 		m.frontierUS = j.UnivUS
@@ -227,17 +224,13 @@ func (m *Monitor) ObserveExchange(ex *llc.Exchange) {
 	}
 }
 
-// SetResult implements core.ResultSink: forwarded to every pass (their
-// result-derived report fields refresh), and the cumulative stats
-// snapshot is republished. With core.Config.SnapshotEveryUS set this
-// fires throughout the run, not only at the end.
+// SetResult implements core.ResultSink: the result is kept for the next
+// window close (where the passes' result-derived report fields come
+// from), and the cumulative stats snapshot is republished. With
+// core.Config.SnapshotEveryUS set this fires throughout the run, not only
+// at the end.
 func (m *Monitor) SetResult(res *core.Result) {
 	m.lastResult = res
-	for _, p := range m.passes {
-		if rs, ok := analysis.Pass(p).(core.ResultSink); ok {
-			rs.SetResult(res)
-		}
-	}
 	m.publishStats()
 }
 
@@ -262,6 +255,7 @@ func (m *Monitor) pump() {
 		m.closeWindow(m.winEndUS)
 		m.winStartUS = m.winEndUS
 		m.winEndUS += m.windowUS
+		m.passes = m.sel.New()
 		// Release the buffered events now inside the open window, in
 		// arrival order.
 		kept := m.pending[:0]
@@ -284,12 +278,15 @@ func (m *Monitor) pump() {
 	}
 }
 
-// closeWindow finalizes every pass at upToUS and publishes the reports.
+// closeWindow finalizes the open window's passes, publishes their reports
+// with upToUS as the window's end, and drops the set.
 func (m *Monitor) closeWindow(upToUS int64) {
 	snaps := make(map[string]WindowReport, len(m.passes))
 	for _, p := range m.passes {
-		rep := p.FinalizeWindow(upToUS)
-		sec, err := analysis.SectionJSON(p.Name(), rep)
+		if rs, ok := p.(core.ResultSink); ok && m.lastResult != nil {
+			rs.SetResult(m.lastResult)
+		}
+		sec, err := analysis.SectionJSON(p.Name(), p.Finalize())
 		if err != nil {
 			// Registry drift: serve an explicit error section rather than
 			// dropping the pass silently.
@@ -300,8 +297,8 @@ func (m *Monitor) closeWindow(upToUS int64) {
 			WindowStartUS: m.winStartUS,
 			WindowEndUS:   upToUS,
 		}
-		p.Evict(upToUS)
 	}
+	m.passes = nil
 	m.windowsClosed.Add(1)
 	m.winHasData = false
 	m.lastClosedEndUS = upToUS
@@ -322,11 +319,12 @@ func (m *Monitor) publishStats() {
 		WindowsClosed: m.windowsClosed.Load(),
 		WindowUS:      m.windowUS,
 		LastWindowEnd: m.lastClosedEndUS,
-		Passes:        m.PassNames(),
+		Passes:        m.names,
 	}
 	if m.lastResult != nil {
 		s.Unify = m.lastResult.UnifyStats
 		s.LLC = m.lastResult.LLCStats
+		s.UnsyncedRadios = m.lastResult.Bootstrap.Unsynced
 	}
 	m.mu.Lock()
 	m.stats = s

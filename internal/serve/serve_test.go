@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,10 +14,15 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/tracefile"
 )
 
 // liveRun drives a small scenario through the serial pipeline with a
 // Monitor as the only core pass, the way jigd runs it.
+// loneRadio is the id of the radio liveRun adds on a channel no other radio
+// hears and no clock group bridges: the bootstrap cannot synchronize it.
+const loneRadio = 9000
+
 func liveRun(t *testing.T, windowUS int64) (*serve.Monitor, []int64) {
 	t.Helper()
 	cfg := scenario.Default()
@@ -27,8 +33,17 @@ func liveRun(t *testing.T, windowUS int64) (*serve.Monitor, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lone := dot80211.NewData(dot80211.MAC{2, 1}, dot80211.MAC{2, 2}, dot80211.MAC{2, 3}, 1, []byte("x"))
+	var buf bytes.Buffer
+	if _, err := tracefile.WriteAll(&buf, []tracefile.Record{{
+		LocalUS: 1_000_000, RadioID: loneRadio, Channel: 14,
+		Rate: uint16(dot80211.Rate11Mbps), Flags: tracefile.FlagFCSOK, Frame: lone.Encode(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	out.Traces[loneRadio] = &buf
 	apSet := scenario.APSet(out.APs)
-	passes, err := analysis.NewPasses("all", analysis.PassParams{
+	passes, err := analysis.Select("all", analysis.PassParams{
 		SlotUS:     windowUS,
 		MinPackets: 50,
 		IsAP:       func(m dot80211.MAC) bool { return apSet[m] },
@@ -84,6 +99,9 @@ func TestMonitorWindows(t *testing.T) {
 	}
 	if sum.LastWindowEnd != closes[len(closes)-1] {
 		t.Errorf("LastWindowEnd = %d, want %d", sum.LastWindowEnd, closes[len(closes)-1])
+	}
+	if len(sum.UnsyncedRadios) != 1 || sum.UnsyncedRadios[0] != loneRadio {
+		t.Errorf("UnsyncedRadios = %v, want [%d]", sum.UnsyncedRadios, loneRadio)
 	}
 
 	for _, name := range mon.PassNames() {
@@ -157,6 +175,9 @@ func TestServerEndpoints(t *testing.T) {
 	if sum["windows_closed"].(float64) < 3 {
 		t.Errorf("/summary windows_closed = %v", sum["windows_closed"])
 	}
+	if u, _ := sum["unsynced_radios"].([]any); len(u) != 1 || u[0] != float64(loneRadio) {
+		t.Errorf("/summary unsynced_radios = %v, want [%d]", sum["unsynced_radios"], loneRadio)
+	}
 
 	for _, name := range mon.PassNames() {
 		code, body := get("/reports/" + name)
@@ -199,7 +220,7 @@ func TestServerEndpoints(t *testing.T) {
 // TestHealthzBeforeFirstWindow pins the readiness gate: a fresh monitor
 // serves 503 until a window closes.
 func TestHealthzBeforeFirstWindow(t *testing.T) {
-	passes, err := analysis.NewPasses("summary", analysis.PassParams{SlotUS: 1})
+	passes, err := analysis.Select("summary", analysis.PassParams{SlotUS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

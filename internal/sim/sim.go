@@ -149,7 +149,3 @@ func (e *Engine) Run(horizon Time) Time {
 	}
 	return e.now
 }
-
-// Pending returns the number of live scheduled events (cancelled events
-// still in the heap are counted until popped; use for rough diagnostics).
-func (e *Engine) Pending() int { return len(e.queue) }

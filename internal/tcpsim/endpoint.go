@@ -491,8 +491,5 @@ func (e *Endpoint) finish(ok bool) {
 // at some point.
 func (e *Endpoint) Established() bool { return e.wasEstablished }
 
-// Finished reports whether the connection is fully done.
-func (e *Endpoint) Finished() bool { return e.st == stDone }
-
 // SRTTUS returns the smoothed RTT estimate in µs (0 before any sample).
 func (e *Endpoint) SRTTUS() float64 { return e.srttUS }

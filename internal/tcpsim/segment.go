@@ -100,7 +100,6 @@ func DecodeSegment(b []byte) (Segment, error) {
 func (s *Segment) IsSYN() bool { return s.Flags&FlagSYN != 0 }
 func (s *Segment) IsACK() bool { return s.Flags&FlagACK != 0 }
 func (s *Segment) IsFIN() bool { return s.Flags&FlagFIN != 0 }
-func (s *Segment) IsRST() bool { return s.Flags&FlagRST != 0 }
 
 // SeqEnd returns the sequence number just past this segment's payload
 // (SYN and FIN each consume one sequence number).

@@ -84,9 +84,6 @@ func (w *WiredNet) Attach(addr dot80211.MAC, deliver func(Segment)) {
 	w.hosts[addr] = deliver
 }
 
-// Detach removes a host.
-func (w *WiredNet) Detach(addr dot80211.MAC) { delete(w.hosts, addr) }
-
 // Forward routes a segment toward dst, applying the bottleneck queue (when
 // configured), latency and loss. remote selects the Internet latency
 // profile.

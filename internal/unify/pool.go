@@ -44,7 +44,7 @@ var frameCount struct {
 }
 
 // LiveJFrames returns how many pooled frames are currently owned by someone:
-// handed out by NewJFrame (or Clone, or the hmerge reader) and not yet
+// handed out by NewJFrame (directly or through the hmerge reader) and not yet
 // recycled by their last Release. A pipeline that has shut down cleanly —
 // or unwound after an error — and kept nothing reads the value it started
 // at; a higher one is a leaked reference.
@@ -80,23 +80,6 @@ func (j *JFrame) Release() {
 	j.Instances = inst
 	frameCount.puts.Add(1)
 	jframePool.Put(j)
-}
-
-// Clone returns an independently owned deep copy of the frame (reference
-// count 1, storage copied). This is the copy-to-retain escape hatch for
-// holders that want a frame to outlive the producer's pooling entirely.
-func (j *JFrame) Clone() *JFrame {
-	c := NewJFrame()
-	inst := append(c.Instances[:0], j.Instances...)
-	wireBuf := c.wireBuf
-	*c = *j
-	atomic.StoreInt32(&c.refs, 1)
-	c.pooled = true
-	c.Instances = inst
-	c.wireBuf = wireBuf
-	c.SetWire(j.Wire)
-	c.rebaseBody(&j.Frame)
-	return c
 }
 
 // SetWire copies b into the frame's owned buffer and points Wire at it,

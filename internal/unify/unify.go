@@ -294,7 +294,6 @@ func (g *grp) addRadio(ri int32) {
 type Unifier struct {
 	cfg    Config
 	radios []radioState
-	ridx   map[int32]int32 // radio id → dense index (diagnostics)
 	heap   instanceHeap
 
 	pending  []*JFrame // jframes assembled from the current batch
@@ -322,7 +321,7 @@ type Unifier struct {
 // Radios without a bootstrap offset are skipped (unsynced partitions cannot
 // be merged, as the paper observes at 10 pods).
 func New(cfg Config, sources map[int32]Source, boot *timesync.Result) *Unifier {
-	u := &Unifier{cfg: cfg, ridx: make(map[int32]int32)}
+	u := &Unifier{cfg: cfg}
 	// Deterministic initial queue population (map order varies per run).
 	ids := make([]int32, 0, len(sources))
 	for radio := range sources {
@@ -334,7 +333,6 @@ func New(cfg Config, sources map[int32]Source, boot *timesync.Result) *Unifier {
 	for _, radio := range ids {
 		tr := clock.NewOffsetTracker(boot.OffsetUS[radio])
 		tr.SetSkewCompensation(cfg.SkewCompensation)
-		u.ridx[radio] = int32(len(u.radios))
 		u.radios = append(u.radios, radioState{src: sources[radio], tracker: tr, id: radio})
 	}
 	for ri := range u.radios {
@@ -826,15 +824,6 @@ func sortInstances(in []Instance) {
 		return
 	}
 	sort.Slice(in, func(a, b int) bool { return in[a].UnivUS < in[b].UnivUS })
-}
-
-// Tracker exposes a radio's clock state for diagnostics.
-func (u *Unifier) Tracker(radio int32) *clock.OffsetTracker {
-	ri, ok := u.ridx[radio]
-	if !ok {
-		return nil
-	}
-	return u.radios[ri].tracker
 }
 
 // Drain consumes the whole stream, returning all jframes. The caller owns

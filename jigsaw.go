@@ -112,8 +112,8 @@
 //	fmt.Println(analysis.FairnessTable(analysis.CCFairness(out.FlowCCs, out.Cfg.Day.SecondsF())))
 //	fmt.Println(analysis.CCConfusionReport(out.FlowCCs, res.Transport.FingerprintCC()))
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the
-// paper-vs-measured record of every table and figure.
+// See examples/ for runnable programs; cmd/jigbench prints
+// paper-vs-measured for every table and figure.
 package jigsaw
 
 import (
