@@ -1,20 +1,22 @@
 // Command jigd is the always-on monitoring daemon: it tails a growing
 // capture directory (rotating per-radio segments, as written by a live
-// capture or jigsim -replay), feeds newly sealed segments through the
-// Jigsaw pipeline incrementally, and serves the streaming analyses over
-// HTTP while the capture is still growing.
+// capture or jigsim -replay), feeds the complete blocks of each radio's
+// newest segment through the Jigsaw pipeline as they are written, and serves
+// the streaming analyses over HTTP while the capture is still growing.
 //
 //	jigd -dir capture/ -http localhost:8970 -window 5s
 //
 // Endpoints: /healthz (readiness), /summary (cumulative pipeline stats),
 // /reports/<pass> (latest closed-window report, jiganalyze -json rows),
-// /metrics (frames/sec, watermark lag, heap). Analysis state is bounded:
-// every window gets a fresh set of passes, finalized and dropped when the
-// window closes, so heap stays flat no matter how long the capture runs.
-// Radios the bootstrap could not synchronize are never read; they are
-// logged once and listed in /summary's unsynced_radios. SIGINT/SIGTERM drains the pipeline, closes the trailing window
-// and exits cleanly; when the capture marks itself done, jigd finishes
-// the trace and keeps serving the final reports until signalled.
+// /metrics (frames/sec, watermark lag, heap, tail counters). Analysis state
+// is bounded: every window gets a fresh set of passes, finalized and dropped
+// when the window closes, so heap stays flat no matter how long the capture
+// runs. Radios the bootstrap could not synchronize are never read; they are
+// logged once and listed in /summary's unsynced_radios.
+//
+// SIGINT/SIGTERM drains the pipeline, closes the trailing window and exits
+// cleanly; when the capture marks itself done, jigd finishes the trace and
+// keeps serving the final reports until signalled.
 //
 //jiglint:allow wallclock (daemon edge: polling cadence and shutdown timeouts are wall-clock by nature)
 package main
@@ -28,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -47,7 +50,7 @@ func main() {
 		addr    = flag.String("http", "localhost:8970", "HTTP listen address")
 		window  = flag.Duration("window", 5*time.Second, "analysis window length in trace time")
 		slack   = flag.Duration("slack", time.Duration(serve.DefaultSlackUS)*time.Microsecond, "frontier slack before a window closes (covers pipeline reordering)")
-		poll    = flag.Duration("poll", 200*time.Millisecond, "directory scan interval")
+		poll    = flag.Duration("poll", 10*time.Millisecond, "interval at which a reader waiting for data looks at its segment file again")
 		passesF = flag.String("passes", "all", "which analyses to serve (comma-separated, or 'all')")
 		workers = flag.Int("workers", 1, "pipeline workers, passed to core.Config.Workers (1 = inline, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
 	)
@@ -66,7 +69,7 @@ func main() {
 }
 
 // waitMeta polls until the capture's meta.json appears (the writer copies
-// it in before the first segment seals).
+// it in before the first record).
 func waitMeta(ctx context.Context, dir string, poll time.Duration) (scenario.Meta, error) {
 	for {
 		meta, err := scenario.ReadMeta(dir)
@@ -84,25 +87,28 @@ func waitMeta(ctx context.Context, dir string, poll time.Duration) (scenario.Met
 	}
 }
 
-// waitRoster polls Scan until every roster radio has at least one sealed
-// segment, so the trace set fixed by TraceSet() covers the deployment.
-func waitRoster(ctx context.Context, ts *tracefile.TailSet, roster []int32, poll time.Duration) error {
+// waitRoster polls until every roster radio has started its first segment,
+// so the trace set fixed by TraceSet() covers the deployment. A roster radio
+// that never writes keeps it waiting; the log says which every 5 s.
+func waitRoster(ctx context.Context, dir string, roster []int32, poll time.Duration) error {
+	nextLog := time.Now().Add(5 * time.Second)
+	missing := slices.Clone(roster)
 	for {
-		if _, err := ts.Scan(); err != nil {
-			return fmt.Errorf("scanning capture dir: %w", err)
-		}
-		ready := 0
-		for _, r := range roster {
-			if ts.SealedSegments(r) > 0 {
-				ready++
-			}
-		}
-		if ready == len(roster) {
+		missing = slices.DeleteFunc(missing, func(r int32) bool {
+			_, err := os.Stat(tracefile.SegmentTracePath(dir, r, 0))
+			return err == nil
+		})
+		if len(missing) == 0 {
 			return nil
+		}
+		status := fmt.Sprintf("%d/%d radios ready, first missing %v", len(roster)-len(missing), len(roster), missing[:min(8, len(missing))])
+		if time.Now().After(nextLog) {
+			nextLog = nextLog.Add(5 * time.Second)
+			log.Printf("waiting for first segments: %s", status)
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("interrupted waiting for first sealed segment (%d/%d radios ready)", ready, len(roster))
+			return fmt.Errorf("interrupted waiting for first segments (%s)", status)
 		case <-time.After(poll):
 		}
 	}
@@ -122,10 +128,10 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 	}
 	log.Printf("capture %s: %d radios, %d APs", dir, len(roster), len(meta.APs))
 
-	tail := tracefile.NewTailSet(dir)
-	if err := waitRoster(ctx, tail, roster, poll); err != nil {
+	if err := waitRoster(ctx, dir, roster, poll); err != nil {
 		return err
 	}
+	tail := tracefile.NewTailSet(dir)
 
 	// Passes over the live stream: same registry and parameters as
 	// jiganalyze directory mode (no simulator ground truth available).
@@ -161,10 +167,9 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 		return err
 	}
 
-	srv := &http.Server{
-		Addr:    addr,
-		Handler: serve.NewServer(mon, serve.Info{Dir: dir, Radios: roster}),
-	}
+	handler := serve.NewServer(mon, serve.Info{Dir: dir, Radios: roster})
+	handler.Tail = tail.Counters
+	srv := &http.Server{Addr: addr, Handler: handler}
 	httpErr := make(chan error, 1)
 	go func() {
 		log.Printf("serving on http://%s", addr)
@@ -174,9 +179,9 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 		close(httpErr)
 	}()
 
-	// Scan pump: pick up newly sealed segments until the capture is done
-	// or we are told to stop; either way Finish unblocks the tail readers
-	// so the pipeline drains.
+	// Scan pump: send the reader waiting for data back to its file every
+	// tick until the capture is done or we are told to stop; either way
+	// Finish unblocks the tail readers so the pipeline drains.
 	go func() {
 		defer tail.Finish()
 		t := time.NewTicker(poll)
@@ -186,12 +191,8 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if _, err := tail.Scan(); err != nil {
-					log.Printf("scan: %v", err)
-					return
-				}
-				if tail.Done() {
-					log.Printf("capture marked done")
+				if done, err := tail.Scan(); done || err != nil {
+					log.Printf("tail ends: capture marked done %v, scan error %v", done, err)
 					return
 				}
 			}

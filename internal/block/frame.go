@@ -44,8 +44,7 @@ type Writer struct {
 	magic   [4]byte
 	count   int32
 	firstUS int64
-	hdr     [HeaderLen]byte // a field, so handing it to Write allocates nothing
-	comp    []byte
+	out     []byte // the emitted block: header, then the compressed payload
 	tbl     *Table
 }
 
@@ -63,8 +62,9 @@ func (w *Writer) Commit(us int64) bool {
 	return len(w.Raw) >= Target
 }
 
-// Flush compresses and emits the pending block and returns its header; an
-// empty block emits nothing and returns the zero Header.
+// Flush compresses the pending block and emits it in one Write, so a reader
+// of a file written without buffering sees whole blocks; it returns the
+// block's header. An empty block emits nothing and returns the zero Header.
 func (w *Writer) Flush() (Header, error) {
 	if w.count == 0 {
 		return Header{}, nil
@@ -72,17 +72,15 @@ func (w *Writer) Flush() (Header, error) {
 	if w.tbl == nil {
 		w.tbl = new(Table)
 	}
-	w.comp = Compress(w.comp, w.Raw, w.tbl)
-	h := Header{CompLen: int32(len(w.comp)), RawLen: int32(len(w.Raw)), Count: w.count, FirstUS: w.firstUS}
-	copy(w.hdr[0:4], w.magic[:])
-	binary.LittleEndian.PutUint32(w.hdr[4:8], uint32(h.CompLen))
-	binary.LittleEndian.PutUint32(w.hdr[8:12], uint32(h.RawLen))
-	binary.LittleEndian.PutUint32(w.hdr[12:16], uint32(h.Count))
-	binary.LittleEndian.PutUint64(w.hdr[16:24], uint64(h.FirstUS))
-	if _, err := w.w.Write(w.hdr[:]); err != nil {
-		return Header{}, err
-	}
-	if _, err := w.w.Write(w.comp); err != nil {
+	w.out = grow(w.out, HeaderLen+compressBound(len(w.Raw)))
+	comp := Compress(w.out[HeaderLen:], w.Raw, w.tbl) // fits, so in place
+	h := Header{CompLen: int32(len(comp)), RawLen: int32(len(w.Raw)), Count: w.count, FirstUS: w.firstUS}
+	copy(w.out[0:4], w.magic[:])
+	binary.LittleEndian.PutUint32(w.out[4:8], uint32(h.CompLen))
+	binary.LittleEndian.PutUint32(w.out[8:12], uint32(h.RawLen))
+	binary.LittleEndian.PutUint32(w.out[12:16], uint32(h.Count))
+	binary.LittleEndian.PutUint64(w.out[16:24], uint64(h.FirstUS))
+	if _, err := w.w.Write(w.out[:HeaderLen+len(comp)]); err != nil {
 		return Header{}, err
 	}
 	w.Raw, w.count = w.Raw[:0], 0
@@ -167,40 +165,50 @@ func CheckMagic(got, want [4]byte) error {
 	return fmt.Errorf("bad magic %q", string(got[:]))
 }
 
-// next reads and decodes the next block. Claimed lengths are capped before
-// anything is allocated, and the payload must decode to exactly rawLen.
-func (t *Reader) next() ([]byte, error) {
-	bh := t.hdr[:]
-	if _, err := io.ReadFull(t.r, bh); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("truncated block header: %w", err)
-		}
-		return nil, err
-	}
-	if err := CheckMagic([4]byte(bh[0:4]), t.magic); err != nil {
-		return nil, err
+// ParseHeader decodes the HeaderLen bytes at the front of bh, whose payload
+// is the next h.CompLen bytes. The magic must match and the claimed lengths
+// pass the caps: no caller allocates, or waits for, what a hostile header asks.
+func ParseHeader(bh []byte, magic [4]byte) (h Header, err error) {
+	if err := CheckMagic([4]byte(bh[0:4]), magic); err != nil {
+		return h, err
 	}
 	compLen := binary.LittleEndian.Uint32(bh[4:8])
 	rawLen := binary.LittleEndian.Uint32(bh[8:12])
 	// No payload expands more than 255×: a length byte buys at most 255.
 	if compLen > MaxLen || rawLen > MaxLen || uint64(rawLen) > 255*uint64(compLen) {
-		return nil, fmt.Errorf("block header claims %d/%d bytes", compLen, rawLen)
+		return h, fmt.Errorf("block header claims %d/%d bytes", compLen, rawLen)
+	}
+	return Header{CompLen: int32(compLen), RawLen: int32(rawLen),
+		Count: int32(binary.LittleEndian.Uint32(bh[12:16])), FirstUS: int64(binary.LittleEndian.Uint64(bh[16:24]))}, nil
+}
+
+// next reads and decodes the next block. Claimed lengths are capped before
+// anything is allocated, and the payload must decode to exactly rawLen.
+func (t *Reader) next() ([]byte, error) {
+	if _, err := io.ReadFull(t.r, t.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("truncated block header: %w", err)
+		}
+		return nil, err
+	}
+	h, err := ParseHeader(t.hdr[:], t.magic)
+	if err != nil {
+		return nil, err
 	}
 	var comp []byte
-	var err error
 	if t.sl != nil {
-		comp, err = t.sl.Slice(int(compLen))
+		comp, err = t.sl.Slice(int(h.CompLen))
 	} else {
-		t.comp = grow(t.comp, int(compLen))
+		t.comp = grow(t.comp, int(h.CompLen))
 		comp = t.comp
 		_, err = io.ReadFull(t.r, comp)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("truncated block: %w", err)
 	}
-	t.raw = grow(t.raw, int(rawLen))
+	t.raw = grow(t.raw, int(h.RawLen))
 	if err := Decompress(t.raw, comp); err != nil {
-		return nil, fmt.Errorf("%d-byte payload is not the %d bytes its header claims: %w", compLen, rawLen, err)
+		return nil, fmt.Errorf("%d-byte payload is not the %d bytes its header claims: %w", h.CompLen, h.RawLen, err)
 	}
 	return t.raw, nil
 }

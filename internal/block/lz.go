@@ -38,11 +38,14 @@ type Table [1 << tableBits]int32
 
 func hash(u uint32) uint32 { return (u * 2654435761) >> (32 - tableBits) }
 
+// compressBound is the most Compress emits for n input bytes.
+func compressBound(n int) int { return n + n/255 + 16 }
+
 // Compress writes the compressed form of src into dst's storage (replaced if
 // too small for the worst case) and returns it. t must not be nil.
 func Compress(dst, src []byte, t *Table) []byte {
 	n := len(src)
-	dst = grow(dst, n+n/255+16)
+	dst = grow(dst, compressBound(n))
 	di, anchor := 0, 0
 	if n > mfLimit {
 		*t = Table{}

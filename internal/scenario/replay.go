@@ -11,8 +11,8 @@ import (
 )
 
 // ReplayConfig drives Replay: re-emit a recorded trace directory into a
-// live capture directory (rotating sealed segments plus an active tail),
-// the shape jigd tails.
+// live capture directory (rotating segments, the newest still growing), the
+// shape jigd tails.
 type ReplayConfig struct {
 	// SrcDir is a trace directory (radio-<id>.jig + meta.json).
 	SrcDir string
@@ -60,7 +60,7 @@ func (h *replayHeap) Pop() any {
 
 // Replay re-emits SrcDir's recorded traces into DstDir as a live capture:
 // meta.json is copied up front (a tailing consumer needs the roster before
-// the first segment seals), then every radio's records stream through
+// the first record), then every radio's records stream through
 // per-radio rotating segment writers in globally merged time order, so
 // segments seal in roughly the interleaving a real capture would produce.
 // Record contents are preserved exactly; only the container changes.
@@ -75,7 +75,12 @@ func Replay(cfg ReplayConfig) error {
 	if err := os.MkdirAll(cfg.DstDir, 0o755); err != nil {
 		return fmt.Errorf("scenario: replay dst: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(cfg.DstDir, MetaFileName), meta, 0o644); err != nil {
+	// tmp + rename: a consumer polling the directory never reads half a roster.
+	metaPath := filepath.Join(cfg.DstDir, MetaFileName)
+	if err := os.WriteFile(metaPath+".tmp", meta, 0o644); err != nil {
+		return fmt.Errorf("scenario: replay dst meta: %w", err)
+	}
+	if err := os.Rename(metaPath+".tmp", metaPath); err != nil {
 		return fmt.Errorf("scenario: replay dst meta: %w", err)
 	}
 

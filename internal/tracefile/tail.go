@@ -1,26 +1,34 @@
 // Directory tailing: the live-capture layout a long-running analyzer
 // (cmd/jigd) consumes while jigdump-style writers are still appending to
 // it. A capturing radio writes consecutive rotation segments
-// radio-<id>.seg-NNNN.jig; a segment is *sealed* — complete and immutable —
-// exactly when its metadata-index sidecar radio-<id>.seg-NNNN.idx exists
-// (the sidecar is written atomically after the segment's final block, so a
-// crash or an in-progress write never yields a sealed-looking partial
-// file). A TailSet scans the directory for newly sealed segments and
-// exposes each radio as one endless trace Source whose reader blocks at
-// the current end of sealed data until the next segment seals or capture
-// ends (the capture.done marker, or Finish).
+// radio-<id>.seg-NNNN.jig, each block in one write as soon as it closes
+// (at block.Target bytes or LiveBlockUS of trace time), and a tailer reads
+// the *complete blocks of the newest segment* as they land: every block is
+// self-framed, so a torn last block is simply not yet complete. The
+// metadata-index sidecar radio-<id>.seg-NNNN.idx still means what it always
+// has — written atomically after the segment's final block, it says *this
+// file is final* — and is what lets a reader move to the next segment, and
+// what tells a crash leftover from a finished file. A TailSet exposes each
+// radio as one endless trace Source whose reader blocks where the written
+// blocks end until more are written or capture ends (the capture.done
+// marker, or Finish). LiveBlockUS has what the small blocks cost and buy.
 package tracefile
 
 import (
-	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/block"
 )
 
 // SegmentTracePath names one rotation segment of a radio's live capture.
@@ -29,14 +37,14 @@ func SegmentTracePath(dir string, radio int32, seg int) string {
 }
 
 // SegmentIndexPath names a segment's metadata-index sidecar, whose
-// existence marks the segment sealed.
+// existence marks the segment sealed: final, every block in place.
 func SegmentIndexPath(dir string, radio int32, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("radio-%d.seg-%04d.idx", radio, seg))
 }
 
 // CaptureDoneName is the marker file a capture (or replay) drops into a
-// live trace directory when no further segments will be written. Tailing
-// readers then return io.EOF once they exhaust the sealed segments.
+// live trace directory when nothing further will be written. Tailing
+// readers then return io.EOF once they exhaust what is there.
 const CaptureDoneName = "capture.done"
 
 // ParseSegmentName extracts the radio id and segment number from a
@@ -63,22 +71,17 @@ func ParseSegmentName(name string) (radio int32, seg int, ok bool) {
 }
 
 // DirRotatingWriter writes one radio's live capture into a directory as
-// sealed rotation segments: each segment streams to
-// radio-<id>.seg-NNNN.jig and, once its final block is flushed and the
-// file closed, the index sidecar appears atomically (tmp + rename) to
-// publish it to tailers.
+// rotation segments. Each segment goes to radio-<id>.seg-NNNN.jig unbuffered,
+// one write per block, so every closed block is at once readable by a tailer;
+// when the segment's last block is written and the file closed, the index
+// sidecar appears atomically (tmp + rename) to say the file is final. A
+// crash leaves at worst a torn last block and no sidecar.
 type DirRotatingWriter struct {
 	rw    *RotatingWriter
 	dir   string
 	radio int32
-
-	f  *os.File
-	bw *bufio.Writer
+	f     *os.File
 }
-
-// dirSegmentBufSize buffers each segment file's writes; segments are
-// written once, sequentially.
-const dirSegmentBufSize = 64 * 1024
 
 // NewDirRotatingWriter creates a segment writer for one radio. periodUS is
 // the rotation period in local-clock microseconds.
@@ -89,47 +92,33 @@ func NewDirRotatingWriter(dir string, radio int32, periodUS int64) *DirRotatingW
 	return w
 }
 
-// SetSnapLen sets the per-frame capture limit for subsequent segments.
-func (w *DirRotatingWriter) SetSnapLen(n int) { w.rw.SetSnapLen(n) }
-
 func (w *DirRotatingWriter) openSegment(seg int) (io.Writer, error) {
 	f, err := os.Create(SegmentTracePath(w.dir, w.radio, seg))
 	if err != nil {
 		return nil, err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, dirSegmentBufSize)
-	return w.bw, nil
+	return f, nil
 }
 
-// sealSegment flushes and closes the segment file, then publishes its
-// index sidecar atomically — only after this rename may a tailer read the
-// segment.
+// sealSegment closes the segment file, then publishes its index sidecar
+// atomically — only after this rename does a tailer leave the segment.
 func (w *DirRotatingWriter) sealSegment(seg int, idx []IndexEntry) error {
-	if err := w.bw.Flush(); err != nil {
-		_ = w.f.Close() // best-effort cleanup; the flush error is what matters
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.f, w.bw = nil, nil
-	final := SegmentIndexPath(w.dir, w.radio, seg)
-	tmp := final + ".tmp"
-	tf, err := os.Create(tmp)
+	err := w.f.Close()
+	w.f = nil
 	if err != nil {
 		return err
 	}
-	if err := WriteIndex(tf, idx); err != nil {
-		_ = tf.Close() // best-effort cleanup; the write error is what matters
-		os.Remove(tmp)
+	var buf bytes.Buffer
+	if err := WriteIndex(&buf, idx); err != nil {
 		return err
 	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
+	final := SegmentIndexPath(w.dir, w.radio, seg)
+	if err := os.WriteFile(final+".tmp", buf.Bytes(), 0o644); err != nil {
+		os.Remove(final + ".tmp")
 		return err
 	}
-	return os.Rename(tmp, final)
+	return os.Rename(final+".tmp", final)
 }
 
 // WriteRecord appends a record, sealing and rotating segments as its
@@ -143,152 +132,112 @@ func (w *DirRotatingWriter) Close() error { return w.rw.Close() }
 func (w *DirRotatingWriter) Segments() int { return w.rw.Segments() }
 
 // MarkCaptureDone drops the capture-complete marker into dir, telling
-// tailers that no further segments will appear.
+// tailers that nothing further will be written.
 func MarkCaptureDone(dir string) error {
-	f, err := os.Create(filepath.Join(dir, CaptureDoneName))
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(filepath.Join(dir, CaptureDoneName), nil, 0o644)
 }
 
-// TailSet tracks the sealed segments of a live trace directory and serves
-// each radio as one endless Source. Scan (driven by the caller — jigd
-// polls it on a timer, tests call it directly) registers newly sealed
-// segments; readers obtained through TraceSet block, without polling
-// themselves, until Scan publishes the segment they need or the capture
-// ends. A segment is registered only when sealed (its .idx sidecar exists)
-// and only in consecutive order per radio, so an in-progress or truncated
-// segment file is skipped and picked up on a later Scan once sealed.
+// TailCounters is what a TailSet's readers have done so far, as /metrics
+// serves it; BlockedTicks times the Scan interval is the wall time spent
+// waiting on data. ROADMAP item 1's core.StageStats will absorb these.
+type TailCounters struct {
+	OpenBlocks   int64 `json:"tail_open_blocks"`   // blocks read from segments not yet sealed
+	SealedBlocks int64 `json:"tail_sealed_blocks"` // blocks read from sealed segments
+	BlockedTicks int64 `json:"tail_blocked_ticks"` // times a reader parked until the next Scan
+	TornBytes    int64 `json:"tail_torn_bytes"`    // bytes of incomplete last blocks dropped at end of capture
+}
+
+// TailSet serves each radio of a live trace directory as one endless
+// Source. Its readers (obtained through TraceSet) read segments in name
+// order, the complete blocks of an unsealed segment included, and leave a
+// segment only once its sidecar says it is final — an unsealed predecessor
+// holds back a sealed successor, so records are never skipped. A reader out
+// of bytes parks, without polling, until the caller's next Scan (jigd's
+// ticker; tests call it directly) sends it back to its own file, or the
+// capture ends.
 type TailSet struct {
 	dir string
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	sealed  map[int32][]string       // per radio, consecutive sealed segment paths
-	pending map[int32]map[int]string // sealed out of order, awaiting predecessors
-	done    bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	gen  uint64 // Scans and Finishes so far; parked readers wait for it to move
+	done bool
+
+	openBlocks, sealedBlocks, blockedTicks, tornBytes atomic.Int64
 }
 
-// NewTailSet tails dir. Call Scan to pick up segments.
+// NewTailSet tails dir.
 func NewTailSet(dir string) *TailSet {
-	t := &TailSet{
-		dir:     dir,
-		sealed:  make(map[int32][]string),
-		pending: make(map[int32]map[int]string),
-	}
+	t := &TailSet{dir: dir}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
 
-// Scan reads the directory once, registering every newly sealed segment
-// and noticing the capture-done marker. It reports whether anything new
-// was published (segments or the end of capture).
-func (t *TailSet) Scan() (progress bool, err error) {
-	entries, err := os.ReadDir(t.dir)
-	if err != nil {
+// Scan is the tailer's tick: it looks for the capture-done marker and wakes
+// the parked readers, each of which knows the one file it is waiting on. It
+// reports whether the capture has ended.
+func (t *TailSet) Scan() (done bool, err error) {
+	_, err = os.Stat(filepath.Join(t.dir, CaptureDoneName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return false, fmt.Errorf("tracefile: tail scan: %w", err)
 	}
-	var doneSeen bool
-	type seen struct {
-		radio int32
-		seg   int
-		name  string
-	}
-	var found []seen
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if e.Name() == CaptureDoneName {
-			doneSeen = true
-			continue
-		}
-		radio, seg, ok := ParseSegmentName(e.Name())
-		if !ok {
-			continue
-		}
-		found = append(found, seen{radio, seg, e.Name()})
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range found {
-		if s.seg < len(t.sealed[s.radio]) {
-			continue // already published
-		}
-		if p := t.pending[s.radio]; p != nil {
-			if _, ok := p[s.seg]; ok {
-				continue // already noticed, predecessor still unsealed
-			}
-		}
-		// Sealed means the index sidecar exists; the segment file alone
-		// may still be growing (or be a truncated crash leftover).
-		if _, serr := os.Stat(SegmentIndexPath(t.dir, s.radio, s.seg)); serr != nil {
-			continue
-		}
-		p := t.pending[s.radio]
-		if p == nil {
-			p = make(map[int]string)
-			t.pending[s.radio] = p
-		}
-		p[s.seg] = filepath.Join(t.dir, s.name)
-	}
-	// Publish in consecutive segment order per radio (sorted radio walk:
-	// registration order must not depend on map iteration).
-	radios := make([]int32, 0, len(t.pending))
-	for r := range t.pending {
-		radios = append(radios, r)
-	}
-	sort.Slice(radios, func(i, j int) bool { return radios[i] < radios[j] })
-	for _, r := range radios {
-		p := t.pending[r]
-		for {
-			path, ok := p[len(t.sealed[r])]
-			if !ok {
-				break
-			}
-			delete(p, len(t.sealed[r]))
-			t.sealed[r] = append(t.sealed[r], path)
-			progress = true
-		}
-	}
-	if doneSeen && !t.done {
-		t.done = true
-		progress = true
-	}
-	if progress {
-		t.cond.Broadcast()
-	}
-	return progress, nil
+	return t.wake(err == nil), nil
 }
 
-// Finish marks the capture over (e.g. on SIGTERM): blocked readers drain
-// the sealed segments they have and return io.EOF. Idempotent.
-func (t *TailSet) Finish() {
+// Finish marks the capture over (e.g. on SIGTERM): readers drain the whole
+// blocks that are there and return io.EOF. Idempotent.
+func (t *TailSet) Finish() { t.wake(true) }
+
+func (t *TailSet) wake(done bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.done {
-		t.done = true
-		t.cond.Broadcast()
+	t.done = t.done || done
+	t.gen++
+	t.cond.Broadcast()
+	return t.done
+}
+
+// state returns the wake generation and whether the capture has ended. A
+// reader takes it before it probes its file: a wake during the probe counts.
+func (t *TailSet) state() (gen uint64, done bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.gen, t.done
+}
+
+// park blocks until a Scan or Finish after the state call that returned gen.
+func (t *TailSet) park(gen uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.gen == gen {
+		t.blockedTicks.Add(1)
+		t.cond.Wait()
 	}
 }
 
 // Done reports whether the capture has ended (marker scanned or Finish
 // called).
 func (t *TailSet) Done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done
+	_, done := t.state()
+	return done
 }
 
-// Radios lists the radios with at least one sealed segment, ascending.
+// Counters returns the readers' counters.
+func (t *TailSet) Counters() TailCounters {
+	return TailCounters{OpenBlocks: t.openBlocks.Load(), SealedBlocks: t.sealedBlocks.Load(),
+		BlockedTicks: t.blockedTicks.Load(), TornBytes: t.tornBytes.Load()}
+}
+
+// Radios lists the directory once and returns the radios whose first
+// segment file exists, sealed or not, ascending. A directory that cannot be
+// listed (a capture that has not created it yet) has none.
 func (t *TailSet) Radios() []int32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]int32, 0, len(t.sealed))
-	for r := range t.sealed {
-		out = append(out, r)
+	entries, _ := os.ReadDir(t.dir)
+	var out []int32
+	for _, e := range entries {
+		if radio, seg, ok := ParseSegmentName(e.Name()); ok && seg == 0 && !e.IsDir() {
+			out = append(out, radio)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -296,97 +245,163 @@ func (t *TailSet) Radios() []int32 {
 
 // SealedSegments returns how many consecutive sealed segments radio has.
 func (t *TailSet) SealedSegments(radio int32) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.sealed[radio])
+	n := 0
+	for fileExists(SegmentIndexPath(t.dir, radio, n)) {
+		n++
+	}
+	return n
 }
 
-// TraceSet fixes the radio roster at the radios currently sealed and
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// TraceSet fixes the radio roster at the radios present now (Radios) and
 // returns a set whose per-radio streams are endless tails: every Open
-// starts at segment 0 and reads through the sealed segments, blocking at
-// the frontier until more seal or the capture ends. Radios whose first
-// segment seals only after this call are not part of the set.
+// starts at segment 0 and reads through the segments, blocking where the
+// written blocks end until more are written or the capture ends. Radios
+// whose first segment appears only after this call are not part of the set.
 func (t *TailSet) TraceSet() *TraceSet {
 	sources := make(map[int32]Source)
 	for _, r := range t.Radios() {
-		sources[r] = &tailSource{t: t, radio: r}
+		sources[r] = sourceFunc(func() (io.ReadCloser, error) { return &tailReader{t: t, radio: r}, nil })
 	}
 	return &TraceSet{sources: sources, dir: t.dir}
 }
 
-// tailSource adapts one radio's sealed-segment sequence to Source.
-type tailSource struct {
-	t     *TailSet
-	radio int32
-}
+// sourceFunc is a Source made of its Open.
+type sourceFunc func() (io.ReadCloser, error)
 
-// Open implements Source; safe for concurrent Opens (the pipeline opens
-// each trace twice).
-func (s *tailSource) Open() (io.ReadCloser, error) {
-	return &tailReader{t: s.t, radio: s.radio}, nil
-}
+func (f sourceFunc) Open() (io.ReadCloser, error) { return f() }
 
-// waitSegment blocks until segment i of radio is sealed (returning its
-// path) or the capture is over with no such segment (ok == false).
-func (t *TailSet) waitSegment(radio int32, i int) (path string, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		if i < len(t.sealed[radio]) {
-			return t.sealed[radio][i], true
-		}
-		if t.done {
-			return "", false
-		}
-		t.cond.Wait()
-	}
-}
+// tailBufSize is a tail reader's starting buffer (a 1 s segment of the
+// benchmark's capture in one read); it doubles while a block does not fit.
+const tailBufSize = 16 * 1024
 
-// tailReader streams one radio's capture across its sealed segments,
-// blocking at the sealed frontier.
+// tailReader streams one radio's capture across its segments in whole
+// blocks: Read serves only bytes up to the last complete block read from the
+// file, so the block.Reader above it never sees a block the writer is still
+// in the middle of (or that a crash tore).
 type tailReader struct {
 	t     *TailSet
 	radio int32
-	i     int // next segment index
-	cur   io.ReadCloser
+	seg   int      // the segment being read
+	f     *os.File // nil until the segment's file has appeared
+	final bool     // the segment's sidecar has been seen: the file will not grow
+	buf   []byte   // bytes read from f; buf[off:ready] is whole blocks not yet served
+	off   int
+	ready int
 }
 
 func (r *tailReader) Read(p []byte) (int, error) {
+	for r.off == r.ready {
+		if err := r.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, r.buf[r.off:r.ready])
+	r.off += n
+	return n, nil
+}
+
+// fill returns once at least one more whole block is buffered, waiting for
+// the writer if it must; io.EOF means the capture ended on a block boundary
+// or with a torn last block, which is dropped and counted.
+func (r *tailReader) fill() error {
+	var gen uint64
+	var done, probed bool
 	for {
-		if r.cur != nil {
-			n, err := r.cur.Read(p)
-			if err == io.EOF && n == 0 {
-				cerr := r.cur.Close()
-				r.cur = nil
-				if cerr != nil {
-					return 0, cerr
-				}
-				continue
-			}
-			if err == io.EOF {
-				err = nil // segment boundary; next Read advances
-			}
-			return n, err
+		if err := r.claim(); err != nil || r.ready > r.off {
+			return err
 		}
-		path, ok := r.t.waitSegment(r.radio, r.i)
-		if !ok {
-			return 0, io.EOF
+		n, err := r.readMore()
+		if err != nil {
+			return err
 		}
-		r.i++
-		cur, err := FileSource(path).Open()
+		torn := len(r.buf) - r.ready
+		switch {
+		case n > 0:
+			probed = false
+		case r.final:
+			if torn > 0 {
+				return fmt.Errorf("radio %d segment %d: sealed with %d bytes of a truncated block: %w", r.radio, r.seg, torn, io.ErrUnexpectedEOF)
+			}
+			_ = r.Close() // only read from
+			r.seg, r.final, probed = r.seg+1, false, false
+		case !probed:
+			// Out of bytes. Look for the sidecar, then read once more: it is
+			// published after the last block, so final and still short is over.
+			gen, done = r.t.state()
+			r.final, probed = fileExists(SegmentIndexPath(r.t.dir, r.radio, r.seg)), true
+		case done:
+			r.t.tornBytes.Add(int64(torn))
+			return io.EOF
+		default:
+			r.t.park(gen)
+			probed = false
+		}
+	}
+}
+
+// claim extends ready over every whole block buffered past it. A header
+// block.ParseHeader rejects ends the stream: its length cannot be trusted.
+func (r *tailReader) claim() error {
+	for len(r.buf)-r.ready >= block.HeaderLen {
+		h, err := block.ParseHeader(r.buf[r.ready:], magic)
+		if err != nil {
+			return fmt.Errorf("radio %d segment %d: %w", r.radio, r.seg, err)
+		}
+		end := r.ready + block.HeaderLen + int(h.CompLen)
+		if end > len(r.buf) {
+			break
+		}
+		r.ready = end
+		if r.final {
+			r.t.sealedBlocks.Add(1)
+		} else {
+			r.t.openBlocks.Add(1)
+		}
+	}
+	return nil
+}
+
+// readMore reads once from the segment file into the buffer, opening the
+// file if it has appeared. Called with nothing left to serve; 0 bytes means
+// the file, if there is one, has no more for now.
+func (r *tailReader) readMore() (int, error) {
+	if r.f == nil {
+		f, err := os.Open(SegmentTracePath(r.t.dir, r.radio, r.seg))
+		if errors.Is(err, fs.ErrNotExist) && !r.final {
+			return 0, nil
+		}
 		if err != nil {
 			return 0, err
 		}
-		r.cur = cur
+		// Before the first read, so the blocks of a segment already sealed
+		// count as such and its end needs no second look.
+		r.f, r.final = f, fileExists(SegmentIndexPath(r.t.dir, r.radio, r.seg))
 	}
+	r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
+	r.off, r.ready = 0, 0
+	if len(r.buf) == cap(r.buf) {
+		// Sized by the bytes a block really has, not by what its header claims.
+		r.buf = append(make([]byte, 0, max(tailBufSize, 2*cap(r.buf))), r.buf...)
+	}
+	n, err := r.f.Read(r.buf[len(r.buf):cap(r.buf)])
+	r.buf = r.buf[:len(r.buf)+n]
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
 }
 
 // Close releases the reader's current segment file, if any.
 func (r *tailReader) Close() error {
-	if r.cur == nil {
+	if r.f == nil {
 		return nil
 	}
-	err := r.cur.Close()
-	r.cur = nil
+	err := r.f.Close()
+	r.f = nil
 	return err
 }

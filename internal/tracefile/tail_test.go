@@ -1,11 +1,17 @@
 package tracefile
 
 import (
+	"bytes"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 func TestParseSegmentName(t *testing.T) {
@@ -36,27 +42,11 @@ func TestParseSegmentName(t *testing.T) {
 // writeSealedSegment writes one sealed segment file + index sidecar.
 func writeSealedSegment(t *testing.T, dir string, radio int32, seg int, recs []Record) {
 	t.Helper()
-	f, err := os.Create(SegmentTracePath(dir, radio, seg))
-	if err != nil {
+	data, idx := segmentBytes(t, recs)
+	if err := os.WriteFile(SegmentTracePath(dir, radio, seg), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := WriteAll(f, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	xf, err := os.Create(SegmentIndexPath(dir, radio, seg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIndex(xf, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := xf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeIndexFile(t, SegmentIndexPath(dir, radio, seg), idx)
 }
 
 func tailRecords(n int, base int64) []Record {
@@ -126,38 +116,150 @@ func TestDirRotatingWriterSealsSegments(t *testing.T) {
 	}
 }
 
+// tailFeed follows one radio of a TailSet from its own goroutine: stamps of
+// the records read arrive on us (buffered past any test's record count, so
+// the reader never waits on the test), the stream's end on end.
+type tailFeed struct {
+	src *RadioSource
+	us  chan int64
+	end chan error
+}
+
+func follow(ts *TailSet, radio int32) *tailFeed {
+	f := &tailFeed{src: ts.TraceSet().Source(radio), us: make(chan int64, 4096), end: make(chan error, 1)}
+	go func() {
+		for {
+			rec, err := f.src.Next()
+			if err != nil {
+				f.end <- err
+				return
+			}
+			f.us <- rec.LocalUS
+		}
+	}()
+	return f
+}
+
+// untilParked waits for the feed's reader to park (the TailSet's parks to
+// pass after) and returns the stamps it read on the way: every send
+// precedes the park, so nothing is still in flight.
+func (f *tailFeed) untilParked(t *testing.T, ts *TailSet, after int64) []int64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ts.Counters().BlockedTicks <= after {
+		if time.Now().After(deadline) {
+			t.Fatal("reader never parked")
+		}
+		runtime.Gosched()
+	}
+	return f.drain()
+}
+
+// untilEnd waits for the stream to end and returns the stamps read since the
+// last call and the error Next ended on.
+func (f *tailFeed) untilEnd(t *testing.T) ([]int64, error) {
+	t.Helper()
+	select {
+	case err := <-f.end:
+		return f.drain(), err
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream never ended")
+		return nil, nil
+	}
+}
+
+func (f *tailFeed) drain() []int64 {
+	var us []int64
+	for {
+		select {
+		case u := <-f.us:
+			us = append(us, u)
+		default:
+			return us
+		}
+	}
+}
+
+func stamps(recs []Record) []int64 {
+	us := make([]int64, len(recs))
+	for i, r := range recs {
+		us[i] = r.LocalUS
+	}
+	return us
+}
+
+// appendFile appends b to an existing file, as a writer that has the segment
+// open would.
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// segmentBytes is recs as one segment's bytes and index.
+func segmentBytes(t *testing.T, recs []Record) ([]byte, []IndexEntry) {
+	t.Helper()
+	var buf bytes.Buffer
+	idx, err := WriteAll(&buf, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), idx
+}
+
+func writeIndexFile(t *testing.T, path string, idx []IndexEntry) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteIndex(f, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTailSetSealedVsActive: a sealed segment is read to its end and counted
+// as sealed; an active successor holding less than one block yields nothing,
+// parks the reader, and at the end of capture is a torn tail — dropped,
+// counted, and not an error.
 func TestTailSetSealedVsActive(t *testing.T) {
 	dir := t.TempDir()
 	writeSealedSegment(t, dir, 1, 0, tailRecords(5, 0))
 	// Segment 1 exists but is unsealed (no sidecar): an in-progress write.
-	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), []byte("partial garbage"), 0o644); err != nil {
+	partial := []byte("partial garbage")
+	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	ts := NewTailSet(dir)
-	if _, err := ts.Scan(); err != nil {
-		t.Fatal(err)
-	}
 	if got := ts.SealedSegments(1); got != 1 {
 		t.Fatalf("sealed segments = %d, want 1 (active segment must not count)", got)
 	}
-	set := ts.TraceSet()
-	rc, err := set.Open(1)
-	if err != nil {
-		t.Fatal(err)
+	f := follow(ts, 1)
+	if got := f.untilParked(t, ts, 0); len(got) != 5 {
+		t.Fatalf("read %d records before parking, want the sealed segment's 5", len(got))
 	}
-	defer rc.Close()
-	r := NewReader(rc)
-	for i := 0; i < 5; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-	}
-	// The reader is now at the sealed frontier. Finish and expect a clean
-	// EOF — the truncated active segment must never be read.
 	ts.Finish()
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("err = %v, want EOF at sealed frontier", err)
+	if got, err := f.untilEnd(t); err != io.EOF || len(got) != 0 {
+		t.Fatalf("after Finish: %d records, err %v; want a clean EOF and nothing of the partial block", len(got), err)
+	}
+	if err := f.src.Err(); err != nil {
+		t.Fatalf("RadioSource.Err() = %v, want nil: a torn tail is not a failure", err)
+	}
+	c := ts.Counters()
+	if c.SealedBlocks != 1 || c.OpenBlocks != 0 || c.TornBytes != int64(len(partial)) || c.BlockedTicks != 1 {
+		t.Fatalf("counters = %+v, want 1 sealed block, 0 open, %d torn bytes, 1 blocked tick", c, len(partial))
 	}
 }
 
@@ -212,52 +314,55 @@ func TestTailSetPicksUpNewSegments(t *testing.T) {
 	}
 }
 
+// TestTailSetTruncatedSegmentSkippedThenPickedUp: a sealed segment behind an
+// unsealed, stalled one is held back — nothing of it is read however often
+// the reader is woken — and is picked up, in order, once the writer finishes
+// the stalled segment and publishes its sidecar.
 func TestTailSetTruncatedSegmentSkippedThenPickedUp(t *testing.T) {
 	dir := t.TempDir()
 	writeSealedSegment(t, dir, 1, 0, tailRecords(2, 0))
-	// Segment 1: a truncated crash leftover with no sidecar.
-	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), []byte{0x4a, 0x49}, 0o644); err != nil {
+	// Segment 1: the writer stalled two bytes into its only block.
+	seg1, idx1 := segmentBytes(t, tailRecords(2, 1_000_000))
+	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), seg1[:2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Segment 2 sealed *before* segment 1: must be held back until its
-	// predecessor seals, or the stream would skip records.
+	// predecessor is final, or the stream would skip records.
 	writeSealedSegment(t, dir, 1, 2, tailRecords(2, 2_000_000))
 
 	ts := NewTailSet(dir)
-	if _, err := ts.Scan(); err != nil {
-		t.Fatal(err)
-	}
 	if got := ts.SealedSegments(1); got != 1 {
 		t.Fatalf("sealed segments = %d, want 1 (gap at unsealed segment 1)", got)
 	}
+	f := follow(ts, 1)
+	got := f.untilParked(t, ts, 0)
+	for tick := int64(1); tick <= 3; tick++ {
+		if _, err := ts.Scan(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f.untilParked(t, ts, tick)...)
+	}
+	if len(got) != 2 || got[1] >= 1_000_000 {
+		t.Fatalf("read %v while segment 1 was stalled, want only segment 0's two records", got)
+	}
 
-	// The writer recovers: segment 1 is rewritten completely and sealed.
-	writeSealedSegment(t, dir, 1, 1, tailRecords(2, 1_000_000))
-	progress, err := ts.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !progress {
-		t.Fatal("scan after sealing reported no progress")
-	}
+	// The writer recovers: the rest of segment 1 lands, then its sidecar.
+	appendFile(t, SegmentTracePath(dir, 1, 1), seg1[2:])
+	writeIndexFile(t, SegmentIndexPath(dir, 1, 1), idx1)
 	if got := ts.SealedSegments(1); got != 3 {
-		t.Fatalf("sealed segments = %d, want 3 (gap closed, successor published)", got)
+		t.Fatalf("sealed segments = %d, want 3 (gap closed)", got)
 	}
 	ts.Finish()
-	rc, err := ts.TraceSet().Open(1)
-	if err != nil {
-		t.Fatal(err)
+	rest, err := f.untilEnd(t)
+	if err != io.EOF {
+		t.Fatalf("err = %v, want EOF", err)
 	}
-	defer rc.Close()
-	recs, err := ReadAll(rc)
-	if err != nil {
-		t.Fatal(err)
+	got = append(got, rest...)
+	if len(got) != 6 {
+		t.Fatalf("read %d records, want 6 in order across the healed gap", len(got))
 	}
-	if len(recs) != 6 {
-		t.Fatalf("read %d records, want 6 in order across the healed gap", len(recs))
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].LocalUS < recs[i-1].LocalUS {
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
 			t.Fatal("records out of order across segments")
 		}
 	}
@@ -287,5 +392,292 @@ func TestTailSetRosterFixedAtTraceSet(t *testing.T) {
 	}
 	if _, err := ts.Scan(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// liveRecord is radio 4's record stamped us.
+func liveRecord(us int64) Record {
+	return Record{LocalUS: us, RadioID: 4, Frame: []byte{byte(us), byte(us >> 8), byte(us >> 16), 7}, Flags: FlagFCSOK}
+}
+
+// TestTailOpenSegmentReadable: records written through a DirRotatingWriter
+// inside one segment period and never Closed are readable block by block —
+// a tail reader returns every record of every closed block, then parks;
+// there is no sidecar anywhere.
+func TestTailOpenSegmentReadable(t *testing.T) {
+	dir := t.TempDir()
+	w := NewDirRotatingWriter(dir, 4, 60_000_000)
+	// 1 s at 10 ms spacing: ten block ages, nine closed blocks of ten
+	// records, the tenth block pending in the writer.
+	for us := int64(0); us < 1_000_000; us += 10_000 {
+		if err := w.WriteRecord(liveRecord(us)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := NewTailSet(dir)
+	if n := ts.SealedSegments(4); n != 0 {
+		t.Fatalf("%d sealed segments before Close", n)
+	}
+	f := follow(ts, 4)
+	got := f.untilParked(t, ts, 0)
+	if len(got) != 90 || got[0] != 0 || got[89] != 890_000 {
+		t.Fatalf("read %d records of the open segment (last %v), want the 90 in closed blocks", len(got), got[max(0, len(got)-1):])
+	}
+	if c := ts.Counters(); c.OpenBlocks != 9 || c.SealedBlocks != 0 {
+		t.Fatalf("counters = %+v, want 9 open blocks", c)
+	}
+	// Close writes the pending block and seals; the reader picks it up and
+	// parks again at the segment that does not exist yet.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.untilParked(t, ts, 1); len(got) != 10 || got[9] != 990_000 {
+		t.Fatalf("after the seal read %v, want the last block's ten records", got)
+	}
+	ts.Finish()
+	if got, err := f.untilEnd(t); err != io.EOF || len(got) != 0 {
+		t.Fatalf("end of capture: %d records, err %v", len(got), err)
+	}
+}
+
+// readable is what a tailer can read of radio's capture in dir right now.
+func readable(t *testing.T, dir string, radio int32) []int64 {
+	t.Helper()
+	ts := NewTailSet(dir)
+	ts.Finish()
+	rc, err := ts.TraceSet().Open(radio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	recs, err := ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stamps(recs)
+}
+
+// TestTailAvailabilityBound is the property the live lag rests on, in trace
+// time: once the writer has accepted a record stamped t, every earlier
+// record of that radio stamped before t − LiveBlockUS is readable, across
+// block closes and segment rotations alike.
+func TestTailAvailabilityBound(t *testing.T) {
+	dir := t.TempDir()
+	w := NewDirRotatingWriter(dir, 4, 1_000_000)
+	gaps := []int64{3_000, 17_000, 41_000, 97_000, 5_000, 230_000, 1_000, 99_999, 100_000, 60_000}
+	var written []int64
+	for i, us := 0, int64(500); us < 4_000_000; i, us = i+1, us+gaps[i%len(gaps)] {
+		if err := w.WriteRecord(liveRecord(us)); err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, us)
+		got := readable(t, dir, 4)
+		for j, u := range got {
+			if u != written[j] {
+				t.Fatalf("after t=%d: readable[%d] = %d, written %d", us, j, u, written[j])
+			}
+		}
+		if len(got) < len(written) && written[len(got)] < us-LiveBlockUS {
+			t.Fatalf("after t=%d: the record stamped %d is %d us old and not readable", us, written[len(got)], us-written[len(got)])
+		}
+	}
+	if w.Segments() < 4 {
+		t.Fatalf("only %d segments: rotation did not engage", w.Segments())
+	}
+}
+
+// TestTailTornTail: a capture that ends with a valid header and half a
+// payload at the end of an unsealed segment delivers the complete blocks
+// and a clean EOF; the torn bytes are counted, not an error.
+func TestTailTornTail(t *testing.T) {
+	dir := t.TempDir()
+	w := NewDirRotatingWriter(dir, 4, 60_000_000)
+	for us := int64(0); us <= 300_000; us += 20_000 {
+		if err := w.WriteRecord(liveRecord(us)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three closed blocks of five records are in the file. The crash: the
+	// fourth got as far as its header and half its payload.
+	blk, _ := segmentBytes(t, []Record{liveRecord(310_000), liveRecord(320_000), liveRecord(330_000)})
+	torn := blk[:block.HeaderLen+(len(blk)-block.HeaderLen)/2]
+	appendFile(t, SegmentTracePath(dir, 4, 0), torn)
+
+	ts := NewTailSet(dir)
+	ts.Finish()
+	src := ts.TraceSet().Source(4)
+	var got []int64
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d records: %v", len(got), err)
+		}
+		got = append(got, rec.LocalUS)
+	}
+	if len(got) != 15 || got[14] != 280_000 {
+		t.Fatalf("read %d records (last %v), want the 15 of the complete blocks", len(got), got[max(0, len(got)-1):])
+	}
+	if err := src.Err(); err != nil {
+		t.Fatalf("RadioSource.Err() = %v, want nil", err)
+	}
+	if c := ts.Counters(); c.TornBytes != int64(len(torn)) || c.OpenBlocks != 3 {
+		t.Fatalf("counters = %+v, want %d torn bytes after 3 open blocks", c, len(torn))
+	}
+}
+
+// TestTailSealRace: the sidecar is published after the last block, so a
+// reader parked at the end of an unsealed segment, woken to find both a new
+// final block and the sidecar, reads the block before it moves on.
+func TestTailSealRace(t *testing.T) {
+	dir := t.TempDir()
+	first, _ := segmentBytes(t, tailRecords(3, 0))
+	last, _ := segmentBytes(t, tailRecords(2, 500_000))
+	_, idx := segmentBytes(t, append(tailRecords(3, 0), tailRecords(2, 500_000)...))
+	if err := os.WriteFile(SegmentTracePath(dir, 1, 0), first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeSealedSegment(t, dir, 1, 1, tailRecords(2, 1_000_000))
+
+	ts := NewTailSet(dir)
+	f := follow(ts, 1)
+	if got := f.untilParked(t, ts, 0); len(got) != 3 {
+		t.Fatalf("read %d records of the unsealed segment, want 3", len(got))
+	}
+	appendFile(t, SegmentTracePath(dir, 1, 0), last)
+	writeIndexFile(t, SegmentIndexPath(dir, 1, 0), idx)
+	if _, err := ts.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	got := f.untilParked(t, ts, 1)
+	want := []int64{500_000, 501_000, 1_000_000, 1_001_000}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the seal read %v, want %v: the final block, then the next segment", got, want)
+	}
+	ts.Finish()
+	if _, err := f.untilEnd(t); err != io.EOF {
+		t.Fatalf("err = %v, want EOF", err)
+	}
+}
+
+// TestTailGapNeverSkipped: at the end of capture an unsealed segment still
+// holds its sealed successor back — its own whole blocks are delivered,
+// nothing after them.
+func TestTailGapNeverSkipped(t *testing.T) {
+	dir := t.TempDir()
+	writeSealedSegment(t, dir, 1, 0, tailRecords(2, 0))
+	stalled, _ := segmentBytes(t, tailRecords(2, 1_000_000))
+	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), stalled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeSealedSegment(t, dir, 1, 2, tailRecords(2, 2_000_000))
+
+	want := []int64{0, 1_000, 1_000_000, 1_001_000}
+	if got := readable(t, dir, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %v, want %v: segment 2 waits for segment 1's sidecar", got, want)
+	}
+}
+
+// TestTailFinishUnblocksParkedReader: Finish ends a parked reader's stream
+// cleanly and its goroutine with it. Run with -race -count=5.
+func TestTailFinishUnblocksParkedReader(t *testing.T) {
+	dir := t.TempDir()
+	writeSealedSegment(t, dir, 1, 0, tailRecords(3, 0))
+	before := runtime.NumGoroutine()
+	ts := NewTailSet(dir)
+	f := follow(ts, 1)
+	f.untilParked(t, ts, 0)
+	ts.Finish()
+	if _, err := f.untilEnd(t); err != io.EOF {
+		t.Fatalf("err = %v, want EOF", err)
+	}
+	ts.Finish() // idempotent
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the reader started", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestDirRotatingWriterIndexDescribesBlocks reads each sidecar back against
+// its file: offsets walk the file exactly, counts sum to the records in it,
+// and every block's stamps are its own — a time-closed block ends at the
+// record before the one that closed it.
+func TestDirRotatingWriterIndexDescribesBlocks(t *testing.T) {
+	dir := t.TempDir()
+	w := NewDirRotatingWriter(dir, 4, 1_000_000)
+	for us := int64(0); us < 3_000_000; us += 7_000 {
+		if err := w.WriteRecord(liveRecord(us)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < w.Segments(); seg++ {
+		data, err := os.ReadFile(SegmentTracePath(dir, 4, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xf, err := os.Open(SegmentIndexPath(dir, 4, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := ReadIndex(xf)
+		xf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) < 9 {
+			t.Fatalf("segment %d: %d blocks for a second of records, want one per LiveBlockUS", seg, len(idx))
+		}
+		var off int64
+		for i, e := range idx {
+			if e.Offset != off {
+				t.Fatalf("segment %d block %d at offset %d, previous block ended at %d", seg, i, e.Offset, off)
+			}
+			off += block.HeaderLen + int64(e.CompLen)
+			recs, err := ReadAll(bytes.NewReader(data[e.Offset:off]))
+			if err != nil {
+				t.Fatalf("segment %d block %d: %v", seg, i, err)
+			}
+			if len(recs) != int(e.Records) || recs[0].LocalUS != e.FirstLocalUS || recs[len(recs)-1].LocalUS != e.LastLocalUS {
+				t.Fatalf("segment %d block %d: index says %d records %d..%d, block holds %d records %d..%d", seg, i,
+					e.Records, e.FirstLocalUS, e.LastLocalUS, len(recs), recs[0].LocalUS, recs[len(recs)-1].LocalUS)
+			}
+			if e.FirstLocalUS > e.LastLocalUS || (i+1 < len(idx) && e.LastLocalUS >= idx[i+1].FirstLocalUS) {
+				t.Fatalf("segment %d block %d spans %d..%d, next starts %d", seg, i, e.FirstLocalUS, e.LastLocalUS, idx[i+1].FirstLocalUS)
+			}
+		}
+		if off != int64(len(data)) {
+			t.Fatalf("segment %d: index ends at %d, file at %d", seg, off, len(data))
+		}
+	}
+}
+
+// TestTailBlockLargerThanBuffer: a block several times the reader's starting
+// buffer (incompressible frames fill a block.Target block) reads back whole.
+func TestTailBlockLargerThanBuffer(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, 400)
+	for i := range recs {
+		recs[i] = liveRecord(int64(i) * 1000)
+		recs[i].Frame = make([]byte, 200)
+		rng.Read(recs[i].Frame)
+	}
+	writeSealedSegment(t, dir, 4, 0, recs)
+	if fi, err := os.Stat(SegmentTracePath(dir, 4, 0)); err != nil || fi.Size() < 4*tailBufSize {
+		t.Fatalf("segment file: %v, %v; want blocks well past tailBufSize", fi, err)
+	}
+	if got := readable(t, dir, 4); !reflect.DeepEqual(got, stamps(recs)) {
+		t.Fatalf("read %d of %d records", len(got), len(recs))
 	}
 }

@@ -93,12 +93,13 @@ type IndexEntry struct {
 // Writer serializes records into compressed blocks. It is not safe for
 // concurrent use; the capture path is single-threaded per radio.
 type Writer struct {
-	bw      *block.Writer
-	offset  int64
-	lastUS  int64
-	index   []IndexEntry
-	snapLen int
-	closed  bool
+	bw         *block.Writer
+	offset     int64
+	lastUS     int64 // stamp of the pending block's last record
+	blockAgeUS int64
+	index      []IndexEntry
+	snapLen    int
+	closed     bool
 }
 
 // NewWriter creates a trace writer with the default snap length.
@@ -109,11 +110,22 @@ func NewWriter(w io.Writer) *Writer {
 // SetSnapLen overrides the per-frame capture byte limit (0 = unlimited).
 func (w *Writer) SetSnapLen(n int) { w.snapLen = n }
 
+// SetBlockAge makes the writer also close a block when a record arrives
+// stamped us or more after the block's first (0, the default: by size alone).
+// No timer: an idle radio's block stays open until its next record or Close.
+func (w *Writer) SetBlockAge(us int64) { w.blockAgeUS = us }
+
 // WriteRecord appends one record, flushing a block when the target size is
-// reached.
+// reached, and first the pending block if the record finds it past its age.
 func (w *Writer) WriteRecord(r Record) error {
 	if w.closed {
 		return errors.New("tracefile: writer closed")
+	}
+	// The pending block's first stamp is its first eight bytes (layout below).
+	if w.blockAgeUS > 0 && len(w.bw.Raw) > 0 && r.LocalUS-int64(binary.LittleEndian.Uint64(w.bw.Raw)) >= w.blockAgeUS {
+		if err := w.flushBlock(); err != nil {
+			return err
+		}
 	}
 	frame := r.Frame
 	if r.OrigLen == 0 {
