@@ -8,11 +8,13 @@
 //
 // Endpoints: /healthz (readiness), /summary (cumulative pipeline stats),
 // /reports/<pass> (latest closed-window report, jiganalyze -json rows),
-// /metrics (frames/sec, watermark lag, heap, tail counters). Analysis state
-// is bounded: every window gets a fresh set of passes, finalized and dropped
-// when the window closes, so heap stays flat no matter how long the capture
-// runs. Radios the bootstrap could not synchronize are never read; they are
-// logged once and listed in /summary's unsynced_radios.
+// /metrics (frames/sec, watermark and complete lag, late events, heap, tail
+// counters). A window closes once the pipeline reports its streams complete
+// past the window's end (core.Result.CompleteUS, every serve.ProgressEveryUS
+// of trace time): there is no slack to set. Analysis state is bounded: every
+// window gets a fresh set of passes, finalized and dropped when it closes, so
+// heap stays flat however long the capture runs. Radios the bootstrap could
+// not synchronize are logged once and listed in /summary's unsynced_radios.
 //
 // SIGINT/SIGTERM drains the pipeline, closes the trailing window and exits
 // cleanly; when the capture marks itself done, jigd finishes the trace and
@@ -49,7 +51,6 @@ func main() {
 		dir     = flag.String("dir", "", "capture directory to tail (required)")
 		addr    = flag.String("http", "localhost:8970", "HTTP listen address")
 		window  = flag.Duration("window", 5*time.Second, "analysis window length in trace time")
-		slack   = flag.Duration("slack", time.Duration(serve.DefaultSlackUS)*time.Microsecond, "frontier slack before a window closes (covers pipeline reordering)")
 		poll    = flag.Duration("poll", 10*time.Millisecond, "interval at which a reader waiting for data looks at its segment file again")
 		passesF = flag.String("passes", "all", "which analyses to serve (comma-separated, or 'all')")
 		workers = flag.Int("workers", 1, "pipeline workers, passed to core.Config.Workers (1 = inline, otherwise the three-stage pipeline; 0 = GOMAXPROCS)")
@@ -63,7 +64,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *dir, *addr, *window, *slack, *poll, *passesF, *workers); err != nil {
+	if err := run(ctx, *dir, *addr, *window, *poll, *passesF, *workers); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -114,7 +115,7 @@ func waitRoster(ctx context.Context, dir string, roster []int32, poll time.Durat
 	}
 }
 
-func run(ctx context.Context, dir, addr string, window, slack, poll time.Duration, selector string, workers int) error {
+func run(ctx context.Context, dir, addr string, window, poll time.Duration, selector string, workers int) error {
 	meta, err := waitMeta(ctx, dir, poll)
 	if err != nil {
 		return err
@@ -153,7 +154,6 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 	warned := false
 	mon, err = serve.NewMonitor(serve.MonitorConfig{
 		WindowUS: window.Microseconds(),
-		SlackUS:  slack.Microseconds(),
 		Passes:   passes,
 		OnWindow: func(endUS int64) {
 			if u := mon.Summary().UnsyncedRadios; len(u) > 0 && !warned {
@@ -201,7 +201,7 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = workers
-	ccfg.SnapshotEveryUS = window.Microseconds()
+	ccfg.SnapshotEveryUS = serve.ProgressEveryUS
 	ccfg.Passes = []core.Pass{mon}
 	res, err := core.RunFrom(tail.TraceSet(), meta.ClockGroups, ccfg, nil)
 	if err != nil {
@@ -209,7 +209,7 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	mon.Flush()
-	log.Printf("pipeline drained: %d jframes, %d windows served", res.UnifyStats.JFrames, mon.Summary().WindowsClosed)
+	log.Printf("pipeline drained: %d jframes, %d windows served, %d late events", res.UnifyStats.JFrames, mon.Summary().WindowsClosed, mon.Metrics().LateEvents)
 
 	// Natural end of capture: keep serving the final reports until
 	// signalled. On a signal the context is already done and we shut down

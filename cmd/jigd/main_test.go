@@ -79,7 +79,7 @@ func startDaemon(t *testing.T, dir string) *daemon {
 	d.cancel = cancel
 	t.Cleanup(cancel)
 	go func() {
-		d.done <- run(ctx, dir, d.addr, 2*time.Second, time.Second, 10*time.Millisecond, "all", 1)
+		d.done <- run(ctx, dir, d.addr, 2*time.Second, 10*time.Millisecond, "all", 1)
 	}()
 	return d
 }

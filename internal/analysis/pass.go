@@ -269,12 +269,13 @@ func CorePasses(passes []Pass) []core.Pass {
 	return out
 }
 
-// emitSlackUS bounds the unifier's local emission-order inversion: a
-// jframe can be emitted after another whose UnivUS is up to roughly the
-// unification search window (default 10 ms) later. Deferring an exchange
-// until the jframe frontier clears CloseUS + emitSlackUS therefore
-// guarantees every jframe with UnivUS <= CloseUS has been observed, making
-// sliding-window overlap queries identical to whole-trace-index ones.
+// emitSlackUS is a guess at the unifier's local emission-order inversion: a
+// jframe can be emitted after another stamped later (measured: by 363 µs at
+// most on scenario.Default(), 0 on four other captures — unify's
+// TestFloorBoundsEveryLaterJFrame; unify.Unifier.FloorUS is the bound that
+// needs no guess). Deferring an exchange until the jframe frontier clears
+// CloseUS + emitSlackUS means every jframe with UnivUS <= CloseUS has been
+// observed, so sliding-window overlap queries equal whole-trace-index ones.
 const emitSlackUS = 100_000
 
 // exchangeDeferral holds exchanges (which arrive in canonical close order)

@@ -73,15 +73,18 @@ type Config struct {
 	// passes satisfy this interface.
 	Passes []Pass
 	// SnapshotEveryUS, when > 0, re-delivers the run's aggregate result
-	// (unify/llc/transport stats) to every ResultSink pass each time the
-	// reconstruction watermark advances this far — the live-monitoring
-	// hook: result-derived report fields stay current while the run is
-	// still in flight instead of materializing only at the end. Snapshot
-	// points sit at the same places in the product stream at every Workers
-	// setting; the unify counters a pipelined snapshot carries are those of
-	// the stream's current slab, so they may run up to a slab ahead of the
-	// inline ones. The final SetResult before RunFrom returns still happens
-	// either way.
+	// (unify/llc/transport stats, and Result.CompleteUS: how far the product
+	// streams are complete) to every ResultSink pass each time the
+	// reconstruction watermark advances this far — the live-monitoring hook:
+	// a consumer learns in flight what it may act on, and result-derived
+	// report fields stay current. A snapshot costs one O(radios) scan of the
+	// stream's heads (jigd asks once per search window); the watermark
+	// advances only on FCS-valid jframes. Snapshot points sit at the same
+	// places in the product stream at every Workers setting; a pipelined one
+	// carries the stream's current slab's view, so its unify counters may run
+	// up to a slab ahead of the inline ones and its CompleteUS a slab behind.
+	// The final SetResult before RunFrom returns happens either way; with 0
+	// it is the only one and the stream is never asked for its floor.
 	SnapshotEveryUS int64
 }
 
@@ -186,6 +189,12 @@ type Result struct {
 	LLCStats   llc.Stats
 	Transport  *transport.Analyzer
 	Dispersion DispersionHistogram
+	// CompleteUS is how far the two product streams are complete: every
+	// jframe stamped below it and every exchange closed below it has been
+	// delivered. At a snapshot point (Config.SnapshotEveryUS) it is the
+	// smaller of the jframe stream's floor and the reconstructor's watermark,
+	// lower bounds by construction; in the final result, math.MaxInt64.
+	CompleteUS int64
 }
 
 // RunFrom executes the full pipeline over a TraceSet, streaming each
@@ -298,6 +307,9 @@ type jframeStream interface {
 	// Stats returns the stream's unification counters, current at least up
 	// to the last frame Next returned.
 	Stats() unify.Stats
+	// FloorUS returns a lower bound on the UnivUS of every jframe Next has
+	// yet to return. Only snapshot points ask.
+	FloorUS() int64
 }
 
 // unifierStream is the flat path's stage 1.
@@ -305,6 +317,7 @@ type unifierStream struct{ u *unify.Unifier }
 
 func (s unifierStream) Next() (*unify.JFrame, error) { return s.u.Next() }
 func (s unifierStream) Stats() unify.Stats           { return s.u.Stats }
+func (s unifierStream) FloorUS() int64               { return s.u.FloorUS() }
 
 // event is one item of the stream stage 2 hands stage 3; exactly one field
 // is set.
@@ -314,10 +327,12 @@ type event struct {
 	snap *snapshot     // re-deliver the result as of this point
 }
 
-// snapshot is the upstream stages' counters at one point of the stream.
+// snapshot is the upstream stages' counters at one point of the stream, and
+// how far what was emitted before it is complete (Result.CompleteUS).
 type snapshot struct {
-	unify unify.Stats
-	llc   llc.Stats
+	unify      unify.Stats
+	llc        llc.Stats
+	completeUS int64
 }
 
 // reconstruct is stage 2 over stage 1: it drains src through one
@@ -360,14 +375,16 @@ func reconstruct(src jframeStream, snapEveryUS int64, emit func(event)) (snapsho
 		release(wm)
 		if snapEveryUS > 0 && wm >= lastSnapUS+snapEveryUS {
 			lastSnapUS = wm
-			emit(event{snap: &snapshot{unify: src.Stats(), llc: rec.Stats}})
+			// A jframe yet to come may be stamped below wm (emission
+			// inversion) and close an exchange there, but not below the floor.
+			emit(event{snap: &snapshot{unify: src.Stats(), llc: rec.Stats, completeUS: min(src.FloorUS(), wm)}})
 		}
 	}
 	for _, ex := range rec.Flush() {
 		heap.Push(h, ex)
 	}
 	release(math.MaxInt64)
-	return snapshot{unify: src.Stats(), llc: rec.Stats}, nil
+	return snapshot{unify: src.Stats(), llc: rec.Stats, completeUS: math.MaxInt64}, nil
 }
 
 // consumer is stage 3: everything that looks at the pipeline's products.
@@ -408,7 +425,7 @@ func (c *consumer) handle(ev event) {
 		res.Transport.AddExchange(ex)
 		ex.Release()
 	default:
-		res.UnifyStats, res.LLCStats = ev.snap.unify, ev.snap.llc
+		res.UnifyStats, res.LLCStats, res.CompleteUS = ev.snap.unify, ev.snap.llc, ev.snap.completeUS
 		finish(cfg.Passes, res)
 	}
 }
@@ -432,9 +449,10 @@ var slabSize = defaultSlabSize
 
 // jframeSlab is one hop's worth of the jframe stream across the first cut.
 type jframeSlab struct {
-	frames []*unify.JFrame
-	stats  unify.Stats // the stream's counters as of the last frame
-	err    error       // set on the stream's last slab: io.EOF or its failure
+	frames  []*unify.JFrame
+	stats   unify.Stats // the stream's counters as of the last frame
+	floorUS int64       // the stream's floor after the last frame, when snapshots are on
+	err     error       // set on the stream's last slab: io.EOF or its failure
 }
 
 // Slabs follow a strict get/fill/send/drain/put contract: the sender gets
@@ -478,12 +496,16 @@ type slabStream struct {
 	ch  <-chan *jframeSlab
 	cur *jframeSlab
 	i   int
+	// floorUS is the floor of the last slab handed on in full: a slab's was
+	// taken after its last frame and says nothing of the ones before it.
+	floorUS int64
 }
 
-// pump runs src to its end, sending what it yields down ch in slabs and
-// closing ch behind the last one. Nothing downstream stops before the
-// stream does, so the sends need no cancellation.
-func pump(src jframeStream, ch chan<- *jframeSlab) {
+// pump runs src to its end, sending what it yields down ch in slabs (each
+// with the stream's floor if withFloor) and closing ch behind the last one.
+// Nothing downstream stops before the stream does, so the sends need no
+// cancellation.
+func pump(src jframeStream, ch chan<- *jframeSlab, withFloor bool) {
 	defer close(ch)
 	for {
 		s := getJFrameSlab()
@@ -496,6 +518,9 @@ func pump(src jframeStream, ch chan<- *jframeSlab) {
 			s.frames = append(s.frames, j)
 		}
 		s.stats = src.Stats()
+		if withFloor {
+			s.floorUS = src.FloorUS()
+		}
 		last := s.err != nil // the slab is the receiver's once sent
 		ch <- s
 		if last {
@@ -516,10 +541,14 @@ func (s *slabStream) Next() (*unify.JFrame, error) {
 	}
 	j := s.cur.frames[s.i]
 	s.i++
+	if s.i == len(s.cur.frames) {
+		s.floorUS = s.cur.floorUS
+	}
 	return j, nil
 }
 
 func (s *slabStream) Stats() unify.Stats { return s.cur.stats }
+func (s *slabStream) FloorUS() int64     { return s.floorUS }
 
 // pipelined is reconstruct(src, snapEveryUS, handle) cut into three
 // goroutines: src is pumped on one, reconstruction runs on a second, and
@@ -532,12 +561,12 @@ func pipelined(src jframeStream, snapEveryUS int64, handle func(event)) (final s
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		pump(src, frames)
+		pump(src, frames, snapEveryUS > 0)
 	}()
 	go func() {
 		defer wg.Done()
 		defer close(events)
-		stream := &slabStream{ch: frames}
+		stream := &slabStream{ch: frames, floorUS: math.MinInt64}
 		slab := getEventSlab()
 		final, err = reconstruct(stream, snapEveryUS, func(ev event) {
 			*slab = append(*slab, ev)
@@ -579,6 +608,6 @@ func run(src jframeStream, boot *timesync.Result, cfg Config, sink *Sink, worker
 	if err != nil {
 		return nil, err
 	}
-	res.UnifyStats, res.LLCStats = final.unify, final.llc
+	res.UnifyStats, res.LLCStats, res.CompleteUS = final.unify, final.llc, final.completeUS
 	return res, nil
 }

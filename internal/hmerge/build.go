@@ -197,8 +197,9 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 
 // reorderSlackFactor sizes Unify's reorder heap in unify search windows:
 // frames are held until the emission frontier is this many windows ahead.
-// The unifier's inversion bound is about one search window; 16 leaves a
-// wide margin at bounded memory (≤ 16 windows of jframes in flight).
+// It guesses the unifier's inversion, measured at 363 µs at most (unify's
+// TestFloorBoundsEveryLaterJFrame) against these 160 ms; Unifier.FloorUS is
+// the exact release bound, at ≤ 16 windows of jframes in flight until then.
 const reorderSlackFactor = 16
 
 // UnifyDir is Unify over a trace directory, writing the stream to outPath

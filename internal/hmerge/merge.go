@@ -3,6 +3,7 @@ package hmerge
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/tracefile"
@@ -289,6 +290,20 @@ func (m *Merger) start() error {
 		m.h.push(usItem[mergeHead]{us: j.UnivUS, tie: int64(i), v: mergeHead{j: j, next: next}})
 	}
 	return nil
+}
+
+// FloorUS returns a lower bound on the UnivUS of every jframe Next has yet
+// to return, unify.Unifier.FloorUS's role on the hierarchical path: the
+// streams are sorted, so it is the merge heap's root (math.MaxInt64 once
+// every stream is drained).
+func (m *Merger) FloorUS() int64 {
+	switch {
+	case len(m.h) > 0:
+		return m.h[0].us
+	case m.started:
+		return math.MaxInt64
+	}
+	return math.MinInt64
 }
 
 // Next returns the globally next jframe (io.EOF when every stream is

@@ -219,9 +219,11 @@ func NewReconstructor() *Reconstructor {
 }
 
 // Watermark returns a lower bound on the CloseUS of every exchange this
-// reconstructor can still emit: no future Take or Flush will yield an
-// exchange stamped earlier. The pipeline releases closed exchanges strictly
-// below it, keeping the exchange stream in canonical order while it flows.
+// reconstructor can still emit, given jframes in time order: r.now follows
+// each jframe's stamp, so the unifier's emission inversion can undercut it by
+// that inversion. The pipeline releases closed exchanges strictly below it to
+// keep the exchange stream in canonical order; the bound for consumers is
+// min(Watermark, jframe stream floor), which core computes (Result.CompleteUS).
 func (r *Reconstructor) Watermark() int64 { return r.watermark }
 
 // Process feeds one jframe; completed exchanges become available via Take.

@@ -11,15 +11,28 @@
 // so a window's report is the one-shot report over the window's events, and
 // pass state is bounded by the window, not the capture length.
 //
-// Which events belong to a window is the Monitor's job. It observes the raw
-// jframe stream to maintain a frontier (the maximum UnivUS emitted so far)
-// and buffers every event whose timestamp lies beyond the open window.
-// Because the unifier's emission order can locally invert by up to its
-// search window, a window [start, end] only closes once the frontier
-// reaches end + SlackUS: at that point every jframe with UnivUS <= end has
-// been emitted and delivered, in arrival order. A pass set therefore never
-// observes an event beyond its window's end (TestMonitorWindowGolden pins
-// the published windows and checks that none is dropped or seen twice).
+// Which events belong to a window is the Monitor's job: a jframe belongs by
+// its UnivUS and an exchange by its CloseUS to the window (start, end] that
+// holds it. Events up to the open window's end are delivered as they arrive,
+// later ones wait in a buffer. The newest event says nothing about which
+// older ones are still to come (emission order can locally invert, exchanges
+// close after their frames); the pipeline says that itself: core.Result's
+// CompleteUS, below which every jframe and exchange has been delivered — the
+// unifier's floor and the reconstructor's watermark, bounds by construction
+// whose one premise is time-ordered records per radio (unify.Unifier.FloorUS
+// has the argument). A window closes in SetResult and nowhere else, once its
+// end is below both the largest CompleteUS seen and the jframe frontier; the
+// run's final result is complete to +∞, so it closes every whole window with
+// its own bounds and Flush publishes the trailing partial one. There is no
+// margin to tune. Against the one-second frontier slack this replaced,
+// live_paced's window_lag_ms_p50 at 4× pace fell from 340 to 93 ms and jigd's
+// peak heap from 53 to 27 MB (ten alternating pairs; CHANGES.md, PR 22).
+//
+// Two limits. The watermark, and so core's snapshots, advances only on
+// FCS-valid jframes: through a stretch of corrupt and phy-error frames windows
+// are held until a valid frame arrives or the run ends. And an event stamped
+// at or before the last closed window's end, possible only when a trace breaks
+// the premise, goes to the open window and is counted (/metrics late_events).
 //
 // All pipeline-facing methods (ObserveJFrame, ObserveExchange, SetResult,
 // Flush) run on the goroutine that called core.RunFrom, one at a time, at
@@ -40,23 +53,21 @@ import (
 	"repro/internal/unify"
 )
 
-// DefaultSlackUS is how far the frontier must clear a window boundary
-// before the window closes. It must cover BOTH reordering sources between
-// stream time and delivery: the unifier's emission-order inversion (its
-// batches span at most four 10 ms search windows, unify.DefaultConfig; the
-// bound itself is ROADMAP item 3's to test) and the reconstructor's watermark
-// lag (exchanges stay open up to the 500 ms exchange timeout, and core
-// releases them only after the jframe that advanced the watermark). 1 s
-// covers both with margin; less risks an exchange arriving after its window.
+// DefaultSlackUS is the frontier margin windows used to close behind. Nothing
+// outside bench/ reads it: bench/live.go expects the windows ending at least
+// this long before the trace does to close during a run.
 const DefaultSlackUS = 1_000_000
+
+// ProgressEveryUS is the core.Config.SnapshotEveryUS to run a Monitor under
+// (jigd does): one unify search window, so a window end waits at most 10 ms
+// of trace time (2.5 ms of wall at 4× pace) for the result that closes it,
+// at 100 O(radios) floor scans per trace second.
+const ProgressEveryUS = 10_000
 
 // MonitorConfig configures a Monitor.
 type MonitorConfig struct {
 	// WindowUS is the report window length in universal microseconds.
 	WindowUS int64
-	// SlackUS delays window closes past the boundary to cover emission
-	// reordering (0: DefaultSlackUS).
-	SlackUS int64
 	// Passes selects the analyses to serve; the Monitor builds one set of
 	// them per window.
 	Passes analysis.Selection
@@ -75,7 +86,7 @@ type WindowReport struct {
 
 // pendingEvent is one buffered stream event past the open window's end.
 // The buffer slot holds a reference on whichever object it carries
-// (retained on append, released after the pump or Flush delivers it).
+// (retained on append, released once a later window or Flush delivers it).
 type pendingEvent struct {
 	j  *unify.JFrame
 	ex *llc.Exchange
@@ -111,7 +122,6 @@ func (e pendingEvent) timeUS() int64 {
 // run it as the only entry in core.Config.Passes (jigd does).
 type Monitor struct {
 	windowUS int64
-	slackUS  int64
 	sel      analysis.Selection
 	names    []string
 	onWindow func(endUS int64)
@@ -122,8 +132,8 @@ type Monitor struct {
 	winStartUS      int64
 	winEndUS        int64
 	frontierUS      int64
+	completeUS      int64 // largest core.Result.CompleteUS seen
 	pending         []pendingEvent
-	winHasData      bool
 	lastClosedEndUS int64
 	lastResult      *core.Result
 
@@ -132,6 +142,8 @@ type Monitor struct {
 	exchangesTotal atomic.Int64
 	frontierAtomic atomic.Int64
 	deliveredUS    atomic.Int64 // exchange delivery frontier (watermark lag's far side)
+	completeAtomic atomic.Int64
+	lateEvents     atomic.Int64
 	windowsClosed  atomic.Int64
 
 	mu      sync.RWMutex
@@ -158,16 +170,12 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.WindowUS <= 0 {
 		return nil, fmt.Errorf("serve: WindowUS must be positive, have %d", cfg.WindowUS)
 	}
-	if cfg.SlackUS <= 0 {
-		cfg.SlackUS = DefaultSlackUS
-	}
 	names := cfg.Passes.Names()
 	if len(names) == 0 {
 		return nil, fmt.Errorf("serve: no passes")
 	}
 	return &Monitor{
 		windowUS: cfg.WindowUS,
-		slackUS:  cfg.SlackUS,
 		sel:      cfg.Passes,
 		names:    names,
 		onWindow: cfg.OnWindow,
@@ -179,17 +187,10 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // shared; callers must not modify it.
 func (m *Monitor) PassNames() []string { return m.names }
 
-// ObserveJFrame implements core.Pass. Window closes are pumped BEFORE the
-// incoming jframe advances the frontier: core releases an iteration's
-// exchanges only after delivering its jframe, so the frontier as of the
-// previous jframe is the newest time for which "every exchange at or
-// before winEnd has been delivered" is known to hold (given SlackUS covers
-// the watermark lag). Pumping against the pre-update frontier — and never
-// from the exchange callback — keeps a late-released exchange from landing
-// after its window closed, even across idle gaps in the trace.
+// ObserveJFrame implements core.Pass. Neither it nor ObserveExchange ever
+// closes a window.
 func (m *Monitor) ObserveJFrame(j *unify.JFrame) {
 	m.framesTotal.Add(1)
-	m.pump()
 	if !m.started {
 		m.started = true
 		m.winStartUS = j.UnivUS
@@ -200,59 +201,43 @@ func (m *Monitor) ObserveJFrame(j *unify.JFrame) {
 		m.frontierUS = j.UnivUS
 		m.frontierAtomic.Store(j.UnivUS)
 	}
-	if j.UnivUS <= m.winEndUS {
-		m.deliverJFrame(j)
-	} else {
-		e := pendingEvent{j: j}
-		e.retain()
-		m.pending = append(m.pending, e)
-	}
+	m.observe(pendingEvent{j: j})
 }
 
 // ObserveExchange implements core.Pass. Exchanges arrive in canonical
-// close order; anything beyond the open window waits for the pump (see
-// ObserveJFrame for why the exchange callback itself never closes
-// windows).
+// close order.
 func (m *Monitor) ObserveExchange(ex *llc.Exchange) {
 	m.exchangesTotal.Add(1)
-	if ex.CloseUS <= m.winEndUS {
-		m.deliverExchange(ex)
-	} else {
-		e := pendingEvent{ex: ex}
+	m.observe(pendingEvent{ex: ex})
+}
+
+// observe delivers e to the open window or buffers it for a later one.
+func (m *Monitor) observe(e pendingEvent) {
+	if e.timeUS() > m.winEndUS {
 		e.retain()
 		m.pending = append(m.pending, e)
+		return
 	}
+	if m.windowsClosed.Load() > 0 && e.timeUS() <= m.lastClosedEndUS {
+		m.lateEvents.Add(1) // its window is gone: degrade and count
+	}
+	m.deliver(e)
 }
 
-// SetResult implements core.ResultSink: the result is kept for the next
-// window close (where the passes' result-derived report fields come
-// from), and the cumulative stats snapshot is republished. With
-// core.Config.SnapshotEveryUS set this fires throughout the run, not only
-// at the end.
+// SetResult implements core.ResultSink and is where windows close: every
+// window ending below res.CompleteUS and below the frontier has all its
+// events. The result also supplies the closing passes' result-derived report
+// fields and the republished cumulative stats. Under ProgressEveryUS
+// snapshots this fires throughout the run; the final call, complete to +∞,
+// closes every whole window left.
 func (m *Monitor) SetResult(res *core.Result) {
 	m.lastResult = res
-	m.publishStats()
-}
-
-func (m *Monitor) deliverJFrame(j *unify.JFrame) {
-	m.winHasData = true
-	for _, p := range m.passes {
-		p.ObserveJFrame(j)
+	if res.CompleteUS > m.completeUS {
+		m.completeUS = res.CompleteUS
+		m.completeAtomic.Store(res.CompleteUS)
 	}
-}
-
-func (m *Monitor) deliverExchange(ex *llc.Exchange) {
-	m.winHasData = true
-	m.deliveredUS.Store(ex.CloseUS)
-	for _, p := range m.passes {
-		p.ObserveExchange(ex)
-	}
-}
-
-// pump closes every window the frontier has cleared.
-func (m *Monitor) pump() {
-	for m.started && m.frontierUS >= m.winEndUS+m.slackUS {
-		m.closeWindow(m.winEndUS)
+	for m.started && m.winEndUS < m.completeUS && m.winEndUS < m.frontierUS {
+		m.closeWindow()
 		m.winStartUS = m.winEndUS
 		m.winEndUS += m.windowUS
 		m.passes = m.sel.New()
@@ -261,26 +246,35 @@ func (m *Monitor) pump() {
 		kept := m.pending[:0]
 		for _, e := range m.pending {
 			if e.timeUS() <= m.winEndUS {
-				if e.j != nil {
-					m.deliverJFrame(e.j)
-				} else {
-					m.deliverExchange(e.ex)
-				}
+				m.deliver(e)
 				e.release()
 			} else {
 				kept = append(kept, e)
 			}
 		}
-		for i := len(kept); i < len(m.pending); i++ {
-			m.pending[i] = pendingEvent{}
-		}
+		clear(m.pending[len(kept):])
 		m.pending = kept
+	}
+	m.publishStats()
+}
+
+// deliver hands e to the open window's passes.
+func (m *Monitor) deliver(e pendingEvent) {
+	if e.j != nil {
+		for _, p := range m.passes {
+			p.ObserveJFrame(e.j)
+		}
+		return
+	}
+	m.deliveredUS.Store(e.ex.CloseUS)
+	for _, p := range m.passes {
+		p.ObserveExchange(e.ex)
 	}
 }
 
 // closeWindow finalizes the open window's passes, publishes their reports
-// with upToUS as the window's end, and drops the set.
-func (m *Monitor) closeWindow(upToUS int64) {
+// and drops the set.
+func (m *Monitor) closeWindow() {
 	snaps := make(map[string]WindowReport, len(m.passes))
 	for _, p := range m.passes {
 		if rs, ok := p.(core.ResultSink); ok && m.lastResult != nil {
@@ -295,13 +289,12 @@ func (m *Monitor) closeWindow(upToUS int64) {
 		snaps[p.Name()] = WindowReport{
 			Section:       sec,
 			WindowStartUS: m.winStartUS,
-			WindowEndUS:   upToUS,
+			WindowEndUS:   m.winEndUS,
 		}
 	}
 	m.passes = nil
 	m.windowsClosed.Add(1)
-	m.winHasData = false
-	m.lastClosedEndUS = upToUS
+	m.lastClosedEndUS = m.winEndUS
 	m.mu.Lock()
 	for name, r := range snaps {
 		m.reports[name] = r
@@ -309,7 +302,7 @@ func (m *Monitor) closeWindow(upToUS int64) {
 	m.mu.Unlock()
 	m.publishStats()
 	if m.onWindow != nil {
-		m.onWindow(upToUS)
+		m.onWindow(m.winEndUS)
 	}
 }
 
@@ -331,29 +324,21 @@ func (m *Monitor) publishStats() {
 	m.mu.Unlock()
 }
 
-// Flush closes the trailing partial window after the pipeline drains.
-// Call it once, after core.RunFrom returns (SetResult has already fired
-// with the final stats by then).
+// Flush closes the trailing partial window after the pipeline drains. Call
+// it once, after core.RunFrom returns: the final SetResult has closed every
+// whole window, so the open one holds the frontier jframe. It also takes what
+// is still buffered: exchanges the end of the run closed at their timeout, up
+// to 500 ms past the last jframe.
 func (m *Monitor) Flush() {
 	if !m.started {
 		return
 	}
 	for _, e := range m.pending {
-		if e.j != nil {
-			m.deliverJFrame(e.j)
-		} else {
-			m.deliverExchange(e.ex)
-		}
+		m.deliver(e)
 		e.release()
 	}
 	m.pending = nil
-	end := m.winEndUS
-	if m.frontierUS > end {
-		end = m.frontierUS
-	}
-	if m.winHasData {
-		m.closeWindow(end)
-	}
+	m.closeWindow()
 }
 
 // Healthy reports whether at least one window has closed — the readiness
@@ -385,6 +370,13 @@ type Counters struct {
 	// frontier — the pipeline's in-flight span.
 	WatermarkLagUS int64 `json:"watermark_lag_us"`
 	WindowsClosed  int64 `json:"windows_closed"`
+	// LateEvents counts events stamped at or before the last closed window's
+	// end: 0 unless a trace broke the time-order premise.
+	LateEvents int64 `json:"late_events"`
+	// CompleteLagUS is how far the largest core.Result.CompleteUS seen trails
+	// the frontier: what a window end waits on evidence.
+	CompleteUS    int64 `json:"complete_us"`
+	CompleteLagUS int64 `json:"complete_lag_us"`
 }
 
 // Metrics returns the current counters.
@@ -395,9 +387,14 @@ func (m *Monitor) Metrics() Counters {
 		FrontierUS:     m.frontierAtomic.Load(),
 		DeliveredUS:    m.deliveredUS.Load(),
 		WindowsClosed:  m.windowsClosed.Load(),
+		LateEvents:     m.lateEvents.Load(),
+		CompleteUS:     m.completeAtomic.Load(),
 	}
 	if c.FrontierUS > c.DeliveredUS && c.DeliveredUS > 0 {
 		c.WatermarkLagUS = c.FrontierUS - c.DeliveredUS
+	}
+	if c.FrontierUS > c.CompleteUS && c.CompleteUS > 0 {
+		c.CompleteLagUS = c.FrontierUS - c.CompleteUS
 	}
 	return c
 }

@@ -63,7 +63,7 @@ func liveRun(t *testing.T, windowUS int64) (*serve.Monitor, []int64) {
 	}
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = 1
-	ccfg.SnapshotEveryUS = windowUS
+	ccfg.SnapshotEveryUS = serve.ProgressEveryUS
 	ccfg.Passes = []core.Pass{mon}
 	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 		t.Fatal(err)

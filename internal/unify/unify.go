@@ -452,6 +452,38 @@ func (u *Unifier) Next() (*JFrame, error) {
 	return j, nil
 }
 
+// FloorUS returns a lower bound on the UnivUS of every jframe Next has yet
+// to return (math.MaxInt64 once drained): what lets a consumer act on
+// "everything before t has been emitted" although emission order can locally
+// invert. O(radios): call it per progress report, not per record.
+//
+// Between Next calls the unreturned jframes are the rest of pending, already
+// stamped, and those still to be built from the heap — one entry per radio
+// with a queued head — and the records behind each head. The floor F is the
+// minimum of pending's stamps and, per head, of its stored univUS and of its
+// LocalUS under the radio's current tracker (the head may have been mapped
+// before a resync moved the clock; the records behind it are mapped after).
+// A jframe is stamped at or above its earliest member, so it suffices that
+// every entry queued from now on maps at or above F, which holds by induction
+// on queueing order, not by a margin. Under today's tracker state a radio's
+// records are time-ordered and ToUniversal is increasing between resyncs, so
+// a later record maps at or above where its head's LocalUS does. Under a
+// later state, Resync maps its anchor exactly onto the jframe that caused it,
+// whose members were all queued earlier: that jframe, and so every later
+// record of the radio, is at or above F. A local clock stepping backwards
+// breaks the first premise and can put a jframe below an earlier floor;
+// serve.Monitor degrades and counts that (late_events).
+func (u *Unifier) FloorUS() int64 {
+	floor := int64(math.MaxInt64)
+	for _, j := range u.pending[u.pendHead:] {
+		floor = min(floor, j.UnivUS)
+	}
+	for _, e := range u.heap {
+		floor = min(floor, e.univUS, u.radios[e.ri].tracker.ToUniversal(e.rec.LocalUS))
+	}
+	return floor
+}
+
 // batch pops a run of instances, groups them into jframes appended to
 // pending, and recycles the consumed entries.
 //

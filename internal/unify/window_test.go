@@ -162,6 +162,44 @@ func TestWindowedAttachMatchesFullScan(t *testing.T) {
 	}
 }
 
+// invertedBatchTestbed builds the capture TestWindowedAttachFallback
+// describes: five radios, one of them re-mapped by 1.2 ms after its next
+// record was queued.
+func invertedBatchTestbed() *testbed {
+	tb := newTestbed(7)
+	good := []int32{1, 2, 3, 4}
+	for _, r := range good {
+		tb.addRadio(r, int64(r)*1000, 0)
+	}
+	const fast int32 = 5
+	tb.addRadio(fast, 5000, 200) // gains 200 µs per second, uncorrected
+	all := append(append([]int32(nil), good...), fast)
+	for ns := int64(0); ns < 1_000_000_000; ns += 50_000_000 {
+		tb.tx(ns, all...)
+	}
+	// Six seconds of silence (past the 5 s a clock may coast and still
+	// be trusted, so the wide tolerance applies), then one frame
+	// everyone hears: its group spans the accumulated 1.2 ms and
+	// resyncs every member.
+	tb.tx(7_000_000_000, all...)
+	// 20 ms on, a burst the good radios hear every 100–200 µs; the fast
+	// radio gets corrupt copies of the first two frames — the first of
+	// them queued before the resync.
+	corrupt := func(wire []byte) []byte {
+		c := append([]byte(nil), wire...)
+		c[len(c)-2] ^= 0xff
+		return c
+	}
+	const burst = 7_020_000_000
+	tb.txWire(burst, corrupt(tb.tx(burst, good...)), 0, fast)
+	tb.txWire(burst+100_000, corrupt(tb.tx(burst+100_000, good...)), 0, fast)
+	for ns := int64(burst + 300_000); ns <= burst+1_500_000; ns += 200_000 {
+		tb.tx(ns, good...)
+	}
+	tb.tx(7_100_000_000, all...)
+	return tb
+}
+
 // TestWindowedAttachFallback constructs the one batch shape the window
 // cannot serve. A radio whose clock has run 1.2 ms fast over a long silence
 // is snapped back by a resync, after its next record was already queued at
@@ -173,45 +211,11 @@ func TestWindowedAttachMatchesFullScan(t *testing.T) {
 // batch is not ascending, scan it in full, and place both copies exactly
 // as the unwindowed unifier does.
 func TestWindowedAttachFallback(t *testing.T) {
-	build := func() *testbed {
-		tb := newTestbed(7)
-		good := []int32{1, 2, 3, 4}
-		for _, r := range good {
-			tb.addRadio(r, int64(r)*1000, 0)
-		}
-		const fast int32 = 5
-		tb.addRadio(fast, 5000, 200) // gains 200 µs per second, uncorrected
-		all := append(append([]int32(nil), good...), fast)
-		for ns := int64(0); ns < 1_000_000_000; ns += 50_000_000 {
-			tb.tx(ns, all...)
-		}
-		// Six seconds of silence (past the 5 s a clock may coast and still
-		// be trusted, so the wide tolerance applies), then one frame
-		// everyone hears: its group spans the accumulated 1.2 ms and
-		// resyncs every member.
-		tb.tx(7_000_000_000, all...)
-		// 20 ms on, a burst the good radios hear every 100–200 µs; the fast
-		// radio gets corrupt copies of the first two frames — the first of
-		// them queued before the resync.
-		corrupt := func(wire []byte) []byte {
-			c := append([]byte(nil), wire...)
-			c[len(c)-2] ^= 0xff
-			return c
-		}
-		const burst = 7_020_000_000
-		tb.txWire(burst, corrupt(tb.tx(burst, good...)), 0, fast)
-		tb.txWire(burst+100_000, corrupt(tb.tx(burst+100_000, good...)), 0, fast)
-		for ns := int64(burst + 300_000); ns <= burst+1_500_000; ns += 200_000 {
-			tb.tx(ns, good...)
-		}
-		tb.tx(7_100_000_000, all...)
-		return tb
-	}
 	cfg := DefaultConfig()
 	cfg.SkewCompensation = false
 
-	u := build().build(t, cfg)
-	requireSameStream(t, "inverted batch", u, build().build(t, cfg))
+	u := invertedBatchTestbed().build(t, cfg)
+	requireSameStream(t, "inverted batch", u, invertedBatchTestbed().build(t, cfg))
 	if u.fullScanBatches != 1 {
 		t.Fatalf("%d batches fell back to the full scan, want the one constructed inversion", u.fullScanBatches)
 	}
