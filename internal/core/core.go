@@ -199,8 +199,10 @@ type Result struct {
 
 // RunFrom executes the full pipeline over a TraceSet, streaming each
 // radio's trace through the pass (two sequential opens per radio: the
-// bootstrap pre-scan, then the merge). Memory stays O(search window) per
-// radio regardless of trace length when the set is directory-backed; the
+// bootstrap pre-scan, then the merge). When the set is directory-backed,
+// heap and resident set both stay O(search window) per radio regardless of
+// trace length: a decoded block per radio, and of each mapped trace only the
+// pages around its reader (tracefile.MmapSource gives back the rest). The
 // buffer-backed case additionally holds the compressed bytes the caller
 // already owns. clockGroups lists radios sharing a physical clock for
 // cross-channel bridging.

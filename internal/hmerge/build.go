@@ -133,16 +133,16 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 	if err != nil {
 		return nil, err
 	}
-	// The unifier's emission order can invert by up to its search window
-	// (a group is held until its window closes, so a short group can be
-	// emitted after a later-starting long one). The intermediate format is
-	// strictly sorted, so a bounded reorder heap sits between the unifier
-	// and the writer: frames are released only once the emission frontier
-	// has moved reorderSlackFactor search windows past them — far beyond
-	// the unifier's actual inversion bound. A violation still surfaces as
-	// a hard error from WriteJFrame rather than a corrupt stream. Ties
-	// release in emission order, keeping the stream deterministic.
-	slackUS := reorderSlackFactor * cfg.Unify.SearchWindowUS
+	// The unifier's emission order can locally invert (a resync can map a
+	// radio's next record below a jframe already emitted), and the
+	// intermediate format is sorted, so a reorder heap sits between the
+	// unifier and the writer. It releases what lies at or below the
+	// unifier's floor: every jframe still to come is stamped at or above it
+	// and, on a tie, comes later in emission order, so the stream is exactly
+	// the (UnivUS, emission sequence) sort of the unifier's output. FloorUS is
+	// O(radios), so it is asked once per search window of emission progress,
+	// and the heap holds about that window. A floor that lied would surface
+	// as WriteJFrame's out-of-order error, not as a corrupt stream.
 	var rh usHeap[*unify.JFrame] // tie: emission sequence
 	flush := func(limitUS int64) error {
 		for len(rh) > 0 && rh[0].us <= limitUS {
@@ -158,7 +158,7 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		return nil
 	}
 	var seq int64
-	maxUS := int64(math.MinInt64)
+	nextFloorUS := int64(math.MinInt64) // emission progress at which to ask again
 	for {
 		j, err := u.Next()
 		if err == io.EOF {
@@ -169,11 +169,11 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		}
 		rh.push(usItem[*unify.JFrame]{us: j.UnivUS, tie: seq, v: j})
 		seq++
-		if j.UnivUS > maxUS {
-			maxUS = j.UnivUS
-		}
-		if err := flush(maxUS - slackUS); err != nil {
-			return nil, err
+		if j.UnivUS >= nextFloorUS {
+			nextFloorUS = j.UnivUS + cfg.Unify.SearchWindowUS
+			if err := flush(u.FloorUS()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := flush(math.MaxInt64); err != nil {
@@ -194,13 +194,6 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		Bootstrap:   BootstrapMeta(*boot),
 	}, nil
 }
-
-// reorderSlackFactor sizes Unify's reorder heap in unify search windows:
-// frames are held until the emission frontier is this many windows ahead.
-// It guesses the unifier's inversion, measured at 363 µs at most (unify's
-// TestFloorBoundsEveryLaterJFrame) against these 160 ms; Unifier.FloorUS is
-// the exact release bound, at ≤ 16 windows of jframes in flight until then.
-const reorderSlackFactor = 16
 
 // UnifyDir is Unify over a trace directory, writing the stream to outPath
 // and its metadata sidecar next to it. The stream is labeled with the

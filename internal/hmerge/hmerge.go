@@ -19,8 +19,9 @@
 // ordinary reconstruction/transport/pass pipeline over that sequence.
 //
 // The container and codec are internal/block's, shared with the tracefile
-// format: an LZO-class byte LZ, as the paper's jigdump, in blocks around a
-// 64 KB raw target behind a length-checked 24-byte frame (magic "JFSB",
+// format: an LZO-class byte LZ, as the paper's jigdump, in blocks around
+// block.Target (16 KB; streams written with 64 KB blocks read the same)
+// behind a length-checked 24-byte frame (magic "JFSB",
 // compLen, rawLen, jframe count, first UnivUS), so the reader streams one
 // block at a time and no header can demand unbounded allocation. A stream
 // is the 8 bytes "JFS1", version (2), three zeros, then blocks; a block's

@@ -92,8 +92,9 @@ func (m *monitorRadio) write(rec tracefile.Record) {
 const reorderWindowUS = 20_000
 
 // spillWriteBufSize sizes the write buffer in front of each spilled trace
-// file; compressed blocks flush ~64 KB at a time, so this batches a couple
-// of blocks per syscall without holding meaningful memory per radio.
+// file; a block flushes at block.Target (16 KB) raw bytes, less once
+// compressed, so this batches several blocks per syscall without holding
+// meaningful memory per radio.
 const spillWriteBufSize = 128 * 1024
 
 // OnReceive implements radio.Listener for a passive monitor.

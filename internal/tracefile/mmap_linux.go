@@ -50,5 +50,10 @@ func mmapOpen(path string) (io.ReadCloser, bool, error) {
 	if merr != nil {
 		return nil, false, nil
 	}
-	return &byteStream{b: data, close: func() error { return syscall.Munmap(data) }}, true, nil
+	return &byteStream{
+		b:     data,
+		close: func() error { return syscall.Munmap(data) },
+		// A failed madvise only leaves the pages resident.
+		drop: func(b []byte) { _ = syscall.Madvise(b, syscall.MADV_DONTNEED) },
+	}, true, nil
 }

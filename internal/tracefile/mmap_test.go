@@ -77,6 +77,58 @@ func TestMmapSourceMatchesBuffer(t *testing.T) {
 	}
 }
 
+// TestMappedTraceReleasesBehindReader: a mapped multi-block trace read to
+// its end decodes the records the same bytes decode from memory, while the
+// pages behind the reader are dropped dropStep at a time — at the end no more
+// than dropStep, a page and the last framed block (under another dropStep)
+// are left. A dropped page reads the file's bytes again, and a second Open of
+// the same file decodes it again.
+func TestMappedTraceReleasesBehindReader(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, sample(20000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if len(data) < 8*dropStep {
+		t.Fatalf("trace is %d bytes; want many dropSteps", len(data))
+	}
+	path := filepath.Join(t.TempDir(), "radio-1.jig")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 2; open++ {
+		rc, err := MmapSource(path).Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("open %d: mapped decode differs from in-memory decode (%d vs %d records)", open, len(got), len(want))
+		}
+		b, dropped, ok := mappedView(rc)
+		if !ok {
+			t.Skip("MmapSource does not map on this platform")
+		}
+		if dropped%pageSize != 0 || dropped < len(data)-2*dropStep-pageSize {
+			t.Fatalf("open %d: %d of %d bytes dropped; want whole pages, at least %d", open, dropped, len(data), len(data)-2*dropStep-pageSize)
+		}
+		if !bytes.Equal(b[:dropped], data[:dropped]) {
+			t.Fatalf("open %d: dropped pages no longer read the file's bytes", open)
+		}
+		if err := rc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("open %d: %d of %d bytes dropped", open, dropped, len(data))
+	}
+}
+
 // TestMmapSourceEmptyFile covers the zero-length mapping special case
 // (mmap rejects empty mappings; an empty trace is just a clean EOF).
 func TestMmapSourceEmptyFile(t *testing.T) {

@@ -663,19 +663,33 @@ func TestDirRotatingWriterIndexDescribesBlocks(t *testing.T) {
 }
 
 // TestTailBlockLargerThanBuffer: a block several times the reader's starting
-// buffer (incompressible frames fill a block.Target block) reads back whole.
+// buffer reads back whole. Each block is one unsnapped, incompressible 60 KB
+// frame: a block closes on the record that passes block.Target, however far,
+// and 64 KB blocks written by earlier releases must read too.
 func TestTailBlockLargerThanBuffer(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
-	recs := make([]Record, 400)
+	recs := make([]Record, 20)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SetSnapLen(0)
 	for i := range recs {
 		recs[i] = liveRecord(int64(i) * 1000)
-		recs[i].Frame = make([]byte, 200)
+		recs[i].Frame = make([]byte, 60_000)
 		rng.Read(recs[i].Frame)
+		if err := w.WriteRecord(recs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writeSealedSegment(t, dir, 4, 0, recs)
-	if fi, err := os.Stat(SegmentTracePath(dir, 4, 0)); err != nil || fi.Size() < 4*tailBufSize {
-		t.Fatalf("segment file: %v, %v; want blocks well past tailBufSize", fi, err)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(SegmentTracePath(dir, 4, 0), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeIndexFile(t, SegmentIndexPath(dir, 4, 0), w.Index())
+	if e := w.Index()[0]; e.CompLen < 3*tailBufSize {
+		t.Fatalf("first block is %d bytes; want several tailBufSize", e.CompLen)
 	}
 	if got := readable(t, dir, 4); !reflect.DeepEqual(got, stamps(recs)) {
 		t.Fatalf("read %d of %d records", len(got), len(recs))

@@ -5,7 +5,9 @@
 // metadata index separately, rotating files hourly).
 //
 // The container and codec are internal/block's: an LZO-class byte LZ, as
-// the paper's jigdump, behind a 24-byte frame per block (magic "JIG2",
+// the paper's jigdump, in blocks of block.Target (16 KB) raw bytes rather
+// than jigdump's 64 KB — the merge holds one decoded block per radio, and
+// block.Target says what the size costs — behind a 24-byte frame (magic "JIG2",
 // compLen, rawLen, record count, first LocalUS). A block's raw bytes are
 // records back to back, little-endian:
 //

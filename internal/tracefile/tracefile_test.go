@@ -60,7 +60,7 @@ func TestRoundTripSmall(t *testing.T) {
 }
 
 func TestRoundTripMultiBlock(t *testing.T) {
-	recs := sample(5000, 2) // several 64 KB blocks
+	recs := sample(5000, 2) // several blocks
 	var buf bytes.Buffer
 	idx, err := WriteAll(&buf, recs)
 	if err != nil {

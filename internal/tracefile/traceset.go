@@ -1,6 +1,6 @@
 // Trace sources and trace sets: the out-of-core abstraction over "where a
 // radio's compressed trace lives". The capture format itself is streamed
-// (Reader decodes one 64 KB block at a time); these types let the
+// (Reader decodes one block.Target block at a time); these types let the
 // pipeline's callers stream too, instead of requiring every compressed
 // trace resident in memory. A TraceSet is either buffer-backed (the
 // in-memory compatibility path) or directory-backed (one radio-<id>.jig
@@ -44,7 +44,19 @@ type byteStream struct {
 	b     []byte
 	off   int
 	close func() error
+	// drop, set by the mmap path only, gives pages of b back to the kernel;
+	// b[:dropped] has been. See Slice.
+	drop    func([]byte)
+	dropped int
 }
+
+// dropStep is how much of a mapping a reader leaves behind before it is
+// dropped: one madvise per 64 KB of trace, and per open radio a few
+// compressed blocks of mapping resident instead of everything read so far.
+const dropStep = 64 * 1024
+
+// pageSize aligns what is dropped; a mapping starts on a page.
+var pageSize = os.Getpagesize()
 
 func (s *byteStream) Read(p []byte) (int, error) {
 	if s.off >= len(s.b) {
@@ -57,7 +69,16 @@ func (s *byteStream) Read(p []byte) (int, error) {
 
 // Slice returns the next n bytes of the stream without copying. The slice
 // aliases the backing buffer and is only valid until Close.
+//
+// A mapped stream first drops the whole pages behind the cursor once
+// dropStep of them have gathered: the reader never returns to them, and a
+// read-only shared file mapping re-faults a dropped page from the page cache,
+// so a slice handed out earlier still reads the file's bytes.
 func (s *byteStream) Slice(n int) ([]byte, error) {
+	if end := s.off &^ (pageSize - 1); s.drop != nil && end-s.dropped >= dropStep {
+		s.drop(s.b[s.dropped:end])
+		s.dropped = end
+	}
 	if len(s.b)-s.off < n {
 		s.off = len(s.b)
 		return nil, io.ErrUnexpectedEOF
@@ -76,9 +97,10 @@ func (s *byteStream) Close() error {
 }
 
 // fileReadBufSize sizes the read buffer in front of each trace file: big
-// enough to amortize syscalls over a compressed block (blocks compress
-// well under their 64 KB raw target), small enough that a building's worth
-// of concurrently open radios stays cheap.
+// enough to amortize syscalls over a few compressed blocks (blocks compress
+// well under their block.Target raw size, and 64 KB blocks written by earlier
+// releases still read), small enough that a building's worth of concurrently
+// open radios stays cheap.
 const fileReadBufSize = 32 * 1024
 
 // FileSource is a file-backed compressed trace, opened by path at use time
@@ -104,8 +126,9 @@ func (f FileSource) Open() (io.ReadCloser, error) {
 
 // MmapSource is a file-backed compressed trace mapped into memory at Open:
 // Reader slices compressed blocks straight out of the mapping instead of
-// copying them through a read buffer. On platforms without mmap (or when
-// the mapping fails) it degrades to FileSource's buffered reads.
+// copying them through a read buffer, and the pages it has read are given
+// back as it goes. On platforms without mmap (or when the mapping fails) it
+// degrades to FileSource's buffered reads.
 type MmapSource string
 
 // Open maps the trace read-only, falling back to buffered file reads when
@@ -124,7 +147,8 @@ func (m MmapSource) Open() (io.ReadCloser, error) {
 // TraceSet maps radio ids to trace sources — the pipeline's input. Memory
 // behaviour is the backing's: buffer-backed sets hold every compressed
 // trace resident; directory-backed sets hold only paths, so the pipeline's
-// working set is O(search window) per radio.
+// working set is O(search window) per radio, and so is the mapped part of
+// its resident set (MmapSource drops the pages behind the reader).
 type TraceSet struct {
 	sources map[int32]Source
 	dir     string // non-empty when directory-backed

@@ -225,11 +225,13 @@ func (h *instanceHeap) popMin() *queueEntry {
 
 // Stats accumulates unifier counters for Table 1.
 type Stats struct {
-	Events       int64 // records consumed
-	PhyErrors    int64 // physical-error records
-	CRCErrors    int64 // FCS-failed frame records
-	Unified      int64 // records merged into jframes (valid + matched errors)
-	JFrames      int64
+	Events    int64 // records consumed
+	PhyErrors int64 // physical-error records
+	CRCErrors int64 // FCS-failed frame records
+	Unified   int64 // records merged into jframes (valid + matched errors)
+	JFrames   int64
+	// Resyncs counts member clocks resynchronized, not jframes: a
+	// resyncing jframe adds one per FCS-valid member.
 	Resyncs      int64
 	MaxDispersUS int64
 }
@@ -489,10 +491,11 @@ func (u *Unifier) FloorUS() int64 {
 //
 // The boundary rule must never cut through a cluster of instances of one
 // transmission (cluster diameter is bounded by clock dispersion, well under
-// GapUS), so a batch closes at the first inter-instance gap larger than
-// GapUS. To bound work during dense bursts, once the batch spans the search
-// window it also closes at any gap that clearly separates clusters, and
-// unconditionally at four windows.
+// GapUS), so there are two rules. A batch closes at the first gap between
+// successive instances larger than GapUS, or than the search window when
+// either instance's radio is untrusted. To bound work during dense bursts it
+// also closes, gap or not, once the next instance lies more than four search
+// windows past its first.
 func (u *Unifier) batch() {
 	first := u.heap.popMin()
 	u.advance(first.ri)
@@ -502,7 +505,6 @@ func (u *Unifier) batch() {
 	for len(u.heap) > 0 {
 		head := u.heap[0]
 		gap := head.univUS - last
-		span := head.univUS - first.univUS
 		gapLimit := u.cfg.GapUS
 		// An untrusted radio (no recent resync) may be placed hundreds of
 		// microseconds off; keep the batch open across the full search
@@ -514,10 +516,7 @@ func (u *Unifier) batch() {
 		if gap > gapLimit {
 			break // natural boundary between transmissions
 		}
-		if span > u.cfg.SearchWindowUS && gap > gapLimit {
-			break // soft cap, between dispersion clusters
-		}
-		if span > 4*u.cfg.SearchWindowUS {
+		if head.univUS-first.univUS > 4*u.cfg.SearchWindowUS {
 			break // hard cap
 		}
 		e := u.heap.popMin()

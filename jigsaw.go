@@ -69,7 +69,8 @@
 // # On-disk formats
 //
 // Per-radio captures (.jig) and the hierarchical merge's intermediate
-// jframe streams (.jfs) are the same thing underneath: 64 KB blocks behind
+// jframe streams (.jfs) are the same thing underneath: 16 KB blocks (the
+// merge holds one per radio; jigdump's are 64 KB, which still read) behind
 // internal/block's 24-byte frame, compressed with its byte-oriented LZ —
 // the LZO class the paper's jigdump uses (§3.3), and for the paper's
 // reason: a Huffman stage (the stdlib DEFLATE these formats used to carry)
