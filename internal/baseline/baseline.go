@@ -12,7 +12,8 @@
 //     conventional tooling offers and it neither unifies duplicates (clock
 //     offsets differ) nor orders frames correctly.
 //
-// The ablation benches quantify both against Jigsaw's synchronization.
+// The baseline rows of the root TestPaperNumbers quantify both against
+// Jigsaw's synchronization.
 package baseline
 
 import (

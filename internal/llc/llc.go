@@ -155,7 +155,11 @@ const (
 )
 
 // Stats counts reconstruction outcomes (§5.1 reports 0.58% of attempts and
-// 0.14% of exchanges requiring inference).
+// 0.14% of exchanges requiring inference). Every inference adds one inferred
+// attempt and one inferred exchange, and Exchanges ≤ Attempts, so the
+// exchange rate is at least the attempt rate by construction; the paper's
+// 0.14% < 0.58% implies some of its exchanges carry several inferred
+// attempts.
 type Stats struct {
 	JFrames           int64
 	Attempts          int64

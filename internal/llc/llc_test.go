@@ -307,6 +307,50 @@ func TestUnifiedAckOnlyExchange(t *testing.T) {
 	}
 }
 
+// TestInferenceStepsTogether drives both resolveOrphan branches — an orphan
+// ACK bound to an open exchange, and one that becomes a fully inferred
+// exchange — and checks that every inference counts one inferred attempt and
+// one inferred exchange. With Exchanges ≤ Attempts that makes the §5 exchange
+// rate at least the attempt rate, by construction.
+func TestInferenceStepsTogether(t *testing.T) {
+	sta2 := dot80211.MAC{2, 0, 0, 0, 0, 2}
+	r := NewReconstructor()
+	var exs []*Exchange
+	for _, j := range []*unify.JFrame{
+		dataJF(sta, ap, 80, 1000, false),
+		jf(dot80211.NewAck(sta), 8_000, dot80211.Rate2Mbps), // binds to seq 80 once 81 appears
+		dataJF(sta, ap, 81, 20_000, false),
+		jf(dot80211.NewAck(sta2), 30_000, dot80211.Rate2Mbps), // sta2 has no exchange
+	} {
+		r.Process(j)
+		exs = append(exs, r.Take()...)
+		if st := r.Stats; st.InferredAttempts != st.InferredExchanges {
+			t.Fatalf("after jframe at %d µs: %d inferred attempts, %d inferred exchanges", j.UnivUS, st.InferredAttempts, st.InferredExchanges)
+		}
+	}
+	exs = append(exs, r.Flush()...)
+	st := r.Stats
+	if st.InferredAttempts != 2 || st.InferredExchanges != 2 {
+		t.Fatalf("stats = %+v, want 2 inferred attempts and 2 inferred exchanges", st)
+	}
+	var bound, whole bool
+	for _, ex := range exs {
+		switch {
+		case ex.Transmitter == sta && ex.Seq == 80:
+			bound = ex.Inferred && len(ex.Attempts) == 2 && ex.Attempts[1].Inferred && !ex.Attempts[0].Inferred
+		case ex.Transmitter == sta2:
+			whole = ex.Inferred && len(ex.Attempts) == 1 && ex.Attempts[0].Inferred
+		}
+	}
+	if !bound || !whole {
+		t.Errorf("bound branch taken %v, fully inferred branch taken %v", bound, whole)
+	}
+	inf := float64(st.InferredExchanges)
+	if inf/float64(st.Exchanges) < inf/float64(st.Attempts) {
+		t.Errorf("exchange rate below attempt rate: %+v", st)
+	}
+}
+
 func TestInvalidJFramesIgnored(t *testing.T) {
 	bad := &unify.JFrame{UnivUS: 1000, Valid: false}
 	d := dataJF(sta, ap, 130, 2000, false)

@@ -62,9 +62,9 @@
 // across congestion-control mixes (internal/cc controllers are pure
 // event-driven state machines over integer microsecond time, so
 // Reno/CUBIC/BBR dynamics replay bit-for-bit too). Every sink and pass
-// callback comes from the caller's goroutine at every setting. Batch
-// experiment sweeps fan whole scenarios across a pool with
-// scenario.RunBatch (see cmd/jigbench -sweep).
+// callback comes from the caller's goroutine at every setting. Whole
+// scenarios fan across a pool with scenario.RunBatch, which RunCampus uses
+// to simulate one building per worker.
 //
 // # On-disk formats
 //
@@ -113,8 +113,8 @@
 //	fmt.Println(analysis.FairnessTable(analysis.CCFairness(out.FlowCCs, out.Cfg.Day.SecondsF())))
 //	fmt.Println(analysis.CCConfusionReport(out.FlowCCs, res.Transport.FingerprintCC()))
 //
-// See examples/ for runnable programs; cmd/jigbench prints
-// paper-vs-measured for every table and figure.
+// See examples/ for runnable programs; `go test -run TestPaperNumbers -v .`
+// prints paper-vs-measured for every table and figure.
 package jigsaw
 
 import (
