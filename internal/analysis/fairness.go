@@ -1,8 +1,7 @@
 // Congestion-control experiments over the simulator's per-flow ground
 // truth: throughput-share fairness across algorithms sharing the substrate
 // (the BBR-vs-CUBIC/Reno contention question of arXiv:2505.07741 and
-// arXiv:1909.03673, scaled to the enterprise workload) and the confusion
-// matrix of the transport layer's passive CC fingerprinter.
+// arXiv:1909.03673, scaled to the enterprise workload).
 package analysis
 
 import (
@@ -10,12 +9,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/dot80211"
-	"repro/internal/llc"
 	"repro/internal/scenario"
-	"repro/internal/tcpsim"
-	"repro/internal/transport"
-	"repro/internal/unify"
 )
 
 // CCShareRow summarizes one congestion-control algorithm's slice of a run.
@@ -70,120 +64,5 @@ func FairnessTable(rows []CCShareRow) string {
 		fmt.Fprintf(&b, "%-8s %7d %9d %14d %9.2f Mbps %6.1f%%\n",
 			r.Algo, r.Flows, r.Completed, r.Bytes, r.GoodputBps/1e6, 100*r.Share)
 	}
-	return b.String()
-}
-
-// WiredCCFingerprints runs the transport CC fingerprinter over the wired
-// distribution tap (the §6 "second trace of the same traffic") instead of
-// the air-reconstructed flows. The wired tap observes segments at the
-// sender's release point, before any MAC queue serializes them, so pacing
-// and window dynamics survive intact — the vantage where the classifier's
-// accuracy gate holds. Compare against the air-side
-// Transport.FingerprintCC() to quantify what the wireless vantage loses.
-func WiredCCFingerprints(out *scenario.Output) []transport.CCFingerprint {
-	a := transport.NewAnalyzer()
-	var macSeq uint16
-	for _, wp := range out.Wired {
-		macSeq++
-		seg := wp.Seg
-		f := dot80211.NewData(wp.Dst, wp.Src, wp.Src, macSeq&0xfff, seg.Encode())
-		j := &unify.JFrame{UnivUS: wp.TimeUS, Frame: f, Wire: f.Encode(), Valid: true}
-		del := llc.DeliveryObserved
-		if !wp.Delivered {
-			del = llc.DeliveryFailed
-		}
-		at := &llc.Attempt{Data: j, Transmitter: wp.Src, Receiver: wp.Dst,
-			Seq: macSeq & 0xfff, HasSeq: true, StartUS: wp.TimeUS, EndUS: wp.TimeUS + 1}
-		a.AddExchange(&llc.Exchange{
-			Attempts: []*llc.Attempt{at}, Transmitter: wp.Src, Receiver: wp.Dst,
-			Seq: macSeq & 0xfff, Delivery: del, StartUS: wp.TimeUS, EndUS: wp.TimeUS + 1,
-		})
-	}
-	return a.FingerprintCC()
-}
-
-// CCConfusion scores the transport fingerprinter against simulator ground
-// truth.
-type CCConfusion struct {
-	// Matrix[truth][predicted] counts flows (predicted includes
-	// transport.CCUnknown).
-	Matrix map[string]map[string]int
-	// Total flows matched between truth and fingerprints; Classified
-	// excludes unknown verdicts; Correct counts exact matches among the
-	// classified.
-	Total, Classified, Correct int
-	// Accuracy is Correct/Classified (0 when nothing was classified).
-	Accuracy float64
-	// Coverage is Classified/Total.
-	Coverage float64
-}
-
-// CCConfusionReport joins fingerprints to ground truth by flow key.
-func CCConfusionReport(truth []scenario.FlowCC, prints []transport.CCFingerprint) *CCConfusion {
-	byKey := make(map[tcpsim.FlowKey]string, len(truth))
-	for _, f := range truth {
-		byKey[f.Key] = f.Algo
-	}
-	rep := &CCConfusion{Matrix: make(map[string]map[string]int)}
-	for _, p := range prints {
-		algo, ok := byKey[p.Key]
-		if !ok {
-			continue // flow not in ground truth (e.g. synthetic traffic)
-		}
-		rep.Total++
-		row := rep.Matrix[algo]
-		if row == nil {
-			row = make(map[string]int)
-			rep.Matrix[algo] = row
-		}
-		row[p.Algo]++
-		if p.Algo != transport.CCUnknown {
-			rep.Classified++
-			if p.Algo == algo {
-				rep.Correct++
-			}
-		}
-	}
-	if rep.Classified > 0 {
-		rep.Accuracy = float64(rep.Correct) / float64(rep.Classified)
-	}
-	if rep.Total > 0 {
-		rep.Coverage = float64(rep.Classified) / float64(rep.Total)
-	}
-	return rep
-}
-
-// String renders the confusion matrix with truth on rows.
-func (c *CCConfusion) String() string {
-	truths := make([]string, 0, len(c.Matrix))
-	predSet := map[string]bool{}
-	for tr, row := range c.Matrix {
-		truths = append(truths, tr)
-		for p := range row {
-			predSet[p] = true
-		}
-	}
-	sort.Strings(truths)
-	preds := make([]string, 0, len(predSet))
-	for p := range predSet {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s", "truth\\fp")
-	for _, p := range preds {
-		fmt.Fprintf(&b, " %8s", p)
-	}
-	b.WriteByte('\n')
-	for _, tr := range truths {
-		fmt.Fprintf(&b, "%-8s", tr)
-		for _, p := range preds {
-			fmt.Fprintf(&b, " %8d", c.Matrix[tr][p])
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "accuracy %.0f%% over %d classified (%.0f%% coverage of %d flows)\n",
-		100*c.Accuracy, c.Classified, 100*c.Coverage, c.Total)
 	return b.String()
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/tcpsim"
-	"repro/internal/transport"
 )
 
 func ccFlow(algo string, port uint16, bytes int64, done bool) scenario.FlowCC {
@@ -42,70 +40,5 @@ func TestCCFairnessShares(t *testing.T) {
 	}
 	if !strings.Contains(FairnessTable(rows), "bbr") {
 		t.Error("table missing bbr row")
-	}
-}
-
-func TestCCConfusionReport(t *testing.T) {
-	truth := []scenario.FlowCC{
-		ccFlow("reno", 1, 0, true),
-		ccFlow("reno", 2, 0, true),
-		ccFlow("cubic", 3, 0, true),
-		ccFlow("bbr", 4, 0, true),
-	}
-	pr := func(port uint16, algo string) transport.CCFingerprint {
-		return transport.CCFingerprint{
-			Key:  (&tcpsim.Segment{SrcIP: 0x0a000001, SrcPort: port, DstIP: 0x0b000001, DstPort: 80}).Key(),
-			Algo: algo,
-		}
-	}
-	prints := []transport.CCFingerprint{
-		pr(1, "reno"),              // correct
-		pr(2, "cubic"),             // wrong
-		pr(3, transport.CCUnknown), // abstained
-		pr(4, "bbr"),               // correct
-		pr(999, "reno"),            // not in truth: ignored
-	}
-	rep := CCConfusionReport(truth, prints)
-	if rep.Total != 4 || rep.Classified != 3 || rep.Correct != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.Accuracy < 0.66 || rep.Accuracy > 0.67 {
-		t.Errorf("accuracy = %.2f", rep.Accuracy)
-	}
-	if rep.Matrix["reno"]["cubic"] != 1 {
-		t.Errorf("matrix = %v", rep.Matrix)
-	}
-	s := rep.String()
-	if !strings.Contains(s, "accuracy") || !strings.Contains(s, "unknown") {
-		t.Errorf("render missing pieces:\n%s", s)
-	}
-}
-
-// TestWiredCCFingerprints exercises the wired-tap-to-exchange adapter over
-// a real (small) mixed-CC scenario: the synthesized exchanges must parse
-// back through the transport analyzer into fingerprintable flows joined to
-// ground truth by key.
-func TestWiredCCFingerprints(t *testing.T) {
-	cfg := scenario.MixedCC()
-	cfg.Pods, cfg.APs, cfg.Clients = 3, 3, 6
-	cfg.Day = 30 * sim.Second
-	cfg.FlowMeanGap = 3 * sim.Second
-	out, err := scenario.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Wired) == 0 {
-		t.Fatal("no wired tap traffic")
-	}
-	prints := WiredCCFingerprints(out)
-	if len(prints) == 0 {
-		t.Fatal("no flows reconstructed from the wired tap")
-	}
-	rep := CCConfusionReport(out.FlowCCs, prints)
-	if rep.Total == 0 {
-		t.Fatal("no fingerprints joined to ground truth: key mismatch between vantages")
-	}
-	if rep.Total < len(prints)/2 {
-		t.Errorf("only %d of %d wired fingerprints matched ground truth", rep.Total, len(prints))
 	}
 }

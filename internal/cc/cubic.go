@@ -7,7 +7,7 @@ package cc
 //
 // (windows in segments, t in seconds since the epoch started), which grows
 // steeply away from W_max, plateaus around it, then probes convexly past
-// it — the signature curve the transport fingerprinter looks for.
+// it.
 type cubicCC struct {
 	aimdShared
 	mss      int64

@@ -81,38 +81,30 @@ func writeTraceDir(t *testing.T, out *scenario.Output) *tracefile.TraceSet {
 	return ts
 }
 
-// flowSummary condenses one reconstructed flow for cross-run comparison.
+// flowSummary condenses one reconstructed flow for cross-run comparison:
+// its Fig. 11 loss row (zero for a flow without a complete handshake) and
+// its RTT sample count.
 type flowSummary struct {
-	handshake      bool
-	firstUS        int64
-	lastUS         int64
-	observations   int
-	retransmission int
-	resolved       int
-	rttSamples     int
+	handshake  bool
+	firstUS    int64
+	lastUS     int64
+	loss       transport.FlowLossRate
+	rttSamples int
 }
 
 func summarizeFlows(ta *transport.Analyzer) map[tcpsim.FlowKey]flowSummary {
 	out := make(map[tcpsim.FlowKey]flowSummary)
 	for _, f := range ta.Flows() {
-		s := flowSummary{
-			handshake:    f.HandshakeComplete,
-			firstUS:      f.FirstUS,
-			lastUS:       f.LastUS,
-			observations: len(f.Observations),
-		}
-		for _, o := range f.Observations {
-			if o.Retransmission {
-				s.retransmission++
-			}
-			if o.ResolvedDelivered {
-				s.resolved++
-			}
-		}
+		s := flowSummary{handshake: f.HandshakeComplete, firstUS: f.FirstUS, lastUS: f.LastUS}
 		for _, ss := range f.RTTSamplesUS {
 			s.rttSamples += len(ss)
 		}
 		out[f.Key] = s
+	}
+	for _, r := range ta.LossRates(0) {
+		s := out[r.Key]
+		s.loss = r
+		out[r.Key] = s
 	}
 	return out
 }

@@ -24,7 +24,7 @@ var retainedTypes = map[string]bool{
 // delivered it: struct fields, package-level variables, and named types
 // whose underlying type contains either payload type. Pass methods
 // receive these pointers transiently — copy the scalar fields you need
-// (as transport.SegObs does post-PR 4) instead of storing the pointer.
+// (as transport's per-sequence state does) instead of storing the pointer.
 //
 // Bounded holds that participate in the reference-counted ownership
 // contract are sanctioned automatically: a named struct whose methods

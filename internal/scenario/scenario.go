@@ -88,8 +88,7 @@ type Config struct {
 	// FlowScale multiplies every sampled flow's transfer sizes (0 = 1).
 	// Congestion-control experiments set it above 1: the enterprise mix's
 	// short web flows end during slow start, where every controller looks
-	// alike — fairness and fingerprinting need flows that reach steady
-	// state.
+	// alike — fairness needs flows that reach steady state.
 	FlowScale float64
 	// MobileClients makes the first N clients mobile: each walks a
 	// deterministic waypoint path through the building on the sim clock
@@ -152,9 +151,8 @@ func PaperScale() Config {
 }
 
 // MixedCC returns Default with an even Reno/CUBIC/BBR flow mix contending
-// for a finite bottleneck queue — the workload behind the fairness and
-// CC-fingerprinting experiments (cf. arXiv:2505.07741's BBR-vs-CUBIC
-// sharing study).
+// for a finite bottleneck queue — the workload behind the fairness
+// experiment (cf. arXiv:2505.07741's BBR-vs-CUBIC sharing study).
 func MixedCC() Config {
 	c := Default()
 	c.CCMix = map[string]float64{cc.Reno: 1, cc.Cubic: 1, cc.BBR: 1}
@@ -281,8 +279,8 @@ type TxSummary struct {
 }
 
 // FlowCC is the simulator's ground-truth record of one TCP flow: which
-// congestion controller drove it and what it achieved. The transport
-// fingerprinter's confusion matrix is scored against this.
+// congestion controller drove it and what it achieved. analysis.CCFairness
+// aggregates these into per-algorithm shares.
 type FlowCC struct {
 	Key  tcpsim.FlowKey
 	Algo string // cc algorithm name

@@ -132,8 +132,7 @@ func (e *Endpoint) SetCongestionControl(c cc.Controller) {
 }
 
 // CCName reports the installed controller's algorithm name — the
-// simulator-side ground truth the transport fingerprinter is scored
-// against.
+// simulator-side ground truth the fairness table groups flows by.
 func (e *Endpoint) CCName() string { return e.cc.Name() }
 
 // Connect starts the active open toward a peer and arranges to transmit

@@ -29,7 +29,7 @@
 //	internal/timesync   §4.1 bootstrap synchronization
 //	internal/unify      §4.2 frame unification + continuous resync
 //	internal/llc        §5.1 attempts / frame exchanges / inference
-//	internal/transport  §5.2 TCP reconstruction + delivery oracle + CC fingerprinting
+//	internal/transport  §5.2 TCP reconstruction + delivery oracle + loss split
 //	internal/core       the full pipeline
 //	internal/analysis   §6–7 experiments (all tables and figures)
 //	internal/baseline   beacon-only sync and naive-merge comparators
@@ -103,15 +103,11 @@
 // "Writing an analysis pass" section of README.md.
 //
 // Congestion-control workloads: MixedCCScenario runs a Reno/CUBIC/BBR
-// flow mix over a finite bottleneck queue, the transport analyzer
-// fingerprints each reconstructed flow's controller from its passive
-// window trajectory, and analysis scores fairness and the fingerprint
-// confusion against simulator ground truth:
+// flow mix over a finite bottleneck queue, and analysis scores each
+// algorithm's throughput share from simulator ground truth:
 //
 //	out, _ := jigsaw.Simulate(jigsaw.MixedCCScenario())
-//	res, _ := jigsaw.Merge(out, jigsaw.DefaultPipeline())
 //	fmt.Println(analysis.FairnessTable(analysis.CCFairness(out.FlowCCs, out.Cfg.Day.SecondsF())))
-//	fmt.Println(analysis.CCConfusionReport(out.FlowCCs, res.Transport.FingerprintCC()))
 //
 // See examples/ for runnable programs; `go test -run TestPaperNumbers -v .`
 // prints paper-vs-measured for every table and figure.
@@ -150,7 +146,7 @@ func PaperScaleScenario() ScenarioConfig { return scenario.PaperScale() }
 
 // MixedCCScenario returns a deployment whose flows run an even
 // Reno/CUBIC/BBR congestion-control mix over a finite bottleneck queue —
-// the workload behind the CC-fairness and fingerprinting experiments.
+// the workload behind the CC-fairness experiment.
 func MixedCCScenario() ScenarioConfig { return scenario.MixedCC() }
 
 // DefaultPipeline returns the paper's pipeline operating point (10 ms
