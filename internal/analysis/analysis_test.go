@@ -266,15 +266,7 @@ func TestProtectionFig10(t *testing.T) {
 
 func TestTCPLossFig11(t *testing.T) {
 	_, res := setup(t)
-	var rates []FlowLoss
-	for _, r := range res.Transport.LossRates(5) {
-		rates = append(rates, FlowLoss{
-			DataSegs: r.DataSegs, Losses: r.Losses,
-			WirelessLoss: r.WirelessLoss, WiredLoss: r.WiredLoss,
-			LossRate: r.LossRate,
-		})
-	}
-	rep := TCPLoss(rates)
+	rep := TCPLoss(res.Transport.LossRates(5))
 	if rep.Flows == 0 {
 		t.Fatal("no flows for loss analysis")
 	}

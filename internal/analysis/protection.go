@@ -262,7 +262,7 @@ type TCPLossReport struct {
 }
 
 // TCPLoss summarizes transport losses over handshake-complete flows.
-func TCPLoss(rates []FlowLoss) *TCPLossReport {
+func TCPLoss(rates []transport.FlowLossRate) *TCPLossReport {
 	rep := &TCPLossReport{Flows: len(rates)}
 	for _, r := range rates {
 		rep.LossRates = append(rep.LossRates, r.LossRate)
@@ -274,27 +274,4 @@ func TCPLoss(rates []FlowLoss) *TCPLossReport {
 		rep.WirelessShare = float64(rep.WirelessLoss) / float64(cl)
 	}
 	return rep
-}
-
-// FlowLoss mirrors transport.FlowLossRate without importing it here (the
-// caller converts); it keeps analysis decoupled from transport internals.
-type FlowLoss struct {
-	DataSegs     int
-	Losses       int
-	WirelessLoss int
-	WiredLoss    int
-	LossRate     float64
-}
-
-// TransportFlowLosses adapts a transport analyzer's per-flow loss rates to
-// FlowLoss rows (the conversion every TCPLoss caller needs).
-func TransportFlowLosses(ta *transport.Analyzer, minSegs int) []FlowLoss {
-	var rates []FlowLoss
-	for _, r := range ta.LossRates(minSegs) {
-		rates = append(rates, FlowLoss{
-			DataSegs: r.DataSegs, Losses: r.Losses,
-			WirelessLoss: r.WirelessLoss, WiredLoss: r.WiredLoss, LossRate: r.LossRate,
-		})
-	}
-	return rates
 }

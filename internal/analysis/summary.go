@@ -201,5 +201,5 @@ func (p *TCPLossPass) Finalize() Report {
 	if p.res == nil {
 		return &TCPLossReport{}
 	}
-	return TCPLoss(TransportFlowLosses(p.res.Transport, p.minSegs))
+	return TCPLoss(p.res.Transport.LossRates(p.minSegs))
 }
