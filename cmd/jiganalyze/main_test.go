@@ -66,11 +66,7 @@ func TestUnsyncedRadioWarned(t *testing.T) {
 	cfg := scenario.Default()
 	cfg.Pods, cfg.APs, cfg.Clients = 3, 3, 4
 	cfg.Day = 5 * sim.Second
-	cfg.SpillDir = dir
-	out, err := scenario.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := spill(t, cfg, dir)
 	// One more radio, on a channel nobody else hears and in no clock group.
 	const lone = 9000
 	frame := dot80211.NewData(dot80211.MAC{2, 1}, dot80211.MAC{2, 2}, dot80211.MAC{2, 3}, 1, []byte("x"))
@@ -87,9 +83,7 @@ func TestUnsyncedRadioWarned(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := scenario.WriteMeta(dir, scenario.MetaFromOutput(out)); err != nil {
-		t.Fatal(err)
-	}
+	writeMeta(t, dir, out)
 
 	stdout, stderr, err := jiganalyze(t, "-passes", "summary", dir)
 	if err != nil {
@@ -100,5 +94,51 @@ func TestUnsyncedRadioWarned(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "jframes") {
 		t.Errorf("the synchronized radios were not reported on:\n%s", stdout)
+	}
+}
+
+// TestTraceDirectoryReport: over a trace directory, with no simulator
+// alongside, jiganalyze prints every report section, and the two that need
+// ground truth say so instead of vanishing.
+func TestTraceDirectoryReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	dir := t.TempDir()
+	cfg := scenario.Default()
+	cfg.Pods, cfg.APs, cfg.Clients = 4, 4, 6
+	cfg.Day = 15 * sim.Second
+	writeMeta(t, dir, spill(t, cfg, dir))
+
+	stdout, stderr, err := jiganalyze(t, dir)
+	if err != nil {
+		t.Fatalf("jiganalyze: %v\n%s", err, stderr)
+	}
+	for _, want := range []string{
+		"== Table 1", "== Fig. 4", "== Fig. 8", "== Fig. 9", "== Fig. 10", "== §8", "== Fig. 11", "== Roaming",
+		"coverage: skipped", "needs simulator ground truth",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report has no %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// spill runs cfg with its traces written to dir.
+func spill(t *testing.T, cfg scenario.Config, dir string) *scenario.Output {
+	t.Helper()
+	cfg.SpillDir = dir
+	out, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeMeta writes out's meta.json (the roster and clock groups) into dir.
+func writeMeta(t *testing.T, dir string, out *scenario.Output) {
+	t.Helper()
+	if err := scenario.WriteMeta(dir, scenario.MetaFromOutput(out)); err != nil {
+		t.Fatal(err)
 	}
 }
