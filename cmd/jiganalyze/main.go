@@ -115,7 +115,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jiganalyze: ")
 	var (
-		in       = flag.String("in", "", "analyze this trace directory instead of simulating")
 		pods     = flag.Int("pods", 8, "sensor pods (simulate mode)")
 		aps      = flag.Int("aps", 9, "APs (simulate mode)")
 		clients  = flag.Int("clients", 16, "clients (simulate mode)")
@@ -157,7 +156,7 @@ func main() {
 			}
 		}()
 	}
-	dir := *in
+	var dir string
 	if flag.NArg() == 1 {
 		dir = flag.Arg(0)
 	} else if flag.NArg() > 1 {

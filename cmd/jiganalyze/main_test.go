@@ -14,7 +14,8 @@ import (
 )
 
 // jiganalyze runs the command from source and returns its stdout and
-// stderr.
+// stderr. The command runs under a 512 MiB soft heap limit, the ceiling a
+// campus run is expected to fit.
 func jiganalyze(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
 	if testing.Short() {
@@ -22,6 +23,7 @@ func jiganalyze(t *testing.T, args ...string) (stdout, stderr string, err error)
 	}
 	var o, e bytes.Buffer
 	cmd := exec.Command("go", append([]string{"run", "."}, args...)...)
+	cmd.Env = append(os.Environ(), "GOMEMLIMIT=512MiB")
 	cmd.Stdout, cmd.Stderr = &o, &e
 	err = cmd.Run()
 	return o.String(), e.String(), err
@@ -74,7 +76,7 @@ func TestUnsyncedRadioWarned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracefile.WriteAll(f, []tracefile.Record{{
+	if err := tracefile.WriteAll(f, []tracefile.Record{{
 		LocalUS: 1_000_000, RadioID: lone, Channel: 14,
 		Rate: uint16(dot80211.Rate11Mbps), Flags: tracefile.FlagFCSOK, Frame: frame.Encode(),
 	}}); err != nil {
@@ -120,6 +122,35 @@ func TestTraceDirectoryReport(t *testing.T) {
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("report has no %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestCampusDirectoryReport: pointed at a directory of building-NN trace
+// directories, jiganalyze takes the hierarchical path and prints the full
+// report set.
+func TestCampusDirectoryReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	dir := t.TempDir()
+	camp := scenario.Campus()
+	camp.Buildings = 2
+	camp.Building.Pods, camp.Building.APs, camp.Building.Clients = 4, 4, 6
+	camp.Building.Day = 15 * sim.Second
+	if _, err := scenario.RunCampus(camp, dir, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, stderr, err := jiganalyze(t, dir)
+	if err != nil {
+		t.Fatalf("jiganalyze: %v\n%s", err, stderr)
+	}
+	for _, want := range []string{
+		"== Table 1", "== Fig. 4", "== Fig. 8", "== Fig. 9", "== Fig. 10", "== §8", "== Fig. 11", "== Roaming",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("campus report has no %q:\n%s", want, stdout)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestRunServesAndWarnsUnsynced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracefile.WriteAll(f, []tracefile.Record{{
+	if err := tracefile.WriteAll(f, []tracefile.Record{{
 		LocalUS: 1_000_000, RadioID: lone, Channel: 14,
 		Rate: uint16(dot80211.Rate11Mbps), Flags: tracefile.FlagFCSOK, Frame: frame.Encode(),
 	}}); err != nil {
@@ -181,8 +181,8 @@ func TestRunServesAndWarnsUnsynced(t *testing.T) {
 }
 
 // TestRunTailsGrowingCapture starts the daemon on an empty directory and
-// replays a capture into it whose segments outlast it, so no sidecar exists
-// until the replay ends. The replay holds at 6 s until the daemon has
+// replays a capture into it whose segments outlast it, so no seal marker
+// exists until the replay ends. The replay holds at 6 s until the daemon has
 // closed two 2 s windows: everything it reports by then it read from open
 // segments. Drained, it must agree with a run over the finished capture.
 func TestRunTailsGrowingCapture(t *testing.T) {
@@ -204,8 +204,8 @@ func TestRunTailsGrowingCapture(t *testing.T) {
 				sum, ok := d.summary()
 				return ok && sum.WindowsClosed >= 2
 			})
-			if sealed, _ := filepath.Glob(filepath.Join(capDir, "*.idx")); len(sealed) != 0 {
-				t.Errorf("sidecars %v exist mid-replay; the windows did not have to come from open segments", sealed)
+			if sealed, _ := filepath.Glob(filepath.Join(capDir, "*.sealed")); len(sealed) != 0 {
+				t.Errorf("seal markers %v exist mid-replay; the windows did not have to come from open segments", sealed)
 			}
 			var met struct {
 				serve.Counters

@@ -1,6 +1,6 @@
 // Command jigsim runs the building-scale 802.11b/g substrate simulation and
-// writes per-radio jigdump traces (plus their metadata indexes), the wired
-// distribution-network trace, and a ground-truth summary to a directory.
+// writes per-radio jigdump traces, the wired distribution-network trace,
+// and a ground-truth summary to a directory.
 // Traces stream to disk as the monitor radios produce them (the scenario's
 // SpillDir machinery), so peak memory is independent of capture length —
 // the building-scale preset generates trace sets far larger than RAM.
@@ -194,26 +194,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for radio, idx := range res.Indexes {
-		f, err := os.Create(tracefile.IndexPath(dir, radio))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tracefile.WriteIndex(f, idx); err != nil {
-			_ = f.Close() // best-effort cleanup; the write error is already fatal
-			log.Fatalf("writing index for radio %d: %v", radio, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("closing index for radio %d: %v", radio, err)
-		}
-	}
 	if err := scenario.WriteMeta(dir, scenario.MetaFromOutput(res)); err != nil {
 		log.Fatal(err)
 	}
 
 	log.Printf("simulated %v of network time in %v", time.Duration(cfg.Day), time.Since(start).Round(time.Millisecond)) //jiglint:allow wallclock
 	log.Printf("%d radios, %d monitor records, %d transmissions, %d wired packets",
-		len(res.Indexes), res.MonitorRecords, len(res.Truth), len(res.Wired))
+		len(res.MonitorClocks), res.MonitorRecords, len(res.Truth), len(res.Wired))
 	log.Printf("flows: %d started, %d completed", res.FlowsStarted, res.FlowsCompleted)
 	if len(cfg.CCMix) > 0 {
 		log.Printf("cc mix %s, per-algorithm shares:", cc.FormatMix(cfg.CCMix))
@@ -276,9 +263,10 @@ func replay(src, dst string, pace float64, segment time.Duration) error {
 	return nil
 }
 
-// clearStaleTraces removes radio trace and index files left in dir by a
-// previous run. Only files matching the trace naming convention are
-// touched; a missing directory is fine (the scenario creates it).
+// clearStaleTraces removes radio trace files, and the index files older
+// builds wrote beside them, left in dir by a previous run. Only files
+// matching the trace naming convention are touched; a missing directory is
+// fine (the scenario creates it).
 func clearStaleTraces(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

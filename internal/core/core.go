@@ -164,12 +164,14 @@ func (h *DispersionHistogram) Add(us int64) {
 }
 
 // Percentile returns the smallest dispersion d such that at least p
-// (0..1) of jframes have dispersion ≤ d; -1 if the answer lies in the tail.
+// (0..1) of jframes have dispersion ≤ d — the nearest-rank rule, rank
+// ⌈p·Total⌉ and at least 1, as analysis.InterferenceReport.XPercentile — or
+// -1 if the answer lies in the tail.
 func (h *DispersionHistogram) Percentile(p float64) int64 {
 	if h.Total == 0 {
 		return 0
 	}
-	need := int64(p * float64(h.Total))
+	need := max(int64(math.Ceil(p*float64(h.Total))), 1)
 	var cum int64
 	for i, c := range h.Bins {
 		cum += c

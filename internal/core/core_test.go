@@ -89,9 +89,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineDispersionFig4Shape(t *testing.T) {
 	// Fig. 4's 90%-under-10 µs knee holds even in this deliberately sparse
 	// 6-pod test deployment; the p99-under-20 µs figure needs the paper's
-	// monitor density (the full-scale benches reproduce it — the tail is
-	// governed by how long quiet radios coast, which falls with density,
-	// exactly the paper's argument for 39 pods).
+	// monitor density (the tail is governed by how long quiet radios coast,
+	// which falls with density, exactly the paper's argument for 39 pods).
+	// Nothing asserts it yet: it is the Fig. 4 p99 row of ROADMAP item 3's
+	// paper-density set, to be read on PaperScale() in TestPaperNumbers.
 	res, _ := runPipeline(t, DefaultConfig(), nil)
 	p90 := res.Dispersion.Percentile(0.90)
 	p95 := res.Dispersion.Percentile(0.95)
@@ -190,6 +191,37 @@ func TestDispersionHistogram(t *testing.T) {
 	var empty DispersionHistogram
 	if empty.Percentile(0.5) != 0 {
 		t.Error("empty percentile")
+	}
+}
+
+// TestDispersionPercentileNearestRank: Percentile answers with the value at
+// rank ⌈p·Total⌉ (at least 1), so it always names a dispersion some jframe
+// has, and an exact p·Total picks that rank, not the one after it.
+func TestDispersionPercentileNearestRank(t *testing.T) {
+	tenValues := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	cases := []struct {
+		vals []int64
+		p    float64
+		want int64
+	}{
+		{[]int64{5}, 0.5, 5},
+		{[]int64{5}, 0.01, 5},
+		{[]int64{5, 6, 7}, 0.5, 6},
+		{[]int64{5, 6, 7}, 0.99, 7},
+		{tenValues, 0.9, 8}, // rank 9 exactly
+		{tenValues, 0.91, 9},
+		{tenValues, 0.1, 0},
+		{tenValues, 0, 0},
+		{tenValues, 1, 9},
+	}
+	for _, c := range cases {
+		h := DispersionHistogram{Bins: make([]int64, 10)}
+		for _, v := range c.vals {
+			h.Add(v)
+		}
+		if got := h.Percentile(c.p); got != c.want {
+			t.Errorf("Percentile(%v) over %v = %d, want %d", c.p, c.vals, got, c.want)
+		}
 	}
 }
 

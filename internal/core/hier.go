@@ -77,12 +77,9 @@ func RunHierarchical(streams []*hmerge.Stream, cfg Config, sink *Sink) (*Result,
 		ustats.Add(s.Meta.Unify)
 	}
 
-	// With more than one worker the merger decodes each stream on its own
-	// goroutine in front of the pipeline's stream stage.
-	workers := cfg.workers()
-	merger := hmerge.NewMerger(streams, workers > 1)
+	merger := hmerge.NewMerger(streams, false)
 	defer merger.Close()
-	res, err := run(mergedStream{merger, ustats}, boot, cfg, sink, workers)
+	res, err := run(mergedStream{merger, ustats}, boot, cfg, sink, cfg.workers())
 	if err != nil {
 		return nil, err
 	}

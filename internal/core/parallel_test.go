@@ -317,7 +317,7 @@ func corruptMidStream(t *testing.T, path string) {
 func TestSlabPoolBalance(t *testing.T) {
 	// Two radio-disjoint buildings: the first doubles as the flat input, and
 	// the pair makes a two-stream merge in which one stream can fail while
-	// the other (and, with Workers > 1, its prefetcher) is still mid-flight.
+	// the other is still mid-flight.
 	bcfg := scenario.Default()
 	bcfg.Pods, bcfg.APs, bcfg.Clients = 4, 4, 6
 	bcfg.Day = 20 * sim.Second

@@ -10,10 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/dot80211"
@@ -197,116 +195,94 @@ func TestWriterRejectsOversizedWire(t *testing.T) {
 // TestMergeOrdering is the k-way-merge property: splitting one sorted
 // sequence across k streams (preserving relative order, so each stream is
 // sorted) and merging must reproduce a sorted sequence that matches an
-// independent head-min reference merge, with or without prefetch.
+// independent head-min reference merge.
 func TestMergeOrdering(t *testing.T) {
 	for _, k := range []int{1, 2, 5} {
-		for _, prefetch := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(k)))
-			frames := synthFrames(600, int64(10+k))
-			parts := make([][]*unify.JFrame, k)
-			for _, j := range frames {
-				i := rng.Intn(k)
-				parts[i] = append(parts[i], j)
-			}
+		rng := rand.New(rand.NewSource(int64(k)))
+		frames := synthFrames(600, int64(10+k))
+		parts := make([][]*unify.JFrame, k)
+		for _, j := range frames {
+			i := rng.Intn(k)
+			parts[i] = append(parts[i], j)
+		}
 
-			// Reference: repeatedly take the smallest (UnivUS, stream index)
-			// head across the split streams.
-			cursors := make([]int, k)
-			var want []*unify.JFrame
-			for {
-				best := -1
-				for i := 0; i < k; i++ {
-					if cursors[i] >= len(parts[i]) {
-						continue
-					}
-					if best < 0 || parts[i][cursors[i]].UnivUS < parts[best][cursors[best]].UnivUS {
-						best = i
-					}
+		// Reference: repeatedly take the smallest (UnivUS, stream index)
+		// head across the split streams.
+		cursors := make([]int, k)
+		var want []*unify.JFrame
+		for {
+			best := -1
+			for i := 0; i < k; i++ {
+				if cursors[i] >= len(parts[i]) {
+					continue
 				}
-				if best < 0 {
-					break
+				if best < 0 || parts[i][cursors[i]].UnivUS < parts[best][cursors[best]].UnivUS {
+					best = i
 				}
-				want = append(want, parts[best][cursors[best]])
-				cursors[best]++
 			}
+			if best < 0 {
+				break
+			}
+			want = append(want, parts[best][cursors[best]])
+			cursors[best]++
+		}
 
-			streams := make([]*Stream, k)
-			for i := range parts {
-				data, _ := encodeStream(t, parts[i])
-				streams[i] = NewStream(nil, bytes.NewReader(data))
+		streams := make([]*Stream, k)
+		for i := range parts {
+			data, _ := encodeStream(t, parts[i])
+			streams[i] = NewStream(nil, bytes.NewReader(data))
+		}
+		m := NewMerger(streams, false)
+		var lastUS int64
+		for n, wj := range want {
+			got, err := m.Next()
+			if err != nil {
+				t.Fatalf("k=%d: merge frame %d: %v", k, n, err)
 			}
-			m := NewMerger(streams, prefetch)
-			var lastUS int64
-			for n, wj := range want {
-				got, err := m.Next()
-				if err != nil {
-					t.Fatalf("k=%d prefetch=%v: merge frame %d: %v", k, prefetch, n, err)
-				}
-				if n > 0 && got.UnivUS < lastUS {
-					t.Fatalf("k=%d prefetch=%v: merge emitted %d after %d", k, prefetch, got.UnivUS, lastUS)
-				}
-				lastUS = got.UnivUS
-				if !reflect.DeepEqual(public(got), public(decodedForm(wj))) {
-					t.Fatalf("k=%d prefetch=%v: merge frame %d mismatch", k, prefetch, n)
-				}
+			if n > 0 && got.UnivUS < lastUS {
+				t.Fatalf("k=%d: merge emitted %d after %d", k, got.UnivUS, lastUS)
 			}
-			if _, err := m.Next(); err != io.EOF {
-				t.Fatalf("k=%d prefetch=%v: want io.EOF after merge, got %v", k, prefetch, err)
+			lastUS = got.UnivUS
+			if !reflect.DeepEqual(public(got), public(decodedForm(wj))) {
+				t.Fatalf("k=%d: merge frame %d mismatch", k, n)
 			}
+		}
+		if _, err := m.Next(); err != io.EOF {
+			t.Fatalf("k=%d: want io.EOF after merge, got %v", k, err)
 		}
 	}
 }
 
 // TestMergerCloseUnwinds: a merge abandoned part way — by a consumer that
-// stops early, or by a stream that fails mid-pass — must leave nothing
-// behind once Close returns: no prefetch goroutine still running (they
-// would otherwise block forever on their full channels) and no pooled frame
-// still referenced, whether it sat in the merge heap, in a prefetched batch
-// or in a goroutine's hands.
+// stops early, or by a stream that fails mid-pass — must leave no pooled
+// frame still referenced once Close returns.
 func TestMergerCloseUnwinds(t *testing.T) {
-	for _, prefetch := range []bool{false, true} {
-		for _, damaged := range []bool{false, true} {
-			goroutines, live := runtime.NumGoroutine(), unify.LiveJFrames()
-			streams := make([]*Stream, 3)
-			for i := range streams {
-				// Long enough that every prefetcher fills its channel and
-				// blocks well before its stream ends.
-				data, _ := encodeStream(t, synthFrames(1000, int64(20+i)))
-				if damaged && i == 1 {
-					data = data[:len(data)/2]
-				}
-				streams[i] = NewStream(nil, bytes.NewReader(data))
+	for _, damaged := range []bool{false, true} {
+		live := unify.LiveJFrames()
+		streams := make([]*Stream, 3)
+		for i := range streams {
+			data, _ := encodeStream(t, synthFrames(1000, int64(20+i)))
+			if damaged && i == 1 {
+				data = data[:len(data)/2]
 			}
-			m := NewMerger(streams, prefetch)
-			var err error
-			for n := 0; err == nil && (damaged || n < 100); n++ {
-				var j *unify.JFrame
-				if j, err = m.Next(); err == nil {
-					j.Release()
-				}
-			}
-			if damaged && (err == nil || err == io.EOF) {
-				t.Fatalf("prefetch=%v: truncated stream merged with err = %v", prefetch, err)
-			}
-			m.Close()
-			if n := unify.LiveJFrames() - live; n != 0 {
-				t.Errorf("prefetch=%v damaged=%v: %d pooled jframes still referenced after Close", prefetch, damaged, n)
-			}
-			if n := leakedGoroutines(goroutines); n > 0 {
-				t.Errorf("prefetch=%v damaged=%v: %d goroutines outlived Close", prefetch, damaged, n)
+			streams[i] = NewStream(nil, bytes.NewReader(data))
+		}
+		m := NewMerger(streams, false)
+		var err error
+		for n := 0; err == nil && (damaged || n < 100); n++ {
+			var j *unify.JFrame
+			if j, err = m.Next(); err == nil {
+				j.Release()
 			}
 		}
+		if damaged && (err == nil || err == io.EOF) {
+			t.Fatalf("truncated stream merged with err = %v", err)
+		}
+		m.Close()
+		if n := unify.LiveJFrames() - live; n != 0 {
+			t.Errorf("damaged=%v: %d pooled jframes still referenced after Close", damaged, n)
+		}
 	}
-}
-
-// leakedGoroutines reports how many goroutines are running beyond the
-// baseline, allowing a moment for ones that have already signalled
-// completion to finish exiting (there is no event to wait on for that).
-func leakedGoroutines(baseline int) int {
-	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	return runtime.NumGoroutine() - baseline
 }
 
 func TestReaderRejectsCorrupt(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/tracefile"
 	"repro/internal/unify"
@@ -73,81 +72,6 @@ func (s *Stream) Close() error {
 	return s.c.Close()
 }
 
-// mergePrefetchBatch sizes the prefetch batches: small batch × small
-// channel keeps per-stream buffering bounded while amortizing channel
-// synchronization.
-const (
-	mergePrefetchBatch   = 64
-	mergePrefetchChanBuf = 2
-)
-
-// prefetchCursor decodes a stream in a background goroutine. err is
-// written before ch closes, so reading it after the channel drains is
-// race-free.
-type prefetchCursor struct {
-	ch  chan []*unify.JFrame
-	cur []*unify.JFrame
-	i   int
-	err error
-}
-
-// run is the cursor's goroutine: it decodes s into batches until the stream
-// ends or stop closes, in which case the batch in hand is released.
-func (c *prefetchCursor) run(s *Stream, stop <-chan struct{}) {
-	defer close(c.ch)
-	batch := make([]*unify.JFrame, 0, mergePrefetchBatch)
-	send := func() bool {
-		select {
-		case c.ch <- batch:
-			return true
-		case <-stop:
-			releaseAll(batch)
-			return false
-		}
-	}
-	for {
-		j, err := s.Next()
-		if err != nil {
-			if err != io.EOF {
-				c.err = err
-			}
-			if len(batch) > 0 {
-				send()
-			}
-			return
-		}
-		batch = append(batch, j)
-		if len(batch) == mergePrefetchBatch {
-			if !send() {
-				return
-			}
-			batch = make([]*unify.JFrame, 0, mergePrefetchBatch)
-		}
-	}
-}
-
-func (c *prefetchCursor) next() (*unify.JFrame, error) {
-	for c.i >= len(c.cur) {
-		cur, ok := <-c.ch
-		if !ok {
-			if c.err != nil {
-				return nil, c.err
-			}
-			return nil, io.EOF
-		}
-		c.cur, c.i = cur, 0
-	}
-	j := c.cur[c.i]
-	c.i++
-	return j, nil
-}
-
-func releaseAll(frames []*unify.JFrame) {
-	for _, j := range frames {
-		j.Release()
-	}
-}
-
 // usHeap is a binary min-heap of payloads keyed by (us, tie), with concrete
 // sift loops: no container/heap interface dispatch, no boxing of each pushed
 // item into an `any`. Both of this package's heaps order jframes by UnivUS
@@ -198,12 +122,10 @@ func (h usHeap[T]) fixMin() {
 }
 
 // mergeHead is one stream's head inside the merge heap (keyed by the
-// head's UnivUS and the stream's index). next is how the stream's jframes
-// reach the merger: Stream.Next directly, or a prefetchCursor that overlaps
-// decoding across streams.
+// head's UnivUS and the stream's index).
 type mergeHead struct {
-	j    *unify.JFrame
-	next func() (*unify.JFrame, error)
+	j *unify.JFrame
+	s *Stream
 }
 
 // Merger is the global k-way merge: it interleaves k sorted intermediate
@@ -218,42 +140,24 @@ type Merger struct {
 	streams []*Stream
 	h       usHeap[mergeHead]
 	started bool
-	// prefetch overlaps per-stream decompression with the merge: each
-	// stream decodes on its own goroutine, stopped and awaited by Close.
-	prefetch bool
-	cursors  []*prefetchCursor
-	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
-// NewMerger prepares a merge over streams. With prefetch set, each stream
-// decodes in its own goroutine; the caller must then Close the merger.
+// NewMerger prepares a merge over streams, decoded on the caller's
+// goroutine. prefetch is ignored: per-stream decode goroutines measured no
+// faster on the campus workload, so the merger has none.
 func NewMerger(streams []*Stream, prefetch bool) *Merger {
-	return &Merger{streams: streams, prefetch: prefetch}
+	return &Merger{streams: streams}
 }
 
-// Close ends the merge: it stops the prefetch goroutines, waits for them to
-// exit, and releases every frame the merger still holds (stream heads,
-// prefetched batches). After a merge that ran to io.EOF there is nothing
-// left to do; after a stream error, or when the caller stops early, this is
-// what keeps goroutines and pooled frames from leaking. The merger must not
-// be used afterwards.
+// Close ends the merge, releasing the stream heads the merger still holds.
+// After a merge that ran to io.EOF there is nothing left to do; after a
+// stream error, or when the caller stops early, this is what keeps pooled
+// frames from leaking. The merger must not be used afterwards.
 func (m *Merger) Close() {
-	if m.stop != nil {
-		close(m.stop)
-		m.wg.Wait()
-		m.stop = nil
-	}
-	for _, c := range m.cursors {
-		releaseAll(c.cur[c.i:])
-		for batch := range c.ch {
-			releaseAll(batch)
-		}
-	}
 	for _, it := range m.h {
 		it.v.j.Release()
 	}
-	m.cursors, m.h = nil, nil
+	m.h = nil
 }
 
 func (m *Merger) streamErr(idx int, err error) error {
@@ -262,32 +166,15 @@ func (m *Merger) streamErr(idx int, err error) error {
 
 func (m *Merger) start() error {
 	m.h = make(usHeap[mergeHead], 0, len(m.streams))
-	if m.prefetch {
-		m.stop = make(chan struct{})
-		for _, s := range m.streams {
-			// Buffered mergePrefetchChanBuf batches deep; see the constant.
-			c := &prefetchCursor{ch: make(chan []*unify.JFrame, mergePrefetchChanBuf)}
-			m.cursors = append(m.cursors, c)
-			m.wg.Add(1)
-			go func() {
-				defer m.wg.Done()
-				c.run(s, m.stop)
-			}()
-		}
-	}
 	for i, s := range m.streams {
-		next := s.Next
-		if m.prefetch {
-			next = m.cursors[i].next
-		}
-		j, err := next()
+		j, err := s.Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
 			return m.streamErr(i, err)
 		}
-		m.h.push(usItem[mergeHead]{us: j.UnivUS, tie: int64(i), v: mergeHead{j: j, next: next}})
+		m.h.push(usItem[mergeHead]{us: j.UnivUS, tie: int64(i), v: mergeHead{j: j, s: s}})
 	}
 	return nil
 }
@@ -320,7 +207,7 @@ func (m *Merger) Next() (*unify.JFrame, error) {
 	}
 	top := &m.h[0]
 	j := top.v.j
-	nxt, err := top.v.next()
+	nxt, err := top.v.s.Next()
 	if err == io.EOF {
 		m.h.popMin()
 	} else if err != nil {

@@ -30,7 +30,6 @@ func (s *state) finish() (*Output, error) {
 				fail(fmt.Errorf("scenario: closing spilled trace for radio %d: %w", m.id, err))
 			}
 		}
-		s.out.Indexes[int32(m.id)] = m.w.Index()
 	}
 	if firstErr != nil {
 		return nil, firstErr

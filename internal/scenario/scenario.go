@@ -325,7 +325,6 @@ type Output struct {
 	// TraceDir is the directory the traces were spilled to (mirrors
 	// Config.SpillDir; empty for in-memory runs).
 	TraceDir    string
-	Indexes     map[int32][]tracefile.IndexEntry
 	ClockGroups [][]int32 // radios sharing a physical clock (per monitor)
 	Wired       []WiredPacket
 	Truth       []TxSummary
@@ -374,9 +373,11 @@ func (o *Output) TraceSet() *tracefile.TraceSet {
 		}
 		return tracefile.NewTraceSet(sources)
 	}
-	sources := make(map[int32]tracefile.Source, len(o.Indexes))
-	for r := range o.Indexes {
-		sources[r] = tracefile.FileSource(tracefile.TracePath(o.TraceDir, r))
+	sources := make(map[int32]tracefile.Source)
+	for _, g := range o.ClockGroups {
+		for _, r := range g {
+			sources[r] = tracefile.FileSource(tracefile.TracePath(o.TraceDir, r))
+		}
 	}
 	return tracefile.NewTraceSet(sources)
 }

@@ -158,7 +158,6 @@ func newState(cfg Config) *state {
 		out: &Output{
 			Cfg:             cfg,
 			Traces:          make(map[int32]*bytes.Buffer),
-			Indexes:         make(map[int32][]tracefile.IndexEntry),
 			CapturedValid:   make(map[uint64]int),
 			CapturedAny:     make(map[uint64]int),
 			CapturedCorrupt: make(map[uint64]int),

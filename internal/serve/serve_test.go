@@ -35,7 +35,7 @@ func liveRun(t *testing.T, windowUS int64) (*serve.Monitor, []int64) {
 	}
 	lone := dot80211.NewData(dot80211.MAC{2, 1}, dot80211.MAC{2, 2}, dot80211.MAC{2, 3}, 1, []byte("x"))
 	var buf bytes.Buffer
-	if _, err := tracefile.WriteAll(&buf, []tracefile.Record{{
+	if err := tracefile.WriteAll(&buf, []tracefile.Record{{
 		LocalUS: 1_000_000, RadioID: loneRadio, Channel: 14,
 		Rate: uint16(dot80211.Rate11Mbps), Flags: tracefile.FlagFCSOK, Frame: lone.Encode(),
 	}}); err != nil {

@@ -200,7 +200,7 @@ func TestMonitorClosesHeldWindowsAtEnd(t *testing.T) {
 	raw := map[int32][]byte{}
 	for r, rr := range recs {
 		var buf bytes.Buffer
-		if _, err := tracefile.WriteAll(&buf, rr); err != nil {
+		if err := tracefile.WriteAll(&buf, rr); err != nil {
 			t.Fatal(err)
 		}
 		raw[r] = buf.Bytes()

@@ -18,7 +18,7 @@ func validTraceBytes(tb testing.TB) []byte {
 			Frame: bytes.Repeat([]byte{0xab}, 300), OrigLen: 1400},
 		{LocalUS: 230, RadioID: 1, Channel: 1, RSSIdBm: -90, Flags: FlagPhyErr},
 	}
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -60,36 +60,6 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzReadIndex: arbitrary bytes through the metadata-index parser.
-func FuzzReadIndex(f *testing.F) {
-	var buf bytes.Buffer
-	recs := []Record{{LocalUS: 5, RadioID: 2, Frame: []byte("x")}}
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var ibuf bytes.Buffer
-	if err := WriteIndex(&ibuf, idx); err != nil {
-		f.Fatal(err)
-	}
-	valid := ibuf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])           // truncated entry
-	f.Add([]byte("JIG2\xff\xff\xff\xff")) // absurd count
-	f.Add([]byte("nope"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := ReadIndex(bytes.NewReader(data))
-		if err == nil {
-			// A successful parse must be internally consistent with the
-			// input length: 8-byte header + 36 bytes per entry.
-			if want := 8 + 36*len(idx); len(data) < want {
-				t.Fatalf("parsed %d entries from %d bytes", len(idx), len(data))
-			}
-		}
-	})
-}
-
 // FuzzRoundTrip: records written must read back identically regardless of
 // the fuzzer's choice of content and snap behaviour.
 func FuzzRoundTrip(f *testing.F) {
@@ -102,7 +72,7 @@ func FuzzRoundTrip(f *testing.F) {
 		in := Record{LocalUS: us, RadioID: 7, Channel: 6, RSSIdBm: -50,
 			Rate: 110, Flags: FlagFCSOK, OrigLen: origLen, Frame: frame}
 		var buf bytes.Buffer
-		if _, err := WriteAll(&buf, []Record{in}); err != nil {
+		if err := WriteAll(&buf, []Record{in}); err != nil {
 			t.Fatal(err)
 		}
 		r := NewReader(bytes.NewReader(buf.Bytes()))

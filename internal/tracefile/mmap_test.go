@@ -85,7 +85,7 @@ func TestMmapSourceMatchesBuffer(t *testing.T) {
 // the same file decodes it again.
 func TestMappedTraceReleasesBehindReader(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, sample(20000, 3)); err != nil {
+	if err := WriteAll(&buf, sample(20000, 3)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -7,8 +7,7 @@ import (
 
 // RotatingWriter splits a radio's capture into consecutive segments by
 // local-clock period, mirroring jigdump's behaviour of "creating a new file
-// pair each hour" (§3.3). Each segment is an independent trace stream with
-// its own metadata index.
+// pair each hour" (§3.3). Each segment is an independent trace stream.
 //
 // Boundary semantics: the segment grid is anchored at the first record's
 // timestamp, and a record timestamped exactly on a period edge opens the
@@ -18,14 +17,13 @@ import (
 // tailing reader never sees zero-record segment files.
 type RotatingWriter struct {
 	open     func(segment int) (io.Writer, error)
-	seal     func(segment int, idx []IndexEntry) error
+	seal     func(segment int) error
 	periodUS int64
 
 	cur      *Writer
 	seg      int
 	segStart int64
 	started  bool
-	indexes  [][]IndexEntry
 }
 
 // LiveBlockUS is the age at which a rotating writer closes a block short of
@@ -47,11 +45,11 @@ func NewRotatingWriter(open func(segment int) (io.Writer, error), periodUS int64
 }
 
 // SetSealFunc registers a callback invoked after each segment's stream is
-// fully written (on rotation and on Close), with the segment number and
-// its metadata index. Directory-backed writers use it to flush, close and
-// mark the segment file complete so a concurrent tailer can tell sealed
-// segments from the one still being written.
-func (w *RotatingWriter) SetSealFunc(seal func(segment int, idx []IndexEntry) error) {
+// fully written (on rotation and on Close), with the segment number.
+// Directory-backed writers use it to close and mark the segment file
+// complete so a concurrent tailer can tell sealed segments from the one
+// still being written.
+func (w *RotatingWriter) SetSealFunc(seal func(segment int) error) {
 	w.seal = seal
 }
 
@@ -96,14 +94,12 @@ func (w *RotatingWriter) rotate(nowUS int64) error {
 // closeCur finishes the current segment's stream and seals it.
 func (w *RotatingWriter) closeCur() error {
 	err := w.cur.Close()
-	idx := w.cur.Index()
-	w.indexes = append(w.indexes, idx)
 	w.cur = nil
 	if err != nil {
 		return err
 	}
 	if w.seal != nil {
-		if serr := w.seal(w.seg, idx); serr != nil {
+		if serr := w.seal(w.seg); serr != nil {
 			return fmt.Errorf("tracefile: sealing segment %d: %w", w.seg, serr)
 		}
 	}
@@ -120,6 +116,3 @@ func (w *RotatingWriter) Close() error {
 
 // Segments returns how many segments were produced.
 func (w *RotatingWriter) Segments() int { return w.seg + 1 }
-
-// Indexes returns the per-segment metadata indexes (valid after Close).
-func (w *RotatingWriter) Indexes() [][]IndexEntry { return w.indexes }

@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -28,9 +29,6 @@ func TestRotatingWriterSplitsByPeriod(t *testing.T) {
 	}
 	if w.Segments() != 4 {
 		t.Fatalf("segments = %d, want 4", w.Segments())
-	}
-	if len(w.Indexes()) != 4 {
-		t.Fatalf("indexes = %d", len(w.Indexes()))
 	}
 	// Each segment covers exactly one period.
 	for i, b := range bufs {
@@ -144,13 +142,21 @@ func TestRotatingWriterPeriodEdge(t *testing.T) {
 
 func TestRotatingWriterSealHook(t *testing.T) {
 	var sealed []int
-	var segIdx [][]IndexEntry
+	var bufs []*bytes.Buffer
+	var segRecs []int
 	w := NewRotatingWriter(func(seg int) (io.Writer, error) {
-		return &bytes.Buffer{}, nil
+		b := &bytes.Buffer{}
+		bufs = append(bufs, b)
+		return b, nil
 	}, 1_000_000)
-	w.SetSealFunc(func(seg int, idx []IndexEntry) error {
+	w.SetSealFunc(func(seg int) error {
+		// The segment's stream is complete by the time it is sealed.
+		rs, err := ReadAll(bytes.NewReader(bufs[seg].Bytes()))
+		if err != nil {
+			t.Errorf("segment %d at seal: %v", seg, err)
+		}
 		sealed = append(sealed, seg)
-		segIdx = append(segIdx, idx)
+		segRecs = append(segRecs, len(rs))
 		return nil
 	})
 	for i := int64(0); i < 25; i++ {
@@ -169,18 +175,8 @@ func TestRotatingWriterSealHook(t *testing.T) {
 	if len(sealed) != 3 || sealed[2] != 2 {
 		t.Fatalf("sealed after close = %v, want [0 1 2]", sealed)
 	}
-	for i, idx := range segIdx {
-		var n int32
-		for _, e := range idx {
-			n += e.Records
-		}
-		want := int32(10)
-		if i == 2 {
-			want = 5
-		}
-		if n != want {
-			t.Errorf("segment %d index counts %d records, want %d", i, n, want)
-		}
+	if want := []int{10, 10, 5}; !reflect.DeepEqual(segRecs, want) {
+		t.Errorf("records per segment at seal = %v, want %v", segRecs, want)
 	}
 }
 

@@ -4,18 +4,17 @@
 // radio-<id>.seg-NNNN.jig, each block in one write as soon as it closes
 // (at block.Target bytes or LiveBlockUS of trace time), and a tailer reads
 // the *complete blocks of the newest segment* as they land: every block is
-// self-framed, so a torn last block is simply not yet complete. The
-// metadata-index sidecar radio-<id>.seg-NNNN.idx still means what it always
-// has — written atomically after the segment's final block, it says *this
-// file is final* — and is what lets a reader move to the next segment, and
-// what tells a crash leftover from a finished file. A TailSet exposes each
-// radio as one endless trace Source whose reader blocks where the written
-// blocks end until more are written or capture ends (the capture.done
-// marker, or Finish). LiveBlockUS has what the small blocks cost and buy.
+// self-framed, so a torn last block is simply not yet complete. The empty
+// marker radio-<id>.seg-NNNN.sealed, created after the segment file is
+// closed, says *this file is final*: it is what lets a reader move to the
+// next segment, and what tells a crash leftover from a finished file. A
+// TailSet exposes each radio as one endless trace Source whose reader
+// blocks where the written blocks end until more are written or capture
+// ends (the capture.done marker, or Finish). LiveBlockUS has what the small
+// blocks cost and buy.
 package tracefile
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -36,10 +35,10 @@ func SegmentTracePath(dir string, radio int32, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("radio-%d.seg-%04d.jig", radio, seg))
 }
 
-// SegmentIndexPath names a segment's metadata-index sidecar, whose
+// SegmentSealPath names a segment's seal marker, an empty file whose
 // existence marks the segment sealed: final, every block in place.
-func SegmentIndexPath(dir string, radio int32, seg int) string {
-	return filepath.Join(dir, fmt.Sprintf("radio-%d.seg-%04d.idx", radio, seg))
+func SegmentSealPath(dir string, radio int32, seg int) string {
+	return filepath.Join(dir, fmt.Sprintf("radio-%d.seg-%04d.sealed", radio, seg))
 }
 
 // CaptureDoneName is the marker file a capture (or replay) drops into a
@@ -73,9 +72,9 @@ func ParseSegmentName(name string) (radio int32, seg int, ok bool) {
 // DirRotatingWriter writes one radio's live capture into a directory as
 // rotation segments. Each segment goes to radio-<id>.seg-NNNN.jig unbuffered,
 // one write per block, so every closed block is at once readable by a tailer;
-// when the segment's last block is written and the file closed, the index
-// sidecar appears atomically (tmp + rename) to say the file is final. A
-// crash leaves at worst a torn last block and no sidecar.
+// when the segment's last block is written and the file closed, the seal
+// marker is created to say the file is final. A crash leaves at worst a torn
+// last block and no marker.
 type DirRotatingWriter struct {
 	rw    *RotatingWriter
 	dir   string
@@ -101,24 +100,15 @@ func (w *DirRotatingWriter) openSegment(seg int) (io.Writer, error) {
 	return f, nil
 }
 
-// sealSegment closes the segment file, then publishes its index sidecar
-// atomically — only after this rename does a tailer leave the segment.
-func (w *DirRotatingWriter) sealSegment(seg int, idx []IndexEntry) error {
+// sealSegment closes the segment file, then creates its seal marker — only
+// once the marker exists does a tailer leave the segment.
+func (w *DirRotatingWriter) sealSegment(seg int) error {
 	err := w.f.Close()
 	w.f = nil
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := WriteIndex(&buf, idx); err != nil {
-		return err
-	}
-	final := SegmentIndexPath(w.dir, w.radio, seg)
-	if err := os.WriteFile(final+".tmp", buf.Bytes(), 0o644); err != nil {
-		os.Remove(final + ".tmp")
-		return err
-	}
-	return os.Rename(final+".tmp", final)
+	return os.WriteFile(SegmentSealPath(w.dir, w.radio, seg), nil, 0o644)
 }
 
 // WriteRecord appends a record, sealing and rotating segments as its
@@ -150,11 +140,11 @@ type TailCounters struct {
 // TailSet serves each radio of a live trace directory as one endless
 // Source. Its readers (obtained through TraceSet) read segments in name
 // order, the complete blocks of an unsealed segment included, and leave a
-// segment only once its sidecar says it is final — an unsealed predecessor
-// holds back a sealed successor, so records are never skipped. A reader out
-// of bytes parks, without polling, until the caller's next Scan (jigd's
-// ticker; tests call it directly) sends it back to its own file, or the
-// capture ends.
+// segment only once its seal marker says it is final — an unsealed
+// predecessor holds back a sealed successor, so records are never skipped.
+// A reader out of bytes parks, without polling, until the caller's next
+// Scan (jigd's ticker; tests call it directly) sends it back to its own
+// file, or the capture ends.
 type TailSet struct {
 	dir string
 
@@ -246,7 +236,7 @@ func (t *TailSet) Radios() []int32 {
 // SealedSegments returns how many consecutive sealed segments radio has.
 func (t *TailSet) SealedSegments(radio int32) int {
 	n := 0
-	for fileExists(SegmentIndexPath(t.dir, radio, n)) {
+	for fileExists(SegmentSealPath(t.dir, radio, n)) {
 		n++
 	}
 	return n
@@ -288,7 +278,7 @@ type tailReader struct {
 	radio int32
 	seg   int      // the segment being read
 	f     *os.File // nil until the segment's file has appeared
-	final bool     // the segment's sidecar has been seen: the file will not grow
+	final bool     // the segment's seal marker has been seen: the file will not grow
 	buf   []byte   // bytes read from f; buf[off:ready] is whole blocks not yet served
 	off   int
 	ready int
@@ -330,10 +320,11 @@ func (r *tailReader) fill() error {
 			_ = r.Close() // only read from
 			r.seg, r.final, probed = r.seg+1, false, false
 		case !probed:
-			// Out of bytes. Look for the sidecar, then read once more: it is
-			// published after the last block, so final and still short is over.
+			// Out of bytes. Look for the seal marker, then read once more: it
+			// is created after the last block, so final and still short is
+			// over.
 			gen, done = r.t.state()
-			r.final, probed = fileExists(SegmentIndexPath(r.t.dir, r.radio, r.seg)), true
+			r.final, probed = fileExists(SegmentSealPath(r.t.dir, r.radio, r.seg)), true
 		case done:
 			r.t.tornBytes.Add(int64(torn))
 			return io.EOF
@@ -380,7 +371,7 @@ func (r *tailReader) readMore() (int, error) {
 		}
 		// Before the first read, so the blocks of a segment already sealed
 		// count as such and its end needs no second look.
-		r.f, r.final = f, fileExists(SegmentIndexPath(r.t.dir, r.radio, r.seg))
+		r.f, r.final = f, fileExists(SegmentSealPath(r.t.dir, r.radio, r.seg))
 	}
 	r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
 	r.off, r.ready = 0, 0

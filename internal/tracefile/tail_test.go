@@ -25,7 +25,7 @@ func TestParseSegmentName(t *testing.T) {
 		{"radio-120.seg-0000.jig", 120, 0, true},
 		{"radio-7.seg-12345.jig", 7, 12345, true},
 		{"radio-7.jig", 0, 0, false},
-		{"radio-7.seg-0003.idx", 0, 0, false},
+		{"radio-7.seg-0003.sealed", 0, 0, false},
 		{"radio-.seg-0003.jig", 0, 0, false},
 		{"radio-7.seg-.jig", 0, 0, false},
 		{"meta.json", 0, 0, false},
@@ -39,14 +39,13 @@ func TestParseSegmentName(t *testing.T) {
 	}
 }
 
-// writeSealedSegment writes one sealed segment file + index sidecar.
+// writeSealedSegment writes one sealed segment file + seal marker.
 func writeSealedSegment(t *testing.T, dir string, radio int32, seg int, recs []Record) {
 	t.Helper()
-	data, idx := segmentBytes(t, recs)
-	if err := os.WriteFile(SegmentTracePath(dir, radio, seg), data, 0o644); err != nil {
+	if err := os.WriteFile(SegmentTracePath(dir, radio, seg), segmentBytes(t, recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeIndexFile(t, SegmentIndexPath(dir, radio, seg), idx)
+	markSealed(t, dir, radio, seg)
 }
 
 func tailRecords(n int, base int64) []Record {
@@ -66,14 +65,14 @@ func TestDirRotatingWriterSealsSegments(t *testing.T) {
 		}
 	}
 	// Segments 0 and 1 are rotated out and sealed; segment 2 is still
-	// being written, so its sidecar must not exist yet.
+	// being written, so its seal marker must not exist yet.
 	for seg := 0; seg < 2; seg++ {
-		if _, err := os.Stat(SegmentIndexPath(dir, 3, seg)); err != nil {
+		if _, err := os.Stat(SegmentSealPath(dir, 3, seg)); err != nil {
 			t.Errorf("segment %d not sealed: %v", seg, err)
 		}
 	}
-	if _, err := os.Stat(SegmentIndexPath(dir, 3, 2)); err == nil {
-		t.Error("active segment 2 has an index sidecar before Close")
+	if _, err := os.Stat(SegmentSealPath(dir, 3, 2)); err == nil {
+		t.Error("active segment 2 has a seal marker before Close")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func TestDirRotatingWriterSealsSegments(t *testing.T) {
 	if w.Segments() != 3 {
 		t.Fatalf("segments = %d, want 3", w.Segments())
 	}
-	// Every sealed segment round-trips, and the sidecar parses.
+	// Every sealed segment round-trips.
 	var total int
 	for seg := 0; seg < 3; seg++ {
 		f, err := os.Open(SegmentTracePath(dir, 3, seg))
@@ -94,21 +93,8 @@ func TestDirRotatingWriterSealsSegments(t *testing.T) {
 			t.Fatalf("segment %d: %v", seg, err)
 		}
 		total += len(recs)
-		xf, err := os.Open(SegmentIndexPath(dir, 3, seg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := ReadIndex(xf)
-		xf.Close()
-		if err != nil {
-			t.Fatalf("segment %d index: %v", seg, err)
-		}
-		var n int32
-		for _, e := range idx {
-			n += e.Records
-		}
-		if int(n) != len(recs) {
-			t.Errorf("segment %d index counts %d, file holds %d", seg, n, len(recs))
+		if _, err := os.Stat(SegmentSealPath(dir, 3, seg)); err != nil {
+			t.Errorf("segment %d not sealed after Close: %v", seg, err)
 		}
 	}
 	if total != 25 {
@@ -204,27 +190,21 @@ func appendFile(t *testing.T, path string, b []byte) {
 	}
 }
 
-// segmentBytes is recs as one segment's bytes and index.
-func segmentBytes(t *testing.T, recs []Record) ([]byte, []IndexEntry) {
+// segmentBytes is recs as one segment's bytes.
+func segmentBytes(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), idx
+	return buf.Bytes()
 }
 
-func writeIndexFile(t *testing.T, path string, idx []IndexEntry) {
+// markSealed creates a segment's seal marker, as the writer does once the
+// segment file is closed.
+func markSealed(t *testing.T, dir string, radio int32, seg int) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIndex(f, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(SegmentSealPath(dir, radio, seg), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,7 +216,7 @@ func writeIndexFile(t *testing.T, path string, idx []IndexEntry) {
 func TestTailSetSealedVsActive(t *testing.T) {
 	dir := t.TempDir()
 	writeSealedSegment(t, dir, 1, 0, tailRecords(5, 0))
-	// Segment 1 exists but is unsealed (no sidecar): an in-progress write.
+	// Segment 1 exists but is unsealed (no seal marker): an in-progress write.
 	partial := []byte("partial garbage")
 	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), partial, 0o644); err != nil {
 		t.Fatal(err)
@@ -317,12 +297,12 @@ func TestTailSetPicksUpNewSegments(t *testing.T) {
 // TestTailSetTruncatedSegmentSkippedThenPickedUp: a sealed segment behind an
 // unsealed, stalled one is held back — nothing of it is read however often
 // the reader is woken — and is picked up, in order, once the writer finishes
-// the stalled segment and publishes its sidecar.
+// the stalled segment and creates its seal marker.
 func TestTailSetTruncatedSegmentSkippedThenPickedUp(t *testing.T) {
 	dir := t.TempDir()
 	writeSealedSegment(t, dir, 1, 0, tailRecords(2, 0))
 	// Segment 1: the writer stalled two bytes into its only block.
-	seg1, idx1 := segmentBytes(t, tailRecords(2, 1_000_000))
+	seg1 := segmentBytes(t, tailRecords(2, 1_000_000))
 	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), seg1[:2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +326,9 @@ func TestTailSetTruncatedSegmentSkippedThenPickedUp(t *testing.T) {
 		t.Fatalf("read %v while segment 1 was stalled, want only segment 0's two records", got)
 	}
 
-	// The writer recovers: the rest of segment 1 lands, then its sidecar.
+	// The writer recovers: the rest of segment 1 lands, then its marker.
 	appendFile(t, SegmentTracePath(dir, 1, 1), seg1[2:])
-	writeIndexFile(t, SegmentIndexPath(dir, 1, 1), idx1)
+	markSealed(t, dir, 1, 1)
 	if got := ts.SealedSegments(1); got != 3 {
 		t.Fatalf("sealed segments = %d, want 3 (gap closed)", got)
 	}
@@ -403,7 +383,7 @@ func liveRecord(us int64) Record {
 // TestTailOpenSegmentReadable: records written through a DirRotatingWriter
 // inside one segment period and never Closed are readable block by block —
 // a tail reader returns every record of every closed block, then parks;
-// there is no sidecar anywhere.
+// there is no seal marker anywhere.
 func TestTailOpenSegmentReadable(t *testing.T) {
 	dir := t.TempDir()
 	w := NewDirRotatingWriter(dir, 4, 60_000_000)
@@ -502,7 +482,7 @@ func TestTailTornTail(t *testing.T) {
 	}
 	// Three closed blocks of five records are in the file. The crash: the
 	// fourth got as far as its header and half its payload.
-	blk, _ := segmentBytes(t, []Record{liveRecord(310_000), liveRecord(320_000), liveRecord(330_000)})
+	blk := segmentBytes(t, []Record{liveRecord(310_000), liveRecord(320_000), liveRecord(330_000)})
 	torn := blk[:block.HeaderLen+(len(blk)-block.HeaderLen)/2]
 	appendFile(t, SegmentTracePath(dir, 4, 0), torn)
 
@@ -531,14 +511,13 @@ func TestTailTornTail(t *testing.T) {
 	}
 }
 
-// TestTailSealRace: the sidecar is published after the last block, so a
+// TestTailSealRace: the seal marker is created after the last block, so a
 // reader parked at the end of an unsealed segment, woken to find both a new
-// final block and the sidecar, reads the block before it moves on.
+// final block and the marker, reads the block before it moves on.
 func TestTailSealRace(t *testing.T) {
 	dir := t.TempDir()
-	first, _ := segmentBytes(t, tailRecords(3, 0))
-	last, _ := segmentBytes(t, tailRecords(2, 500_000))
-	_, idx := segmentBytes(t, append(tailRecords(3, 0), tailRecords(2, 500_000)...))
+	first := segmentBytes(t, tailRecords(3, 0))
+	last := segmentBytes(t, tailRecords(2, 500_000))
 	if err := os.WriteFile(SegmentTracePath(dir, 1, 0), first, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +529,7 @@ func TestTailSealRace(t *testing.T) {
 		t.Fatalf("read %d records of the unsealed segment, want 3", len(got))
 	}
 	appendFile(t, SegmentTracePath(dir, 1, 0), last)
-	writeIndexFile(t, SegmentIndexPath(dir, 1, 0), idx)
+	markSealed(t, dir, 1, 0)
 	if _, err := ts.Scan(); err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +550,7 @@ func TestTailSealRace(t *testing.T) {
 func TestTailGapNeverSkipped(t *testing.T) {
 	dir := t.TempDir()
 	writeSealedSegment(t, dir, 1, 0, tailRecords(2, 0))
-	stalled, _ := segmentBytes(t, tailRecords(2, 1_000_000))
+	stalled := segmentBytes(t, tailRecords(2, 1_000_000))
 	if err := os.WriteFile(SegmentTracePath(dir, 1, 1), stalled, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +558,7 @@ func TestTailGapNeverSkipped(t *testing.T) {
 
 	want := []int64{0, 1_000, 1_000_000, 1_001_000}
 	if got := readable(t, dir, 1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("read %v, want %v: segment 2 waits for segment 1's sidecar", got, want)
+		t.Fatalf("read %v, want %v: segment 2 waits for segment 1's seal marker", got, want)
 	}
 }
 
@@ -606,59 +585,56 @@ func TestTailFinishUnblocksParkedReader(t *testing.T) {
 	}
 }
 
-// TestDirRotatingWriterIndexDescribesBlocks reads each sidecar back against
-// its file: offsets walk the file exactly, counts sum to the records in it,
-// and every block's stamps are its own — a time-closed block ends at the
-// record before the one that closed it.
+// TestDirRotatingWriterIndexDescribesBlocks walks each live segment's block
+// frames: they tile the file exactly, a second of records closes a block
+// per LiveBlockUS, every block reads back as the records its header counts
+// from the stamp it names, and a time-closed block ends at the record before
+// the one that closed it.
 func TestDirRotatingWriterIndexDescribesBlocks(t *testing.T) {
 	dir := t.TempDir()
 	w := NewDirRotatingWriter(dir, 4, 1_000_000)
+	written := 0
 	for us := int64(0); us < 3_000_000; us += 7_000 {
 		if err := w.WriteRecord(liveRecord(us)); err != nil {
 			t.Fatal(err)
 		}
+		written++
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	read := 0
 	for seg := 0; seg < w.Segments(); seg++ {
 		data, err := os.ReadFile(SegmentTracePath(dir, 4, seg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		xf, err := os.Open(SegmentIndexPath(dir, 4, seg))
-		if err != nil {
-			t.Fatal(err)
+		hdrs := blockHeaders(t, data)
+		if len(hdrs) < 9 {
+			t.Fatalf("segment %d: %d blocks for a second of records, want one per LiveBlockUS", seg, len(hdrs))
 		}
-		idx, err := ReadIndex(xf)
-		xf.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(idx) < 9 {
-			t.Fatalf("segment %d: %d blocks for a second of records, want one per LiveBlockUS", seg, len(idx))
-		}
-		var off int64
-		for i, e := range idx {
-			if e.Offset != off {
-				t.Fatalf("segment %d block %d at offset %d, previous block ended at %d", seg, i, e.Offset, off)
-			}
-			off += block.HeaderLen + int64(e.CompLen)
-			recs, err := ReadAll(bytes.NewReader(data[e.Offset:off]))
+		var off int
+		lastUS := int64(-1)
+		for i, h := range hdrs {
+			end := off + block.HeaderLen + int(h.CompLen)
+			recs, err := ReadAll(bytes.NewReader(data[off:end]))
 			if err != nil {
 				t.Fatalf("segment %d block %d: %v", seg, i, err)
 			}
-			if len(recs) != int(e.Records) || recs[0].LocalUS != e.FirstLocalUS || recs[len(recs)-1].LocalUS != e.LastLocalUS {
-				t.Fatalf("segment %d block %d: index says %d records %d..%d, block holds %d records %d..%d", seg, i,
-					e.Records, e.FirstLocalUS, e.LastLocalUS, len(recs), recs[0].LocalUS, recs[len(recs)-1].LocalUS)
+			off, read = end, read+len(recs)
+			first, last := recs[0].LocalUS, recs[len(recs)-1].LocalUS
+			if len(recs) != int(h.Count) || first != h.FirstUS {
+				t.Fatalf("segment %d block %d: header says %d records from %d, block holds %d records from %d", seg, i,
+					h.Count, h.FirstUS, len(recs), first)
 			}
-			if e.FirstLocalUS > e.LastLocalUS || (i+1 < len(idx) && e.LastLocalUS >= idx[i+1].FirstLocalUS) {
-				t.Fatalf("segment %d block %d spans %d..%d, next starts %d", seg, i, e.FirstLocalUS, e.LastLocalUS, idx[i+1].FirstLocalUS)
+			if first <= lastUS || last-first >= LiveBlockUS {
+				t.Fatalf("segment %d block %d spans %d..%d after a block ending %d", seg, i, first, last, lastUS)
 			}
+			lastUS = last
 		}
-		if off != int64(len(data)) {
-			t.Fatalf("segment %d: index ends at %d, file at %d", seg, off, len(data))
-		}
+	}
+	if read != written {
+		t.Fatalf("segments hold %d records, %d were written", read, written)
 	}
 }
 
@@ -687,9 +663,9 @@ func TestTailBlockLargerThanBuffer(t *testing.T) {
 	if err := os.WriteFile(SegmentTracePath(dir, 4, 0), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeIndexFile(t, SegmentIndexPath(dir, 4, 0), w.Index())
-	if e := w.Index()[0]; e.CompLen < 3*tailBufSize {
-		t.Fatalf("first block is %d bytes; want several tailBufSize", e.CompLen)
+	markSealed(t, dir, 4, 0)
+	if h := blockHeaders(t, buf.Bytes())[0]; h.CompLen < 3*tailBufSize {
+		t.Fatalf("first block is %d bytes; want several tailBufSize", h.CompLen)
 	}
 	if got := readable(t, dir, 4); !reflect.DeepEqual(got, stamps(recs)) {
 		t.Fatalf("read %d of %d records", len(got), len(recs))

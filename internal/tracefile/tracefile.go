@@ -1,8 +1,9 @@
 // Package tracefile implements the jigdump-style per-radio trace format:
 // the stream of physical-layer event records each monitor radio produces,
-// serialized in compressed blocks with a separate metadata index (§3.3:
-// jigdump reads 64 KB at a time, compresses with LZO, and writes data and
-// metadata index separately, rotating files hourly).
+// serialized in compressed blocks (§3.3: jigdump reads 64 KB at a time,
+// compresses with LZO, and writes data and a metadata index separately,
+// rotating files hourly). Nothing here seeks, so no index is written: every
+// block's frame says how long it is, and readers walk the blocks in order.
 //
 // The container and codec are internal/block's: an LZO-class byte LZ, as
 // the paper's jigdump, in blocks of block.Target (16 KB) raw bytes rather
@@ -14,16 +15,13 @@
 //	localUS i64 · radio i32 · channel u8 · rssi i8 · rate u16 · flags u8 ·
 //	pad u8 · origLen u16 · frameLen u16 · frame [frameLen]byte
 //
-// The index file is "JIG2", a u32 count and one 36-byte IndexEntry per
-// block. JIG1 files (the same records under DEFLATE) are rejected with
+// JIG1 files (the same records under DEFLATE) are rejected with
 // block.ErrVersion, not read.
 package tracefile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/block"
@@ -78,28 +76,15 @@ func (r *Record) CloneFrame() {
 // payload bytes, like the paper's captures (§5).
 const DefaultSnapLen = 228
 
-// magic identifies trace blocks and index files. Its last byte is the
-// format version: the DEFLATE-era format wrote "JIG1" in the same places.
+// magic identifies trace blocks. Its last byte is the format version: the
+// DEFLATE-era format wrote "JIG1" in the same place.
 var magic = [4]byte{'J', 'I', 'G', '2'}
-
-// IndexEntry describes one compressed block for the metadata index.
-type IndexEntry struct {
-	Offset       int64 // byte offset of the block in the data stream
-	CompLen      int32
-	RawLen       int32
-	Records      int32
-	FirstLocalUS int64
-	LastLocalUS  int64
-}
 
 // Writer serializes records into compressed blocks. It is not safe for
 // concurrent use; the capture path is single-threaded per radio.
 type Writer struct {
 	bw         *block.Writer
-	offset     int64
-	lastUS     int64 // stamp of the pending block's last record
 	blockAgeUS int64
-	index      []IndexEntry
 	snapLen    int
 	closed     bool
 }
@@ -136,7 +121,6 @@ func (w *Writer) WriteRecord(r Record) error {
 	if w.snapLen > 0 && len(frame) > w.snapLen {
 		frame = frame[:w.snapLen]
 	}
-	w.lastUS = r.LocalUS
 	b := binary.LittleEndian.AppendUint64(w.bw.Raw, uint64(r.LocalUS))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.RadioID))
 	b = append(b, r.Channel, uint8(r.RSSIdBm))
@@ -151,16 +135,10 @@ func (w *Writer) WriteRecord(r Record) error {
 	return nil
 }
 
-// flushBlock emits the pending block and indexes it.
+// flushBlock emits the pending block.
 func (w *Writer) flushBlock() error {
-	h, err := w.bw.Flush()
-	if err != nil || h.Count == 0 {
-		return err
-	}
-	w.index = append(w.index, IndexEntry{Offset: w.offset, CompLen: h.CompLen, RawLen: h.RawLen,
-		Records: h.Count, FirstLocalUS: h.FirstUS, LastLocalUS: w.lastUS})
-	w.offset += block.HeaderLen + int64(h.CompLen)
-	return nil
+	_, err := w.bw.Flush()
+	return err
 }
 
 // Close flushes the final block. The writer is unusable afterwards.
@@ -170,46 +148,6 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	return w.flushBlock()
-}
-
-// Index returns the metadata index built during writing (valid after
-// Close). Callers persist it with WriteIndex for the paired metadata file.
-func (w *Writer) Index() []IndexEntry { return w.index }
-
-// WriteIndex serializes a metadata index to out: the magic, a u32 entry
-// count, then the entries, 36 bytes each (IndexEntry's fields in order,
-// little-endian, unpadded — encoding/binary's layout for the struct).
-func WriteIndex(out io.Writer, idx []IndexEntry) error {
-	bw := bufio.NewWriter(out)
-	bw.Write(magic[:])
-	bw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(idx))))
-	if err := binary.Write(bw, binary.LittleEndian, idx); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadIndex parses a metadata index.
-func ReadIndex(in io.Reader) ([]IndexEntry, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(in, hdr[:]); err != nil {
-		return nil, err
-	}
-	if err := block.CheckMagic([4]byte(hdr[0:4]), magic); err != nil {
-		return nil, fmt.Errorf("tracefile: index: %w", err)
-	}
-	// Entries are read in bounded batches, so a corrupt count field cannot
-	// demand gigabytes before the first read fails.
-	var idx []IndexEntry
-	for left := binary.LittleEndian.Uint32(hdr[4:8]); left > 0; {
-		batch := make([]IndexEntry, min(left, 1<<12))
-		if err := binary.Read(in, binary.LittleEndian, batch); err != nil {
-			return nil, err
-		}
-		idx = append(idx, batch...)
-		left -= uint32(len(batch))
-	}
-	return idx, nil
 }
 
 // Reader iterates records from a trace stream. Records are parsed in
@@ -276,16 +214,13 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	}
 }
 
-// WriteAll serializes records to w and returns the index.
-func WriteAll(w io.Writer, recs []Record) ([]IndexEntry, error) {
+// WriteAll serializes records to w.
+func WriteAll(w io.Writer, recs []Record) error {
 	tw := NewWriter(w)
 	for _, r := range recs {
 		if err := tw.WriteRecord(r); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return tw.Index(), nil
+	return tw.Close()
 }

@@ -47,7 +47,7 @@ func sample(n int, seed int64) []Record {
 func TestRoundTripSmall(t *testing.T) {
 	recs := sample(10, 1)
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll(&buf)
@@ -59,15 +59,33 @@ func TestRoundTripSmall(t *testing.T) {
 	}
 }
 
+// blockHeaders walks a trace stream's block frames and returns their
+// headers, failing the test on a malformed or truncated frame.
+func blockHeaders(t *testing.T, data []byte) []block.Header {
+	t.Helper()
+	var hdrs []block.Header
+	for off := 0; off < len(data); {
+		h, err := block.ParseHeader(data[off:], magic)
+		if err != nil {
+			t.Fatalf("block at offset %d: %v", off, err)
+		}
+		hdrs = append(hdrs, h)
+		off += block.HeaderLen + int(h.CompLen)
+		if off > len(data) {
+			t.Fatalf("block %d runs past the end of the stream", len(hdrs)-1)
+		}
+	}
+	return hdrs
+}
+
 func TestRoundTripMultiBlock(t *testing.T) {
 	recs := sample(5000, 2) // several blocks
 	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) < 2 {
-		t.Fatalf("expected multiple blocks, got %d", len(idx))
+	if n := len(blockHeaders(t, buf.Bytes())); n < 2 {
+		t.Fatalf("expected multiple blocks, got %d", n)
 	}
 	got, err := ReadAll(&buf)
 	if err != nil {
@@ -113,63 +131,6 @@ func TestSnapLenZeroUnlimited(t *testing.T) {
 	}
 }
 
-func TestIndexTimesAndCounts(t *testing.T) {
-	recs := sample(5000, 3)
-	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int32(0)
-	for i, e := range idx {
-		total += e.Records
-		if e.FirstLocalUS > e.LastLocalUS {
-			t.Errorf("block %d time range inverted", i)
-		}
-		if i > 0 && idx[i-1].LastLocalUS > e.FirstLocalUS {
-			t.Errorf("blocks %d/%d overlap in time", i-1, i)
-		}
-	}
-	if int(total) != len(recs) {
-		t.Errorf("index counts %d records, want %d", total, len(recs))
-	}
-}
-
-func TestIndexRoundTrip(t *testing.T) {
-	recs := sample(3000, 4)
-	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ibuf bytes.Buffer
-	if err := WriteIndex(&ibuf, idx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(&ibuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, idx) {
-		t.Error("index round trip mismatch")
-	}
-}
-
-func TestIndexOffsetsAddressBlocks(t *testing.T) {
-	recs := sample(5000, 5)
-	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for i, e := range idx {
-		if string(data[e.Offset:e.Offset+4]) != "JIG2" {
-			t.Errorf("block %d offset %d does not start with magic", i, e.Offset)
-		}
-	}
-}
-
 func TestCompressionShrinksRedundantData(t *testing.T) {
 	// Beacon-like highly repetitive frames should compress well.
 	frame := bytes.Repeat([]byte{0xAB}, 200)
@@ -178,7 +139,7 @@ func TestCompressionShrinksRedundantData(t *testing.T) {
 		recs = append(recs, Record{LocalUS: int64(i) * 100, Frame: frame, Flags: FlagFCSOK})
 	}
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	raw := len(recs) * (20 + len(frame))
@@ -189,11 +150,10 @@ func TestCompressionShrinksRedundantData(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	idx, err := WriteAll(&buf, nil)
-	if err != nil {
+	if err := WriteAll(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 0 || buf.Len() != 0 {
+	if buf.Len() != 0 {
 		t.Error("empty trace should produce no output")
 	}
 	recs, err := ReadAll(&buf)
@@ -218,15 +178,12 @@ func TestReaderBadMagic(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader([]byte("XXXXGARBAGEGARBAGEGARBAGE"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadIndex(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00"))); err == nil {
-		t.Error("bad index magic accepted")
-	}
 }
 
 func TestReaderTruncatedBlock(t *testing.T) {
 	recs := sample(100, 6)
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
@@ -301,7 +258,7 @@ func deflated(t *testing.T, raw []byte) []byte {
 	return comp.Bytes()
 }
 
-// TestV1Rejected: a DEFLATE-era trace or index is refused with the version
+// TestV1Rejected: a DEFLATE-era trace is refused with the version
 // error — there is no fallback reader, and it must not be misparsed.
 func TestV1Rejected(t *testing.T) {
 	raw := make([]byte, recHdrLen) // one frameless record
@@ -319,23 +276,19 @@ func TestV1Rejected(t *testing.T) {
 	if _, err := r.Next(); !errors.Is(err, block.ErrVersion) {
 		t.Errorf("version error not sticky: %v", err)
 	}
-	if _, err := ReadIndex(bytes.NewReader([]byte("JIG1\x00\x00\x00\x00"))); !errors.Is(err, block.ErrVersion) {
-		t.Errorf("JIG1 index: got %v, want block.ErrVersion", err)
-	}
 }
 
 // TestSteadyStateAllocs: with flatepool gone the codec state lives in the
 // Writer and the Reader; once each has handled a block, writing and reading
-// further blocks allocates nothing (the index aside, preallocated here), so
+// further blocks allocates nothing, so
 // the 156-radio replay writer and jigd's tailers hold their heap flat.
 func TestSteadyStateAllocs(t *testing.T) {
 	recs := sample(4000, 9) // several blocks
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	w := NewWriter(io.Discard)
-	w.index = make([]IndexEntry, 0, 1<<12)
 	// One run after AllocsPerRun's own warm-up run: an exact count, not an
 	// average that rounds a stray allocation away.
 	if n := testing.AllocsPerRun(1, func() {

@@ -174,11 +174,6 @@ func TracePath(dir string, radio int32) string {
 	return filepath.Join(dir, fmt.Sprintf("radio-%d.jig", radio))
 }
 
-// IndexPath names a radio's metadata-index file inside a trace directory.
-func IndexPath(dir string, radio int32) string {
-	return filepath.Join(dir, fmt.Sprintf("radio-%d.idx", radio))
-}
-
 // ParseTraceName extracts the radio id from a trace filename of the
 // directory layout, radio-<id>.jig.
 func ParseTraceName(name string) (int32, bool) {

@@ -42,7 +42,7 @@ func sampleTrace(t *testing.T, radio int32) []byte {
 		{LocalUS: 10, RadioID: radio, Channel: 1, Rate: 20, Flags: FlagFCSOK, Frame: []byte{1, 2, 3}},
 		{LocalUS: 25, RadioID: radio, Channel: 1, Flags: FlagPhyErr},
 	}
-	if _, err := WriteAll(&buf, recs); err != nil {
+	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
