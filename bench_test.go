@@ -64,26 +64,29 @@ func setupBench(tb testing.TB) *benchState {
 }
 
 // BenchmarkUnifierOnly isolates the unification stage from reconstruction.
+// The bootstrap window is the pipeline's: timesync.CollectWindow over each
+// radio's first DefaultWindowUS, in radio order.
 func BenchmarkUnifierOnly(b *testing.B) {
 	s := setupBench(b)
 	perRadio := map[int32][]tracefile.Record{}
-	var window []tracefile.Record
+	readers := map[int32]*tracefile.Reader{}
 	for radio, blob := range s.traces {
 		rs, err := tracefile.ReadAll(bytes.NewReader(blob))
 		if err != nil {
 			b.Fatal(err)
 		}
 		perRadio[radio] = rs
-		for _, r := range rs {
-			if r.LocalUS < 1_000_000 {
-				window = append(window, r)
-			}
-		}
+		readers[radio] = tracefile.NewReader(bytes.NewReader(blob))
+	}
+	window, err := timesync.CollectWindow(readers, timesync.DefaultWindowUS)
+	if err != nil {
+		b.Fatal(err)
 	}
 	boot, err := timesync.Bootstrap(window, s.out.ClockGroups)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Logf("%d of %d radios synchronized", len(boot.OffsetUS), len(perRadio))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sources := map[int32]unify.Source{}

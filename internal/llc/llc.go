@@ -5,6 +5,16 @@
 // an ACK must land), then composes attempts into frame exchanges using the
 // sequence-number FSM (rules R1–R4) plus the paper's heuristics, inferring
 // the presence of transmissions the monitors missed.
+//
+// Per-transmitter state times out (ACK windows, RTS/CTS reservations, orphan
+// ACKs, the 500 ms exchange timeout), and the reconstructor finds what has
+// timed out without visiting every sender: each sender sits in a min-heap
+// keyed by its due instant, the earliest universal time at which any clause
+// of its expiry can fire. What must hold is that a sender's due key is never
+// later than the first clause that can fire for it. Every change to a
+// sender's state re-keys it, so a sender none of whose deadlines has passed
+// is never looked at. A second heap keys each sender by the stamp it holds
+// the watermark down to.
 package llc
 
 import (
@@ -187,8 +197,13 @@ func (s *Stats) Add(o Stats) {
 type Reconstructor struct {
 	Stats Stats
 
-	// senders holds everything open per data transmitter.
+	// senders finds a data transmitter's open state by MAC (only Flush
+	// ranges over it); due and held order the same senders by deadline
+	// (see senderState.key).
 	senders map[dot80211.MAC]*senderState
+	due     senderHeap
+	held    senderHeap
+	expired []*senderState // expire's scratch: the senders it popped
 
 	out       []*Exchange
 	now       int64
@@ -198,6 +213,7 @@ type Reconstructor struct {
 // senderState is one data transmitter's open state: its exchange stream
 // and the frames of an attempt still being assembled.
 type senderState struct {
+	tx        dot80211.MAC
 	cur       *Exchange
 	lastSeen  int64
 	orphanAck *unify.JFrame // queued ACK awaiting position resolution
@@ -211,12 +227,67 @@ type senderState struct {
 	// openDeadline, the latest universal time the ACK may arrive.
 	open         *Attempt
 	openDeadline int64
+
+	// key holds the sender's place in the reconstructor's two heaps, and at
+	// its index in each (-1 when absent): key[byDue] is dueUS(), and
+	// key[byHold] is holdUS().
+	key [2]int64
+	at  [2]int
+}
+
+// The two orders a sender is kept in.
+const (
+	byDue  = iota // Reconstructor.due
+	byHold        // Reconstructor.held
+)
+
+// never is the key of a sender that is not in a heap.
+const never = math.MaxInt64
+
+// dueUS is the earliest instant at which a clause of expireSender can fire:
+// each clause fires once r.now is strictly past the time it compares
+// against. lastSeen plus the exchange timeout is when the timeout closes
+// cur, or, with no cur, when the sender is forgotten; forgetting needs
+// nothing else open, so without cur that instant counts only then.
+func (ss *senderState) dueUS() int64 {
+	k := int64(never)
+	if ss.open != nil {
+		k = min(k, ss.openDeadline)
+	}
+	if ss.cts != nil {
+		k = min(k, reservationEndUS(ss.cts))
+	}
+	if ss.rts != nil {
+		k = min(k, reservationEndUS(ss.rts))
+	}
+	if ss.orphanAck != nil && ss.cur == nil {
+		k = min(k, ss.orphanAck.UnivUS+exchangeTimeoutUS)
+	}
+	if ss.cur != nil || ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil {
+		k = min(k, ss.lastSeen+exchangeTimeoutUS)
+	}
+	return k
+}
+
+// holdUS is the sender's bound on the watermark: the timeout stamp of its
+// open exchange and the stamp of its queued orphan ACK.
+func (ss *senderState) holdUS() int64 {
+	k := int64(never)
+	if ss.cur != nil {
+		k = ss.lastSeen + exchangeTimeoutUS
+	}
+	if ss.orphanAck != nil {
+		k = min(k, ss.orphanAck.UnivUS)
+	}
+	return k
 }
 
 // NewReconstructor creates an empty reconstructor.
 func NewReconstructor() *Reconstructor {
 	return &Reconstructor{
 		senders:   make(map[dot80211.MAC]*senderState),
+		due:       senderHeap{k: byDue},
+		held:      senderHeap{k: byHold},
 		now:       math.MinInt64,
 		watermark: math.MinInt64,
 	}
@@ -238,7 +309,14 @@ func (r *Reconstructor) Process(j *unify.JFrame) {
 	r.Stats.JFrames++
 	r.now = j.UnivUS
 	r.expire()
+	if ss := r.handle(j); ss != nil {
+		r.rekey(ss)
+	}
+}
 
+// handle applies one valid jframe to the state of the sender it concerns and
+// returns that sender, or nil if the frame concerns none.
+func (r *Reconstructor) handle(j *unify.JFrame) *senderState {
 	// Ownership: Process borrows j from the caller. Every slot that keeps
 	// a frame past this call (pending CTS/RTS, attempts, orphan ACKs)
 	// holds exactly one reference, taken on store and dropped when the
@@ -247,14 +325,19 @@ func (r *Reconstructor) Process(j *unify.JFrame) {
 	f := &j.Frame
 	switch {
 	case f.Type == dot80211.TypeControl && f.Subtype == dot80211.SubtypeRTS:
-		setPending(&r.sender(f.Addr2).rts, j)
+		ss := r.sender(f.Addr2)
+		setPending(&ss.rts, j)
+		return ss
 	case f.IsCTS():
-		setPending(&r.sender(f.Addr1).cts, j)
+		ss := r.sender(f.Addr1)
+		setPending(&ss.cts, j)
+		return ss
 	case f.IsACK():
-		r.handleAck(j)
+		return r.handleAck(j)
 	case f.IsData() || f.Type == dot80211.TypeManagement:
-		r.handleData(j)
+		return r.handleData(j)
 	}
+	return nil
 }
 
 // setPending stores j in a pending RTS/CTS slot, dropping what it held.
@@ -272,10 +355,10 @@ func clearPending(slot **unify.JFrame) {
 	}
 }
 
-// reserved reports whether the medium reservation a pending RTS/CTS made
-// still holds at now: its Duration field counts from the frame's end.
-func reserved(j *unify.JFrame, now int64) bool {
-	return now <= j.EndUS()+int64(j.Frame.Duration)+ackSlackUS
+// reservationEndUS is the last instant of the medium reservation a pending
+// RTS/CTS made: its Duration field counts from the frame's end.
+func reservationEndUS(j *unify.JFrame) int64 {
+	return j.EndUS() + int64(j.Frame.Duration) + ackSlackUS
 }
 
 // expire closes ACK windows and exchanges that have timed out by r.now, and
@@ -284,49 +367,69 @@ func reserved(j *unify.JFrame, now int64) bool {
 // expire first, so state past its deadline is gone by then whether or not
 // an intervening frame cleared it earlier — and timed-out closes are
 // stamped with their deadline, not with r.now.
+//
+// Only the senders whose due key is below r.now can have a clause fire, so
+// only they are visited, each once; that rests on every sender's key being
+// no later than its first clause that can fire (senderState.dueUS). A sender
+// re-keyed below r.now — an orphan ACK left behind by the exchange the
+// timeout just closed — waits for the next call, as it always has.
 func (r *Reconstructor) expire() {
-	wm := r.now
-	for tx, ss := range r.senders {
-		if ss.open != nil && r.now > ss.openDeadline {
-			ss.open = nil
-		}
-		if ss.cts != nil && !reserved(ss.cts, r.now) {
-			clearPending(&ss.cts)
-		}
-		if ss.rts != nil && !reserved(ss.rts, r.now) {
-			clearPending(&ss.rts)
-		}
-		// An orphan ACK whose sender has no open exchange can only ever
-		// resolve to a fully inferred exchange (resolveOrphan runs before a
-		// new exchange opens); once it ages past the exchange timeout, emit
-		// that now instead of pinning the watermark until the next frame.
-		if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > exchangeTimeoutUS {
-			r.resolveOrphan(ss, 0)
-		}
-		if ss.cur != nil && r.now-ss.lastSeen > exchangeTimeoutUS {
-			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
-		}
-		if ss.cur == nil && ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil &&
-			r.now-ss.lastSeen > exchangeTimeoutUS {
-			delete(r.senders, tx)
-			continue
-		}
-		if ss.cur != nil {
-			if s := ss.lastSeen + exchangeTimeoutUS; s < wm {
-				wm = s
-			}
-		}
-		if ss.orphanAck != nil {
-			if s := ss.orphanAck.UnivUS; s < wm {
-				wm = s
-			}
-		}
+	for len(r.due.s) > 0 && r.due.s[0].key[byDue] < r.now {
+		ss := r.due.s[0]
+		r.due.remove(ss)
+		r.expired = append(r.expired, ss)
 	}
-	r.watermark = wm
+	for i, ss := range r.expired {
+		r.expireSender(ss)
+		r.expired[i] = nil
+	}
+	r.expired = r.expired[:0]
+	r.watermark = r.now
+	if len(r.held.s) > 0 {
+		r.watermark = min(r.watermark, r.held.s[0].key[byHold])
+	}
 }
 
-// handleData starts a transmission attempt for a DATA or management frame.
-func (r *Reconstructor) handleData(j *unify.JFrame) {
+// expireSender runs every expiry clause against one sender at r.now, then
+// re-keys it, or forgets it once nothing of it is left open.
+func (r *Reconstructor) expireSender(ss *senderState) {
+	if ss.open != nil && r.now > ss.openDeadline {
+		ss.open = nil
+	}
+	if ss.cts != nil && r.now > reservationEndUS(ss.cts) {
+		clearPending(&ss.cts)
+	}
+	if ss.rts != nil && r.now > reservationEndUS(ss.rts) {
+		clearPending(&ss.rts)
+	}
+	// An orphan ACK whose sender has no open exchange can only ever
+	// resolve to a fully inferred exchange (resolveOrphan runs before a
+	// new exchange opens); once it ages past the exchange timeout, emit
+	// that now instead of pinning the watermark until the next frame.
+	if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > exchangeTimeoutUS {
+		r.resolveOrphan(ss, 0)
+	}
+	if ss.cur != nil && r.now-ss.lastSeen > exchangeTimeoutUS {
+		r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
+	}
+	if ss.cur == nil && ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil &&
+		r.now-ss.lastSeen > exchangeTimeoutUS {
+		r.held.remove(ss) // expire has taken it out of due
+		delete(r.senders, ss.tx)
+		return
+	}
+	r.rekey(ss)
+}
+
+// rekey files a sender under its current keys after its state changed.
+func (r *Reconstructor) rekey(ss *senderState) {
+	r.due.set(ss, ss.dueUS())
+	r.held.set(ss, ss.holdUS())
+}
+
+// handleData starts a transmission attempt for a DATA or management frame,
+// returning its transmitter's state.
+func (r *Reconstructor) handleData(j *unify.JFrame) *senderState {
 	f := &j.Frame
 	tx := f.Addr2
 	ss := r.sender(tx)
@@ -372,7 +475,7 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 	if f.Addr1.IsMulticast() {
 		// R1: broadcast — attempt and exchange are identical.
 		r.assignAttempt(ss, a, true)
-		return
+		return ss
 	}
 	// Unicast: open the ACK window predicted by the Duration field. If the
 	// Duration is absent (0), fall back to SIFS + slowest ACK.
@@ -383,11 +486,12 @@ func (r *Reconstructor) handleData(j *unify.JFrame) {
 	a.EndUS = j.EndUS()
 	ss.open, ss.openDeadline = a, j.EndUS()+window+ackSlackUS
 	r.assignAttempt(ss, a, false)
+	return ss
 }
 
 // handleAck matches an ACK to the open attempt of its addressee, or queues
-// it as an orphan for later inference.
-func (r *Reconstructor) handleAck(j *unify.JFrame) {
+// it as an orphan for later inference, returning the addressee's state.
+func (r *Reconstructor) handleAck(j *unify.JFrame) *senderState {
 	dataTx := j.Frame.Addr1 // the station being acknowledged
 	ss := r.senders[dataTx]
 	if ss != nil && ss.open != nil && j.UnivUS <= ss.openDeadline {
@@ -400,7 +504,7 @@ func (r *Reconstructor) handleAck(j *unify.JFrame) {
 			ss.lastSeen = r.now
 			r.closeExchange(ss, DeliveryObserved, r.now)
 		}
-		return
+		return ss
 	}
 	// Orphan: the DATA (or the whole attempt) was not captured. Queue it
 	// until more frames from this sender resolve its position (§5.1).
@@ -414,13 +518,14 @@ func (r *Reconstructor) handleAck(j *unify.JFrame) {
 	}
 	ss.orphanAck = j
 	ss.lastSeen = r.now
+	return ss
 }
 
 // sender returns (creating) per-transmitter state.
 func (r *Reconstructor) sender(tx dot80211.MAC) *senderState {
 	ss := r.senders[tx]
 	if ss == nil {
-		ss = &senderState{}
+		ss = &senderState{tx: tx, at: [2]int{-1, -1}}
 		r.senders[tx] = ss
 	}
 	return ss
@@ -593,7 +698,86 @@ func (r *Reconstructor) Flush() []*Exchange {
 		}
 		clearPending(&ss.cts)
 		clearPending(&ss.rts)
+		r.rekey(ss)
 	}
 	r.watermark = math.MaxInt64
 	return r.Take()
+}
+
+// senderHeap is an indexed min-heap of senders on key[k], each holding its
+// index in at[k].
+type senderHeap struct {
+	k int
+	s []*senderState
+}
+
+// set files ss under key, moving it, or removing it when key is never.
+func (h *senderHeap) set(ss *senderState, key int64) {
+	i := ss.at[h.k]
+	switch {
+	case key == never:
+		h.remove(ss)
+	case i < 0:
+		ss.key[h.k], ss.at[h.k] = key, len(h.s)
+		h.s = append(h.s, ss)
+		h.up(len(h.s) - 1)
+	case key < ss.key[h.k]:
+		ss.key[h.k] = key
+		h.up(i)
+	case key > ss.key[h.k]:
+		ss.key[h.k] = key
+		h.down(i)
+	}
+}
+
+// remove takes ss out of the heap if it is there.
+func (h *senderHeap) remove(ss *senderState) {
+	i := ss.at[h.k]
+	if i < 0 {
+		return
+	}
+	last := len(h.s) - 1
+	h.swap(i, last)
+	h.s[last] = nil
+	h.s = h.s[:last]
+	ss.key[h.k], ss.at[h.k] = never, -1
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
+}
+
+func (h *senderHeap) less(i, j int) bool { return h.s[i].key[h.k] < h.s[j].key[h.k] }
+
+func (h *senderHeap) swap(i, j int) {
+	h.s[i], h.s[j] = h.s[j], h.s[i]
+	h.s[i].at[h.k], h.s[j].at[h.k] = i, j
+}
+
+func (h *senderHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *senderHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.s) {
+			return
+		}
+		if c+1 < len(h.s) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
 }
