@@ -18,16 +18,17 @@
 //
 // Contract (mirrors core.Pass, which these passes satisfy structurally):
 //
-//   - ObserveJFrame sees the unified stream in emission order;
+//   - ObserveJFrame sees the unified stream in time order (by UnivUS);
 //     ObserveExchange sees exchanges in canonical close order. The two
 //     callbacks are never concurrent.
-//   - When an exchange arrives, every jframe emitted before the
-//     reconstruction watermark passed its CloseUS has been observed.
-//     Emission order can locally invert by up to roughly the unifier's
-//     search window, so passes whose exchange handling queries the jframe
-//     history (interference, diagnosis) defer each exchange until their
-//     jframe frontier clears CloseUS + emitSlackUS, which makes the query
-//     results exactly those of a whole-trace index.
+//   - When an exchange arrives, every jframe stamped at or below the
+//     reconstruction watermark that released it has been observed. Passes
+//     whose exchange handling queries the jframe history (interference,
+//     diagnosis) need more: every jframe that starts before one of the
+//     exchange's data attempts ends. They defer each exchange until their
+//     jframe frontier reaches the latest such end, which, the stream being
+//     time-ordered, makes the query results exactly those of a whole-trace
+//     index.
 //   - Finalize is called once, after both streams end (and, for passes
 //     implementing core.ResultSink, after SetResult); it returns the
 //     pass's report and drops every frame reference the pass still holds.
@@ -47,6 +48,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -269,24 +271,18 @@ func CorePasses(passes []Pass) []core.Pass {
 	return out
 }
 
-// emitSlackUS is a guess at the unifier's local emission-order inversion: a
-// jframe can be emitted after another stamped later (measured: by 363 µs at
-// most on scenario.Default(), 0 on four other captures — unify's
-// TestFloorBoundsEveryLaterJFrame; unify.Unifier.FloorUS is the bound that
-// needs no guess). Deferring an exchange until the jframe frontier clears
-// CloseUS + emitSlackUS means every jframe with UnivUS <= CloseUS has been
-// observed, so sliding-window overlap queries equal whole-trace-index ones.
-const emitSlackUS = 100_000
-
 // exchangeDeferral holds exchanges (which arrive in canonical close order)
-// until the jframe frontier has advanced past their CloseUS plus the
-// emission slack. The buffer spans at most ~emitSlackUS of trace time plus
-// the pipeline's watermark lag — bounded, unlike the slices it replaces.
+// until the jframe frontier has reached the latest data attempt end among
+// their attempts. The jframe stream is sorted, so by then every jframe
+// starting before any of those attempts ends has been observed, and an
+// overlap query over the sliding index answers what a whole-trace index
+// would. CloseUS is not enough: a data attempt's estimated end can lie past
+// its exchange's CloseUS. Exchanges leave in arrival order, so the buffer
+// spans the watermark lag plus an airtime.
 type exchangeDeferral struct {
-	// The hold is bounded by the emission slack plus watermark lag, not
-	// O(trace). Each queued exchange carries a reference (Retain on push,
-	// Release after delivery), so the driver may release its own reference
-	// as soon as the observation call returns.
+	// Each queued exchange carries a reference (Retain on push, Release
+	// after delivery), so the driver may release its own reference as soon
+	// as the observation call returns.
 	q        []*llc.Exchange
 	head     int
 	frontier int64
@@ -305,10 +301,22 @@ func (d *exchangeDeferral) push(ex *llc.Exchange) {
 	d.q = append(d.q, ex)
 }
 
+// dataEndUS is the latest end among ex's data attempts (math.MinInt64 when
+// none carries a data frame): the frontier ex waits for.
+func dataEndUS(ex *llc.Exchange) int64 {
+	end := int64(math.MinInt64)
+	for _, at := range ex.Attempts {
+		if at.Data != nil {
+			end = max(end, at.Data.EndUS())
+		}
+	}
+	return end
+}
+
 // flush processes every queued exchange the frontier has cleared, in
 // arrival (canonical) order.
 func (d *exchangeDeferral) flush(process func(*llc.Exchange)) {
-	for d.head < len(d.q) && d.q[d.head].CloseUS+emitSlackUS <= d.frontier {
+	for d.head < len(d.q) && dataEndUS(d.q[d.head]) <= d.frontier {
 		ex := d.q[d.head]
 		d.q[d.head] = nil
 		d.head++
@@ -351,8 +359,9 @@ const overlapPruneHorizonUS = 10_000_000
 // overlapIndex answers §7.2's "did another transmission overlap [s, e) on
 // this channel" over a sliding window of recently observed jframe
 // intervals, replacing the legacy whole-trace sorted index. Intervals are
-// kept sorted by start (the emission stream is near-sorted; inserts bubble
-// at the tail) and pruned behind the exchange-close trail.
+// kept sorted by start (the stream is time-ordered, so an insert is an
+// append; one out of order, a late event, bubbles into place) and pruned
+// behind the exchange-close trail.
 type overlapIndex struct {
 	byCh map[dot80211.Channel]*chanIvs
 }

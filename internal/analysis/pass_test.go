@@ -3,7 +3,9 @@ package analysis
 import (
 	"testing"
 
+	"repro/internal/dot80211"
 	"repro/internal/llc"
+	"repro/internal/unify"
 )
 
 // TestXPercentileNearestRank is the regression for the nearest-rank
@@ -72,29 +74,50 @@ func TestNewPassesSelector(t *testing.T) {
 	}
 }
 
-// TestExchangeDeferral pins the deferral invariant: an exchange is
-// processed only once the jframe frontier has cleared CloseUS plus the
-// emission slack, in arrival order, and drain releases the rest.
+// TestExchangeDeferral pins the deferral rule: an exchange is processed
+// only once the jframe frontier has reached the latest end of its data
+// attempts — which can lie past its CloseUS — exchanges leave in arrival
+// order, and drain processes the rest.
 func TestExchangeDeferral(t *testing.T) {
+	data := func(us int64) *unify.JFrame {
+		return &unify.JFrame{UnivUS: us, Valid: true, WireLen: 1500, Rate: dot80211.Rate1Mbps}
+	}
 	var d exchangeDeferral
 	var got []int64
 	record := func(ex *llc.Exchange) { got = append(got, ex.CloseUS) }
 
-	d.push(&llc.Exchange{CloseUS: 100})
-	d.push(&llc.Exchange{CloseUS: 200})
-	d.noteJFrame(100 + emitSlackUS - 1)
+	// A unicast exchange closed on its ACK at 400 µs, while its data frame,
+	// 12 ms of airtime at 1 Mb/s, is estimated to end long after.
+	late := data(100)
+	if late.EndUS() <= 400 {
+		t.Fatalf("data attempt ends at %d, want past the CloseUS", late.EndUS())
+	}
+	d.push(&llc.Exchange{CloseUS: 400, Attempts: []*llc.Attempt{{Data: late}}})
+	d.push(&llc.Exchange{CloseUS: 500}) // no data attempt: waits only for its turn
+	d.noteJFrame(400)
+	d.flush(record)
+	d.noteJFrame(late.EndUS() - 1)
 	d.flush(record)
 	if len(got) != 0 {
-		t.Fatalf("flushed %v before the frontier cleared CloseUS+slack", got)
+		t.Fatalf("flushed %v before the frontier reached the data attempt's end %d", got, late.EndUS())
 	}
-	d.noteJFrame(100 + emitSlackUS)
+	d.noteJFrame(late.EndUS())
 	d.flush(record)
-	if len(got) != 1 || got[0] != 100 {
-		t.Fatalf("after frontier 100+slack got %v, want [100]", got)
+	if len(got) != 2 || got[0] != 400 || got[1] != 500 {
+		t.Fatalf("at frontier %d got %v, want [400 500]", late.EndUS(), got)
 	}
-	d.push(&llc.Exchange{CloseUS: 300})
+
+	// Retransmissions: the latest attempt end counts, not the first.
+	first, retry := data(20_000), data(40_000)
+	d.push(&llc.Exchange{CloseUS: 41_000, Attempts: []*llc.Attempt{{Data: first}, {}, {Data: retry}}})
+	d.push(&llc.Exchange{CloseUS: 42_000})
+	d.noteJFrame(first.EndUS())
+	d.flush(record)
+	if len(got) != 2 {
+		t.Fatalf("flushed %v once past the first attempt's end only", got[2:])
+	}
 	d.drain(record)
-	if len(got) != 3 || got[1] != 200 || got[2] != 300 {
-		t.Fatalf("drain got %v, want [100 200 300]", got)
+	if len(got) != 4 || got[2] != 41_000 || got[3] != 42_000 {
+		t.Fatalf("drain got %v, want [400 500 41000 42000]", got)
 	}
 }

@@ -123,9 +123,8 @@ func (p *TimeSeriesPass) Finalize() Report {
 	if p.slotUS <= 0 || !p.started {
 		return []ActivitySlot(nil)
 	}
-	// The last jframe in stream order bounds the series: activity past it
-	// (emission-order stragglers) falls outside the figure, exactly as the
-	// slice-based construction sized its slot array.
+	// The last jframe, the latest in the time-ordered stream, bounds the
+	// series, exactly as the slice-based construction sized its slot array.
 	nSlots := int((p.lastUS-p.startUS)/p.slotUS) + 1
 	if nSlots < 0 {
 		nSlots = 0

@@ -77,14 +77,12 @@ type Config struct {
 	// streams are complete) to every ResultSink pass each time the
 	// reconstruction watermark advances this far — the live-monitoring hook:
 	// a consumer learns in flight what it may act on, and result-derived
-	// report fields stay current. A snapshot costs one O(radios) scan of the
-	// stream's heads (jigd asks once per search window); the watermark
-	// advances only on FCS-valid jframes. Snapshot points sit at the same
-	// places in the product stream at every Workers setting; a pipelined one
-	// carries the stream's current slab's view, so its unify counters may run
-	// up to a slab ahead of the inline ones and its CompleteUS a slab behind.
-	// The final SetResult before RunFrom returns happens either way; with 0
-	// it is the only one and the stream is never asked for its floor.
+	// report fields stay current. The watermark advances only on FCS-valid
+	// jframes. Snapshot points sit at the same places in the product stream
+	// at every Workers setting; a pipelined one carries the stream's current
+	// slab's view, so its unify counters may run up to a slab ahead of the
+	// inline ones. The final SetResult before RunFrom returns happens either
+	// way; with 0 it is the only one.
 	SnapshotEveryUS int64
 }
 
@@ -97,17 +95,17 @@ type Config struct {
 //   - Every callback comes from the goroutine that called RunFrom or
 //     RunHierarchical, one at a time: a pass needs no locking, and never
 //     sees two concurrent callbacks.
-//   - ObserveJFrame is called with every unified jframe in emission order
-//     (the unifier's near-time-ordered stream).
+//   - ObserveJFrame is called with every unified jframe in time order:
+//     sorted by (UnivUS, emission sequence), the order of the unifier's
+//     stream and of a .jfs stream alike.
 //   - ObserveExchange is called with every reconstructed exchange in
 //     canonical close order (the order the transport analyzer consumes).
-//   - When ObserveExchange(ex) fires, every jframe the unifier emitted
-//     before the reconstruction watermark passed ex.CloseUS has already
-//     been observed. The unifier's emission order can locally invert by up
-//     to roughly its search window, so a pass that needs *every* jframe
-//     with UnivUS <= ex.CloseUS must additionally defer the exchange until
-//     its jframe frontier has advanced past CloseUS plus that slack (see
-//     internal/analysis's exchange deferral).
+//   - When ObserveExchange(ex) fires, every jframe stamped at or below the
+//     reconstruction watermark that released ex has been observed. A pass
+//     that needs every jframe up to some other time — the end of an
+//     attempt, which can lie past ex.CloseUS — defers the exchange until
+//     its jframe frontier reaches that time (see internal/analysis's
+//     exchange deferral).
 //   - Frames and exchanges are borrowed for the duration of the call and
 //     must not be modified: reconstruction may still be reading them on
 //     another goroutine.
@@ -194,8 +192,8 @@ type Result struct {
 	// CompleteUS is how far the two product streams are complete: every
 	// jframe stamped below it and every exchange closed below it has been
 	// delivered. At a snapshot point (Config.SnapshotEveryUS) it is the
-	// smaller of the jframe stream's floor and the reconstructor's watermark,
-	// lower bounds by construction; in the final result, math.MaxInt64.
+	// reconstructor's watermark, a lower bound by construction over a
+	// time-ordered jframe stream; in the final result, math.MaxInt64.
 	CompleteUS int64
 }
 
@@ -304,16 +302,13 @@ func (h *exchangeHeap) Pop() any {
 // jframeStream, reconstruct over it, and consumer.handle behind that — and
 // the two ways run composes them.
 
-// jframeStream is stage 1: unified jframes in emission order. Next returns
+// jframeStream is stage 1: unified jframes in time order. Next returns
 // io.EOF at the clean end of the stream.
 type jframeStream interface {
 	Next() (*unify.JFrame, error)
 	// Stats returns the stream's unification counters, current at least up
 	// to the last frame Next returned.
 	Stats() unify.Stats
-	// FloorUS returns a lower bound on the UnivUS of every jframe Next has
-	// yet to return. Only snapshot points ask.
-	FloorUS() int64
 }
 
 // unifierStream is the flat path's stage 1.
@@ -321,7 +316,6 @@ type unifierStream struct{ u *unify.Unifier }
 
 func (s unifierStream) Next() (*unify.JFrame, error) { return s.u.Next() }
 func (s unifierStream) Stats() unify.Stats           { return s.u.Stats }
-func (s unifierStream) FloorUS() int64               { return s.u.FloorUS() }
 
 // event is one item of the stream stage 2 hands stage 3; exactly one field
 // is set.
@@ -379,9 +373,7 @@ func reconstruct(src jframeStream, snapEveryUS int64, emit func(event)) (snapsho
 		release(wm)
 		if snapEveryUS > 0 && wm >= lastSnapUS+snapEveryUS {
 			lastSnapUS = wm
-			// A jframe yet to come may be stamped below wm (emission
-			// inversion) and close an exchange there, but not below the floor.
-			emit(event{snap: &snapshot{unify: src.Stats(), llc: rec.Stats, completeUS: min(src.FloorUS(), wm)}})
+			emit(event{snap: &snapshot{unify: src.Stats(), llc: rec.Stats, completeUS: wm}})
 		}
 	}
 	for _, ex := range rec.Flush() {
@@ -453,10 +445,9 @@ var slabSize = defaultSlabSize
 
 // jframeSlab is one hop's worth of the jframe stream across the first cut.
 type jframeSlab struct {
-	frames  []*unify.JFrame
-	stats   unify.Stats // the stream's counters as of the last frame
-	floorUS int64       // the stream's floor after the last frame, when snapshots are on
-	err     error       // set on the stream's last slab: io.EOF or its failure
+	frames []*unify.JFrame
+	stats  unify.Stats // the stream's counters as of the last frame
+	err    error       // set on the stream's last slab: io.EOF or its failure
 }
 
 // Slabs follow a strict get/fill/send/drain/put contract: the sender gets
@@ -500,16 +491,12 @@ type slabStream struct {
 	ch  <-chan *jframeSlab
 	cur *jframeSlab
 	i   int
-	// floorUS is the floor of the last slab handed on in full: a slab's was
-	// taken after its last frame and says nothing of the ones before it.
-	floorUS int64
 }
 
-// pump runs src to its end, sending what it yields down ch in slabs (each
-// with the stream's floor if withFloor) and closing ch behind the last one.
-// Nothing downstream stops before the stream does, so the sends need no
-// cancellation.
-func pump(src jframeStream, ch chan<- *jframeSlab, withFloor bool) {
+// pump runs src to its end, sending what it yields down ch in slabs and
+// closing ch behind the last one. Nothing downstream stops before the stream
+// does, so the sends need no cancellation.
+func pump(src jframeStream, ch chan<- *jframeSlab) {
 	defer close(ch)
 	for {
 		s := getJFrameSlab()
@@ -522,9 +509,6 @@ func pump(src jframeStream, ch chan<- *jframeSlab, withFloor bool) {
 			s.frames = append(s.frames, j)
 		}
 		s.stats = src.Stats()
-		if withFloor {
-			s.floorUS = src.FloorUS()
-		}
 		last := s.err != nil // the slab is the receiver's once sent
 		ch <- s
 		if last {
@@ -545,14 +529,10 @@ func (s *slabStream) Next() (*unify.JFrame, error) {
 	}
 	j := s.cur.frames[s.i]
 	s.i++
-	if s.i == len(s.cur.frames) {
-		s.floorUS = s.cur.floorUS
-	}
 	return j, nil
 }
 
 func (s *slabStream) Stats() unify.Stats { return s.cur.stats }
-func (s *slabStream) FloorUS() int64     { return s.floorUS }
 
 // pipelined is reconstruct(src, snapEveryUS, handle) cut into three
 // goroutines: src is pumped on one, reconstruction runs on a second, and
@@ -565,12 +545,12 @@ func pipelined(src jframeStream, snapEveryUS int64, handle func(event)) (final s
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		pump(src, frames, snapEveryUS > 0)
+		pump(src, frames)
 	}()
 	go func() {
 		defer wg.Done()
 		defer close(events)
-		stream := &slabStream{ch: frames, floorUS: math.MinInt64}
+		stream := &slabStream{ch: frames}
 		slab := getEventSlab()
 		final, err = reconstruct(stream, snapEveryUS, func(ev event) {
 			*slab = append(*slab, ev)

@@ -8,10 +8,10 @@
 // report that works on a flat Result works on a hierarchical one unchanged.
 //
 // Correctness rests on two facts. First, each building's stream is sorted
-// by UnivUS (the unifier's emission-order invariant, enforced by the
-// codec), so the k-way merge by (UnivUS, stream index) yields one globally
-// ordered jframe sequence — the same near-time-ordered shape the
-// reconstruction stage consumes on the flat path. Second, buildings are
+// by UnivUS (the unifier's output order, enforced by the codec), so the
+// k-way merge by (UnivUS, stream index) yields one globally ordered jframe
+// sequence — the same time-ordered shape the reconstruction stage consumes
+// on the flat path. Second, buildings are
 // radio- and conversation-disjoint: each building bootstraps its own
 // universal timeline, and llc reconstruction state is keyed by transmitter
 // MAC, so a conversation's frames all come from one building and its

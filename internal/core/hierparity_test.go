@@ -465,3 +465,47 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 		})
 	}
 }
+
+// TestHierarchicalMatchesFlatOnDefault runs both paths over scenario.Default(),
+// a capture on which a resync maps records below jframes already built: the
+// flat run's jframe stream must be, byte for byte, the hierarchical run's over
+// hmerge.Unify's stream of the same traces, and so must everything built on
+// it. Had the unifier handed on jframes in building order, the flat run would
+// see the inversions the sorted .jfs stream does not.
+func TestHierarchicalMatchesFlatOnDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a whole building")
+	}
+	out, err := scenario.Run(scenario.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := out.TraceSet()
+	ccfg := core.DefaultConfig()
+	ccfg.Workers = 1
+	fd := newHierDigest()
+	flat, err := core.RunFrom(ts, out.ClockGroups, ccfg, &core.Sink{OnJFrame: fd.observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	meta, err := hmerge.Unify(ts, out.ClockGroups, hmerge.UnifyConfig{Workers: 1}, &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		ccfg.Workers = workers
+		hd := newHierDigest()
+		hier, err := core.RunHierarchical([]*hmerge.Stream{hmerge.NewStream(meta, bytes.NewReader(stream.Bytes()))}, ccfg, &core.Sink{OnJFrame: hd.observe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hd.sum() != fd.sum() {
+			t.Errorf("workers=%d: hierarchical jframe digest differs from the flat run's", workers)
+		}
+		if hier.UnifyStats != flat.UnifyStats || hier.LLCStats != flat.LLCStats || hier.Transport.Stats != flat.Transport.Stats {
+			t.Errorf("workers=%d: stats differ:\n  hier unify %+v llc %+v transport %+v\n  flat unify %+v llc %+v transport %+v",
+				workers, hier.UnifyStats, hier.LLCStats, hier.Transport.Stats, flat.UnifyStats, flat.LLCStats, flat.Transport.Stats)
+		}
+	}
+}

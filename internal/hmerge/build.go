@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -98,11 +97,12 @@ type UnifyConfig struct {
 }
 
 // Unify runs one building's bootstrap + unification and serializes the
-// unifier's emission stream to w. This is exactly the front half of
-// core.RunFrom — same pre-scan (timesync.BootstrapSet), same sources
-// (unify.TraceSources), same unifier, same stream — with the
-// reconstruction stages replaced by the codec, so the jframes a
-// hierarchical run merges back are the jframes a flat run would have seen.
+// unifier's stream, already in the format's time order, to w. This is
+// exactly the front half of core.RunFrom — same pre-scan
+// (timesync.BootstrapSet), same sources (unify.TraceSources), same unifier,
+// same stream — with the reconstruction stages replaced by the codec, so the
+// jframes a hierarchical run merges back are the jframes a flat run would
+// have seen, in the same order.
 // Unification is deterministic, which makes the serialized bytes
 // deterministic too: any worker, in any process, produces the identical
 // file for the same inputs.
@@ -133,32 +133,6 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 	if err != nil {
 		return nil, err
 	}
-	// The unifier's emission order can locally invert (a resync can map a
-	// radio's next record below a jframe already emitted), and the
-	// intermediate format is sorted, so a reorder heap sits between the
-	// unifier and the writer. It releases what lies at or below the
-	// unifier's floor: every jframe still to come is stamped at or above it
-	// and, on a tie, comes later in emission order, so the stream is exactly
-	// the (UnivUS, emission sequence) sort of the unifier's output. FloorUS is
-	// O(radios), so it is asked once per search window of emission progress,
-	// and the heap holds about that window. A floor that lied would surface
-	// as WriteJFrame's out-of-order error, not as a corrupt stream.
-	var rh usHeap[*unify.JFrame] // tie: emission sequence
-	flush := func(limitUS int64) error {
-		for len(rh) > 0 && rh[0].us <= limitUS {
-			j := rh.popMin().v
-			err := wtr.WriteJFrame(j)
-			// The heap held the unifier's reference; the writer has copied
-			// everything it needs, so the frame recycles here.
-			j.Release()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var seq int64
-	nextFloorUS := int64(math.MinInt64) // emission progress at which to ask again
 	for {
 		j, err := u.Next()
 		if err == io.EOF {
@@ -167,17 +141,12 @@ func Unify(ts *tracefile.TraceSet, clockGroups [][]int32, cfg UnifyConfig, w io.
 		if err != nil {
 			return nil, fmt.Errorf("hmerge: unify: %w", err)
 		}
-		rh.push(usItem[*unify.JFrame]{us: j.UnivUS, tie: seq, v: j})
-		seq++
-		if j.UnivUS >= nextFloorUS {
-			nextFloorUS = j.UnivUS + cfg.Unify.SearchWindowUS
-			if err := flush(u.FloorUS()); err != nil {
-				return nil, err
-			}
+		err = wtr.WriteJFrame(j)
+		// The writer has copied everything it needs.
+		j.Release()
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := flush(math.MaxInt64); err != nil {
-		return nil, err
 	}
 	if err := wtr.Close(); err != nil {
 		return nil, err

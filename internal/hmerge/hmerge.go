@@ -5,8 +5,8 @@
 // Level 1 (Unify/UnifyDir): each per-building worker — a goroutine in this
 // process or a separate cmd/jigunify process — bootstraps and unifies its
 // building's trace directory exactly as core.RunFrom would, but instead of
-// reconstructing exchanges it serializes the unifier's emission stream to a
-// sorted intermediate jframe stream plus a metadata sidecar (bootstrap
+// reconstructing exchanges it serializes the unifier's time-ordered stream to
+// a sorted intermediate jframe stream plus a metadata sidecar (bootstrap
 // offsets, unify stats, watermark). Unification is deterministic, so every
 // worker produces byte-identical files for the same inputs regardless of
 // where it runs.
@@ -14,8 +14,8 @@
 // Level 2 (Merger): the global merge opens all buildings' streams and
 // interleaves them into one canonically-ordered jframe sequence by
 // (UnivUS, stream index) — valid because each stream is sorted
-// non-decreasing by UnivUS, the unifier's emission-order invariant, which
-// the Writer enforces at encode time. core.RunHierarchical drives the
+// non-decreasing by UnivUS, the unifier's output order, which the Writer
+// enforces at encode time. core.RunHierarchical drives the
 // ordinary reconstruction/transport/pass pipeline over that sequence.
 //
 // The container and codec are internal/block's, shared with the tracefile

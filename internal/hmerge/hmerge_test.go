@@ -485,25 +485,26 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestUsHeapOrder: the concrete heap pops in (us, tie) order under mixed
-// pushes, pops and root updates — the one property Unify's reorder buffer
-// and the Merger need from it.
-func TestUsHeapOrder(t *testing.T) {
+// TestMergeHeapOrder: the concrete heap pops in (UnivUS, stream index)
+// order under mixed pushes, pops and root updates — the one property the
+// Merger needs from it.
+func TestMergeHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var h usHeap[int]
-	var want []usItem[int]
-	less := func(a, b usItem[int]) bool { return a.us < b.us || a.us == b.us && a.tie < b.tie }
+	var h mergeHeap
+	var want []mergeHead
+	less := func(a, b mergeHead) bool { return a.us < b.us || a.us == b.us && a.idx < b.idx }
 	for i := 0; i < 5000; i++ {
 		switch op := rng.Intn(4); {
 		case op < 2 || len(h) == 0:
-			it := usItem[int]{us: int64(rng.Intn(50)), tie: int64(i), v: i}
+			it := mergeHead{us: int64(rng.Intn(50)), idx: i}
 			h.push(it)
 			want = append(want, it)
 		case op == 2:
 			sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
-			if got := h.popMin(); got != want[0] {
-				t.Fatalf("step %d: popped %+v, want %+v", i, got, want[0])
+			if got := h[0]; got != want[0] {
+				t.Fatalf("step %d: root %+v, want %+v", i, got, want[0])
 			}
+			h.popMin()
 			want = want[1:]
 		default: // the Merger's move: advance the root's key in place
 			sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
@@ -514,8 +515,9 @@ func TestUsHeapOrder(t *testing.T) {
 	}
 	sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
 	for _, w := range want {
-		if got := h.popMin(); got != w {
-			t.Fatalf("drain: popped %+v, want %+v", got, w)
+		if got := h[0]; got != w {
+			t.Fatalf("drain: root %+v, want %+v", got, w)
 		}
+		h.popMin()
 	}
 }

@@ -3,7 +3,6 @@ package hmerge
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/tracefile"
 	"repro/internal/unify"
@@ -72,24 +71,25 @@ func (s *Stream) Close() error {
 	return s.c.Close()
 }
 
-// usHeap is a binary min-heap of payloads keyed by (us, tie), with concrete
-// sift loops: no container/heap interface dispatch, no boxing of each pushed
-// item into an `any`. Both of this package's heaps order jframes by UnivUS
-// with a tiebreak that makes the key a total order — emission sequence in
-// Unify's reorder buffer, stream index in the Merger — so pop order is fixed
-// by the keys alone.
-type usHeap[T any] []usItem[T]
-
-type usItem[T any] struct {
-	us, tie int64
-	v       T
+// mergeHead is one stream's head inside the merge heap: its jframe, keyed
+// by the jframe's UnivUS (copied, so sifting reads no frame) and the
+// stream's index.
+type mergeHead struct {
+	us  int64
+	idx int
+	j   *unify.JFrame
 }
 
-func (h usHeap[T]) less(i, j int) bool {
-	return h[i].us < h[j].us || h[i].us == h[j].us && h[i].tie < h[j].tie
+// mergeHeap is a binary min-heap of stream heads ordered by (UnivUS, stream
+// index), a total order, with concrete sift loops: no container/heap
+// interface dispatch, no boxing of each pushed item into an `any`.
+type mergeHeap []mergeHead
+
+func (h mergeHeap) less(i, j int) bool {
+	return h[i].us < h[j].us || h[i].us == h[j].us && h[i].idx < h[j].idx
 }
 
-func (h *usHeap[T]) push(it usItem[T]) {
+func (h *mergeHeap) push(it mergeHead) {
 	s := append(*h, it)
 	*h = s
 	for j := len(s) - 1; j > 0 && s.less(j, (j-1)/2); j = (j - 1) / 2 {
@@ -97,19 +97,17 @@ func (h *usHeap[T]) push(it usItem[T]) {
 	}
 }
 
-// popMin removes and returns the root.
-func (h *usHeap[T]) popMin() usItem[T] {
+// popMin removes the root.
+func (h *mergeHeap) popMin() {
 	s := *h
 	n := len(s) - 1
-	it := s[0]
-	s[0], s[n] = s[n], usItem[T]{}
+	s[0], s[n] = s[n], mergeHead{}
 	*h = s[:n]
 	s[:n].fixMin()
-	return it
 }
 
 // fixMin restores heap order after the root's key changed.
-func (h usHeap[T]) fixMin() {
+func (h mergeHeap) fixMin() {
 	for i, j := 0, 1; j < len(h); i, j = j, 2*j+1 {
 		if j+1 < len(h) && h.less(j+1, j) {
 			j++
@@ -119,13 +117,6 @@ func (h usHeap[T]) fixMin() {
 		}
 		h[i], h[j] = h[j], h[i]
 	}
-}
-
-// mergeHead is one stream's head inside the merge heap (keyed by the
-// head's UnivUS and the stream's index).
-type mergeHead struct {
-	j *unify.JFrame
-	s *Stream
 }
 
 // Merger is the global k-way merge: it interleaves k sorted intermediate
@@ -138,7 +129,7 @@ type mergeHead struct {
 // intermediate files are pipeline-owned: any stream error is a hard error.
 type Merger struct {
 	streams []*Stream
-	h       usHeap[mergeHead]
+	h       mergeHeap
 	started bool
 }
 
@@ -155,7 +146,7 @@ func NewMerger(streams []*Stream, prefetch bool) *Merger {
 // frames from leaking. The merger must not be used afterwards.
 func (m *Merger) Close() {
 	for _, it := range m.h {
-		it.v.j.Release()
+		it.j.Release()
 	}
 	m.h = nil
 }
@@ -165,7 +156,7 @@ func (m *Merger) streamErr(idx int, err error) error {
 }
 
 func (m *Merger) start() error {
-	m.h = make(usHeap[mergeHead], 0, len(m.streams))
+	m.h = make(mergeHeap, 0, len(m.streams))
 	for i, s := range m.streams {
 		j, err := s.Next()
 		if err == io.EOF {
@@ -174,23 +165,9 @@ func (m *Merger) start() error {
 		if err != nil {
 			return m.streamErr(i, err)
 		}
-		m.h.push(usItem[mergeHead]{us: j.UnivUS, tie: int64(i), v: mergeHead{j: j, s: s}})
+		m.h.push(mergeHead{us: j.UnivUS, idx: i, j: j})
 	}
 	return nil
-}
-
-// FloorUS returns a lower bound on the UnivUS of every jframe Next has yet
-// to return, unify.Unifier.FloorUS's role on the hierarchical path: the
-// streams are sorted, so it is the merge heap's root (math.MaxInt64 once
-// every stream is drained).
-func (m *Merger) FloorUS() int64 {
-	switch {
-	case len(m.h) > 0:
-		return m.h[0].us
-	case m.started:
-		return math.MaxInt64
-	}
-	return math.MinInt64
 }
 
 // Next returns the globally next jframe (io.EOF when every stream is
@@ -206,14 +183,14 @@ func (m *Merger) Next() (*unify.JFrame, error) {
 		return nil, io.EOF
 	}
 	top := &m.h[0]
-	j := top.v.j
-	nxt, err := top.v.s.Next()
+	j := top.j
+	nxt, err := m.streams[top.idx].Next()
 	if err == io.EOF {
 		m.h.popMin()
 	} else if err != nil {
-		return nil, m.streamErr(int(top.tie), err)
+		return nil, m.streamErr(top.idx, err)
 	} else {
-		top.us, top.v.j = nxt.UnivUS, nxt
+		top.us, top.j = nxt.UnivUS, nxt
 		m.h.fixMin()
 	}
 	return j, nil

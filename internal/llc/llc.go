@@ -294,11 +294,12 @@ func NewReconstructor() *Reconstructor {
 }
 
 // Watermark returns a lower bound on the CloseUS of every exchange this
-// reconstructor can still emit, given jframes in time order: r.now follows
-// each jframe's stamp, so the unifier's emission inversion can undercut it by
-// that inversion. The pipeline releases closed exchanges strictly below it to
-// keep the exchange stream in canonical order; the bound for consumers is
-// min(Watermark, jframe stream floor), which core computes (Result.CompleteUS).
+// reconstructor can still emit, given jframes in time order, which the
+// unifier and the hierarchical merge both deliver. The pipeline releases
+// closed exchanges strictly below it to keep the exchange stream in
+// canonical order, and hands it to consumers as core.Result.CompleteUS: it
+// never passes the latest jframe's stamp, so it bounds the jframes still to
+// come as well.
 func (r *Reconstructor) Watermark() int64 { return r.watermark }
 
 // Process feeds one jframe; completed exchanges become available via Take.

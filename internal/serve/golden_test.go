@@ -31,7 +31,12 @@ import (
 // The full ones were computed at d34d381 and re-pinned once, in PR 22, with
 // the masked ones shown unchanged: closing on core.Result.CompleteUS under
 // ProgressEveryUS snapshots reads those cumulative totals about a second of
-// trace earlier, and current to 10 ms instead of up to a window stale.
+// trace earlier, and current to 10 ms instead of up to a window stale. The
+// 3 s ones were re-pinned once more, the masked ones again unchanged, when
+// the unifier began to emit in time order: a snapshot's CompleteUS became the
+// reconstruction watermark alone, so some windows close at other snapshots
+// and quote other cumulative unify counters (two windows at Workers 1, five
+// at Workers 2, one of which also quotes a tcploss total one loss lower).
 //
 // The same run checks conservation: a one-shot summary pass attached
 // beside the Monitor counts each jframe once, so the windows' frame counts
@@ -63,8 +68,8 @@ func TestMonitorWindowGolden(t *testing.T) {
 		masked   string         // over maskedJSON: the same at both Workers settings
 	}{
 		{3_000_000, 7, map[int]string{
-			1: "942046fe9ae6be13ac4e33477bfa85a5b9c4510c1cff8588712a4c0388a2f5ef",
-			2: "0c3cced10912ceeace0b52ac5b4f12ecdf3732d367bcf656f9ab48eb43b3d9d0",
+			1: "f6decfa6b8e3525f0c91565c550c503cdf502ba35718670ee934e235c271e171",
+			2: "19d4aac48d931dbf114d2dd777d569b330db4902e2a0c78f687ff94fd5c0e04a",
 		}, "eda19e00aa25c07a6493a8d457218df20057cdc5d825a7fe21d08dae0b13c714"},
 		{7_000_000, 3, map[int]string{
 			1: "1b5c338e2b0a069152df4ea50f152dc7481f5c57062ccf7391cd05e438313472",

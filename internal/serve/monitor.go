@@ -14,17 +14,17 @@
 // Which events belong to a window is the Monitor's job: a jframe belongs by
 // its UnivUS and an exchange by its CloseUS to the window (start, end] that
 // holds it. Events up to the open window's end are delivered as they arrive,
-// later ones wait in a buffer. The newest event says nothing about which
-// older ones are still to come (emission order can locally invert, exchanges
-// close after their frames); the pipeline says that itself: core.Result's
+// later ones wait in a buffer. Jframes arrive in time order, but the newest
+// event says nothing about which exchanges are still to come (an exchange
+// closes after its frames); the pipeline says that itself: core.Result's
 // CompleteUS, below which every jframe and exchange has been delivered — the
-// unifier's floor and the reconstructor's watermark, bounds by construction
-// whose one premise is time-ordered records per radio (unify.Unifier.FloorUS
-// has the argument). A window closes in SetResult and nowhere else, once its
-// end is below both the largest CompleteUS seen and the jframe frontier; the
-// run's final result is complete to +∞, so it closes every whole window with
-// its own bounds and Flush publishes the trailing partial one. There is no
-// margin to tune. Against the one-second frontier slack this replaced,
+// reconstructor's watermark over the unifier's time-ordered stream, a bound
+// by construction whose one premise is time-ordered records per radio (the
+// unifier's floor has the argument). A window closes in SetResult and
+// nowhere else, once its end is below both the largest CompleteUS seen and
+// the jframe frontier; the run's final result is complete to +∞, so it
+// closes every whole window with its own bounds and Flush publishes the
+// trailing partial one. There is no margin to tune. Against the one-second frontier slack this replaced,
 // live_paced's window_lag_ms_p50 at 4× pace fell from 340 to 93 ms and jigd's
 // peak heap from 53 to 27 MB (ten alternating pairs; CHANGES.md, PR 22).
 //
@@ -60,8 +60,7 @@ const DefaultSlackUS = 1_000_000
 
 // ProgressEveryUS is the core.Config.SnapshotEveryUS to run a Monitor under
 // (jigd does): one unify search window, so a window end waits at most 10 ms
-// of trace time (2.5 ms of wall at 4× pace) for the result that closes it,
-// at 100 O(radios) floor scans per trace second.
+// of trace time (2.5 ms of wall at 4× pace) for the result that closes it.
 const ProgressEveryUS = 10_000
 
 // MonitorConfig configures a Monitor.

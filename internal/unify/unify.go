@@ -298,8 +298,14 @@ type Unifier struct {
 	radios []radioState
 	heap   instanceHeap
 
-	pending  []*JFrame // jframes assembled from the current batch
-	pendHead int
+	// pending holds built jframes sorted by (UnivUS, emission sequence);
+	// pending[pendHead:] are still to be returned. Next releases them up to
+	// floorUS, recomputed each time the newest held stamp reaches
+	// nextFloorUS.
+	pending     []*JFrame
+	pendHead    int
+	floorUS     int64
+	nextFloorUS int64
 
 	// hot-path scratch, reused across batches
 	free           []*queueEntry
@@ -323,7 +329,7 @@ type Unifier struct {
 // Radios without a bootstrap offset are skipped (unsynced partitions cannot
 // be merged, as the paper observes at 10 pods).
 func New(cfg Config, sources map[int32]Source, boot *timesync.Result) *Unifier {
-	u := &Unifier{cfg: cfg}
+	u := &Unifier{cfg: cfg, floorUS: math.MinInt64, nextFloorUS: math.MinInt64}
 	// Deterministic initial queue population (map order varies per run).
 	ids := make([]int32, 0, len(sources))
 	for radio := range sources {
@@ -435,18 +441,38 @@ func (u *Unifier) advance(ri int32) {
 	u.heap.push(e)
 }
 
-// Next returns the next jframe in universal-time order, or io.EOF.
+// Next returns the next jframe in universal-time order, or io.EOF: the
+// stream is sorted by (UnivUS, emission sequence), where the emission
+// sequence is the order the jframes were built in.
+//
+// Building is not quite in that order — a resync at one batch can map a
+// radio's next record below a jframe an earlier batch built — so built
+// jframes wait in pending until the floor says nothing below them is still
+// to come. The floor is an O(radios) scan, so it is taken once per search
+// window of progress by the newest held jframe, and pending holds about that
+// window.
 //
 // The returned frame is pooled: the caller owns one reference and must
 // Release it when done (see pool.go for the full contract).
 func (u *Unifier) Next() (*JFrame, error) {
-	for u.pendHead >= len(u.pending) {
+	for u.pendHead == len(u.pending) || u.pending[u.pendHead].UnivUS > u.floorUS {
 		if len(u.heap) == 0 {
-			return nil, io.EOF
+			if u.pendHead == len(u.pending) {
+				return nil, io.EOF
+			}
+			u.floorUS = math.MaxInt64
+			break
 		}
-		u.pendHead = 0
-		u.pending = u.pending[:0]
+		if 2*u.pendHead >= len(u.pending) {
+			n := copy(u.pending, u.pending[u.pendHead:])
+			clear(u.pending[n:])
+			u.pending, u.pendHead = u.pending[:n], 0
+		}
 		u.batch()
+		if newest := u.pending[len(u.pending)-1].UnivUS; newest >= u.nextFloorUS {
+			u.nextFloorUS = newest + u.cfg.SearchWindowUS
+			u.floorUS = u.floor()
+		}
 	}
 	j := u.pending[u.pendHead]
 	u.pending[u.pendHead] = nil
@@ -454,32 +480,27 @@ func (u *Unifier) Next() (*JFrame, error) {
 	return j, nil
 }
 
-// FloorUS returns a lower bound on the UnivUS of every jframe Next has yet
-// to return (math.MaxInt64 once drained): what lets a consumer act on
-// "everything before t has been emitted" although emission order can locally
-// invert. O(radios): call it per progress report, not per record.
+// floor returns a lower bound on the UnivUS of every jframe still to be
+// built (math.MaxInt64 once the queue is empty).
 //
-// Between Next calls the unreturned jframes are the rest of pending, already
-// stamped, and those still to be built from the heap — one entry per radio
+// The jframes still to be built come from the heap — one entry per radio
 // with a queued head — and the records behind each head. The floor F is the
-// minimum of pending's stamps and, per head, of its stored univUS and of its
-// LocalUS under the radio's current tracker (the head may have been mapped
-// before a resync moved the clock; the records behind it are mapped after).
-// A jframe is stamped at or above its earliest member, so it suffices that
-// every entry queued from now on maps at or above F, which holds by induction
-// on queueing order, not by a margin. Under today's tracker state a radio's
-// records are time-ordered and ToUniversal is increasing between resyncs, so
-// a later record maps at or above where its head's LocalUS does. Under a
-// later state, Resync maps its anchor exactly onto the jframe that caused it,
-// whose members were all queued earlier: that jframe, and so every later
-// record of the radio, is at or above F. A local clock stepping backwards
-// breaks the first premise and can put a jframe below an earlier floor;
-// serve.Monitor degrades and counts that (late_events).
-func (u *Unifier) FloorUS() int64 {
+// minimum, per head, of its stored univUS and of its LocalUS under the
+// radio's current tracker (the head may have been mapped before a resync
+// moved the clock; the records behind it are mapped after). A jframe is
+// stamped at or above its earliest member, so it suffices that every entry
+// queued from now on maps at or above F, which holds by induction on
+// queueing order, not by a margin. Under today's tracker state a radio's
+// records are time-ordered and ToUniversal is increasing between resyncs,
+// so a later record maps at or above where its head's LocalUS does. Under a
+// later state, Resync maps its anchor exactly onto the jframe that caused
+// it, whose members were all queued earlier: that jframe, and so every
+// later record of the radio, is at or above F. A local clock stepping
+// backwards breaks the first premise and can put a jframe below an earlier
+// floor, so out of order; serve.Monitor degrades and counts that
+// (late_events).
+func (u *Unifier) floor() int64 {
 	floor := int64(math.MaxInt64)
-	for _, j := range u.pending[u.pendHead:] {
-		floor = min(floor, j.UnivUS)
-	}
 	for _, e := range u.heap {
 		floor = min(floor, e.univUS, u.radios[e.ri].tracker.ToUniversal(e.rec.LocalUS))
 	}
@@ -724,13 +745,14 @@ func (u *Unifier) group(batch []*queueEntry) {
 		u.pending = append(u.pending, u.emit(g.members, g))
 	}
 
-	// Batches can yield multiple jframes (simultaneous transmissions);
-	// keep output time-ordered. Stable insertion sort: batches are small,
-	// and ties must keep emission order.
-	for i := start + 1; i < len(u.pending); i++ {
+	// Keep everything held sorted: a batch can yield several jframes
+	// (simultaneous transmissions), and a resync can put one below jframes
+	// an earlier batch built. Stable insertion sort, back to pendHead: ties
+	// keep emission order, and almost every jframe is a tail append.
+	for i := start; i < len(u.pending); i++ {
 		j := u.pending[i]
 		k := i - 1
-		for k >= start && u.pending[k].UnivUS > j.UnivUS {
+		for k >= u.pendHead && u.pending[k].UnivUS > j.UnivUS {
 			u.pending[k+1] = u.pending[k]
 			k--
 		}

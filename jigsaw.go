@@ -109,8 +109,9 @@
 //	out, _ := jigsaw.Simulate(jigsaw.MixedCCScenario())
 //	fmt.Println(analysis.FairnessTable(analysis.CCFairness(out.FlowCCs, out.Cfg.Day.SecondsF())))
 //
-// See examples/ for runnable programs; `go test -run TestPaperNumbers -v .`
-// prints paper-vs-measured for every table and figure.
+// `go run ./examples/quickstart` walks one small run through the pipeline;
+// `go test -run TestPaperNumbers -v .` prints paper-vs-measured for every
+// table and figure.
 package jigsaw
 
 import (
