@@ -7,6 +7,7 @@ package jigsaw
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -63,14 +64,45 @@ func setupBench(tb testing.TB) *benchState {
 	return &bench
 }
 
-// BenchmarkUnifierOnly isolates the unification stage from reconstruction.
-// The bootstrap window is the pipeline's: timesync.CollectWindow over each
-// radio's first DefaultWindowUS, in radio order.
+// denseBuilding simulates two seconds of one campus building once per
+// process: scenario.Campus's building 0, 96 radios, whose batches run to the
+// unifier's four-search-window cap with thousands of jframes each.
+var denseBuilding = sync.OnceValues(func() (*scenario.Output, error) {
+	cfg := scenario.Campus().BuildingConfig(0)
+	cfg.Day = 2 * sim.Second
+	return scenario.Run(cfg)
+})
+
+// BenchmarkUnifierOnly isolates the unification stage from reconstruction:
+// "paper" over the reduced paper scenario, "dense" over denseBuilding. It
+// reports ns/record, the time per record consumed.
 func BenchmarkUnifierOnly(b *testing.B) {
-	s := setupBench(b)
+	b.Run("paper", func(b *testing.B) {
+		s := setupBench(b)
+		benchUnifier(b, s.traces, s.out.ClockGroups)
+	})
+	b.Run("dense", func(b *testing.B) {
+		out, err := denseBuilding()
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces := make(map[int32][]byte, len(out.Traces))
+		for r, buf := range out.Traces {
+			traces[r] = buf.Bytes()
+		}
+		benchUnifier(b, traces, out.ClockGroups)
+	})
+}
+
+// benchUnifier times unify.New and a full drain over in-memory records, so
+// no block is decompressed in the loop, and releases every jframe as the
+// pipeline does, so the pool recycles them. The bootstrap window is the
+// pipeline's: timesync.CollectWindow over each radio's first
+// DefaultWindowUS, in radio order.
+func benchUnifier(b *testing.B, traces map[int32][]byte, clockGroups [][]int32) {
 	perRadio := map[int32][]tracefile.Record{}
 	readers := map[int32]*tracefile.Reader{}
-	for radio, blob := range s.traces {
+	for radio, blob := range traces {
 		rs, err := tracefile.ReadAll(bytes.NewReader(blob))
 		if err != nil {
 			b.Fatal(err)
@@ -82,11 +114,12 @@ func BenchmarkUnifierOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	boot, err := timesync.Bootstrap(window, s.out.ClockGroups)
+	boot, err := timesync.Bootstrap(window, clockGroups)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Logf("%d of %d radios synchronized", len(boot.OffsetUS), len(perRadio))
+	var records int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sources := map[int32]unify.Source{}
@@ -94,10 +127,19 @@ func BenchmarkUnifierOnly(b *testing.B) {
 			sources[radio] = unify.NewSliceSource(rs)
 		}
 		u := unify.New(unify.DefaultConfig(), sources, boot)
-		if _, err := u.Drain(); err != nil {
-			b.Fatal(err)
+		for {
+			j, err := u.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			j.Release()
 		}
+		records += u.Stats.Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 }
 
 // BenchmarkFrameCodec measures the 802.11 encode/decode hot path.

@@ -23,11 +23,12 @@ package unify
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/dot80211"
@@ -313,6 +314,7 @@ type Unifier struct {
 	validScratch   []*queueEntry
 	corruptScratch []*queueEntry
 	groupScratch   []*grp
+	hashScratch    []uint32 // groupValid's rep hash per group
 	grpFree        []*grp
 	single         [1]*queueEntry
 
@@ -337,7 +339,7 @@ func New(cfg Config, sources map[int32]Source, boot *timesync.Result) *Unifier {
 			ids = append(ids, radio)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, radio := range ids {
 		tr := clock.NewOffsetTracker(boot.OffsetUS[radio])
 		tr.SetSkewCompensation(cfg.SkewCompensation)
@@ -611,16 +613,25 @@ func (u *Unifier) newGroup(e *queueEntry, f dot80211.Frame, decErr, valid bool) 
 	return g
 }
 
-// groupValid places valid entries into content groups: a frame joins the
-// first (creation-order) group with matching content whose radio set
-// doesn't already contain it — a single radio cannot receive one
+// groupValid places valid entries into content groups, returned in
+// creation order: a frame joins the first group with matching content whose
+// radio set doesn't already contain it — a single radio cannot receive one
 // transmission twice, which is how identical-content frames (ACK trains,
 // retransmissions) in one batch still separate into distinct jframes.
-func (u *Unifier) groupValid(entries []*queueEntry, groups []*grp) []*grp {
+//
+// A dense batch holds thousands of groups, so the scan runs over a column of
+// their representatives' hashes and touches a group only on a hash match.
+func (u *Unifier) groupValid(entries []*queueEntry) []*grp {
+	groups := u.groupScratch[:0]
+	hashes := u.hashScratch[:0]
 	for _, e := range entries {
 		placed := false
-		for _, g := range groups {
-			if g.rep.hash != e.hash || g.hasRadio(e.ri) {
+		for i, h := range hashes {
+			if h != e.hash {
+				continue
+			}
+			g := groups[i]
+			if g.hasRadio(e.ri) {
 				continue
 			}
 			tol := max64(u.joinTol(e), u.joinTol(g.rep))
@@ -634,8 +645,10 @@ func (u *Unifier) groupValid(entries []*queueEntry, groups []*grp) []*grp {
 		if !placed {
 			f, _, err := dot80211.DecodeCapture(e.rec.Frame)
 			groups = append(groups, u.newGroup(e, f, err != nil, true))
+			hashes = append(hashes, e.hash)
 		}
 	}
+	u.hashScratch = hashes[:0]
 	return groups
 }
 
@@ -695,7 +708,7 @@ func (u *Unifier) group(batch []*queueEntry) {
 		}
 	}
 
-	groups := u.groupValid(valid, u.groupScratch[:0])
+	groups := u.groupValid(valid)
 
 	// Attach corrupted instances, preferring valid groups (groups[:nValid])
 	// over corrupt-only ones (appended behind them as they form). Corrupt
@@ -745,10 +758,14 @@ func (u *Unifier) group(batch []*queueEntry) {
 		u.pending = append(u.pending, u.emit(g.members, g))
 	}
 
-	// Keep everything held sorted: a batch can yield several jframes
-	// (simultaneous transmissions), and a resync can put one below jframes
-	// an earlier batch built. Stable insertion sort, back to pendHead: ties
-	// keep emission order, and almost every jframe is a tail append.
+	// Keep everything held sorted by (UnivUS, emission sequence). The batch's
+	// own jframes are far from sorted: phy-error singletons come first, then
+	// the valid groups, then the corrupt-only ones, each set spanning the
+	// batch — up to four search windows and thousands of jframes in a dense
+	// building. So sort them once, stably, and then insert each into the held
+	// tail from the back; that moves only the jframes a resync put below
+	// ones an earlier batch built.
+	slices.SortStableFunc(u.pending[start:], byUnivUS)
 	for i := start; i < len(u.pending); i++ {
 		j := u.pending[i]
 		k := i - 1
@@ -862,11 +879,15 @@ func (u *Unifier) emit(members []*queueEntry, g *grp) *JFrame {
 	return j
 }
 
+// byUnivUS orders jframes by universal timestamp.
+func byUnivUS(a, b *JFrame) int { return cmp.Compare(a.UnivUS, b.UnivUS) }
+
 // sortInstances orders instances by universal timestamp. Small groups —
 // the overwhelmingly common case — use an inline insertion sort, which is
 // allocation-free and matches sort.Slice's permutation exactly (Go's
-// pdqsort is insertion sort at or below 12 elements); larger groups fall
-// back to sort.Slice to keep the historical tie order bit-for-bit.
+// pdqsort is insertion sort at or below 12 elements); larger groups use
+// slices.SortFunc, the same pdqsort without sort.Slice's reflection
+// swapper, so the historical tie order holds bit-for-bit.
 func sortInstances(in []Instance) {
 	if len(in) <= 12 {
 		for i := 1; i < len(in); i++ {
@@ -876,7 +897,7 @@ func sortInstances(in []Instance) {
 		}
 		return
 	}
-	sort.Slice(in, func(a, b int) bool { return in[a].UnivUS < in[b].UnivUS })
+	slices.SortFunc(in, func(a, b Instance) int { return cmp.Compare(a.UnivUS, b.UnivUS) })
 }
 
 // Drain consumes the whole stream, returning all jframes. The caller owns
