@@ -12,9 +12,12 @@
 // counters). A window closes once the pipeline reports its streams complete
 // past the window's end (core.Result.CompleteUS, every serve.ProgressEveryUS
 // of trace time): there is no slack to set. Analysis state is bounded: every
-// window gets a fresh set of passes, finalized and dropped when it closes, so
-// heap stays flat however long the capture runs. Radios the bootstrap could
-// not synchronize are logged once and listed in /summary's unsynced_radios.
+// window gets a fresh set of passes, finalized and dropped when it closes,
+// and the passes hold all of it — the transport analyzers behind summary's
+// flow counts and tcploss too — so heap stays flat however long the capture
+// runs, and each window reports its own events only. Radios the bootstrap
+// could not synchronize are logged once and listed in /summary's
+// unsynced_radios.
 //
 // SIGINT/SIGTERM drains the pipeline, closes the trailing window and exits
 // cleanly; when the capture marks itself done, jigd finishes the trace and

@@ -22,7 +22,11 @@ type sharedRun struct {
 	intf   *InterferenceReport
 	prot   *ProtectionReport
 	diags  []StationDiagnosis
+	loss   *TCPLossReport
 	vizStr string
+	// ta is a transport analyzer fed the run's exchanges beside the passes,
+	// for the analyzer counters no report carries.
+	ta *transport.Analyzer
 }
 
 var shared sharedRun
@@ -50,10 +54,12 @@ func setup(t *testing.T) (*scenario.Output, *core.Result) {
 	intf := NewInterferencePass(20, func(m dot80211.MAC) bool { return apSet[m] })
 	prot := NewProtectionPass(slotUS, slotUS)
 	diag := NewDiagnosisPass()
+	loss := NewTCPLossPass(5)
 	viz := NewVizPassRelative(0, 5000, 100)
+	ta := transport.NewAnalyzer()
 	ccfg := core.DefaultConfig()
-	ccfg.Passes = []core.Pass{cov, sum, ts, intf, prot, diag, viz}
-	res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
+	ccfg.Passes = []core.Pass{cov, sum, ts, intf, prot, diag, loss, viz}
+	res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, &core.Sink{OnExchange: ta.AddExchange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,9 @@ func setup(t *testing.T) (*scenario.Output, *core.Result) {
 		intf:   intf.Finalize().(*InterferenceReport),
 		prot:   prot.Finalize().(*ProtectionReport),
 		diags:  diag.Finalize().([]StationDiagnosis),
+		loss:   loss.Finalize().(*TCPLossReport),
 		vizStr: viz.Finalize().(string),
+		ta:     ta,
 	}
 	return out, res
 }
@@ -265,8 +273,8 @@ func TestProtectionFig10(t *testing.T) {
 }
 
 func TestTCPLossFig11(t *testing.T) {
-	_, res := setup(t)
-	rep := TCPLoss(res.Transport.LossRates(5))
+	setup(t)
+	rep := shared.loss
 	if rep.Flows == 0 {
 		t.Fatal("no flows for loss analysis")
 	}
@@ -286,17 +294,10 @@ func TestVisualize(t *testing.T) {
 	}
 }
 
-func TestTransportRTTSamplesExist(t *testing.T) {
-	_, res := setup(t)
-	var samples int
-	for _, f := range res.Transport.Flows() {
-		for _, ss := range f.RTTSamplesUS {
-			samples += len(ss)
-		}
-	}
-	_ = transport.LossWireless // keep import for clarity of provenance
-	if samples == 0 {
-		t.Error("no RTT samples gathered by the covering-ACK oracle")
+func TestTransportOracleResolvesDeliveries(t *testing.T) {
+	setup(t)
+	if shared.ta.Stats.ResolvedByOracle == 0 {
+		t.Error("the covering-ACK oracle resolved no unknown delivery")
 	}
 }
 

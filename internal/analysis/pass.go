@@ -29,9 +29,13 @@
 //     jframe frontier reaches the latest such end, which, the stream being
 //     time-ordered, makes the query results exactly those of a whole-trace
 //     index.
-//   - Finalize is called once, after both streams end (and, for passes
-//     implementing core.ResultSink, after SetResult); it returns the
+//   - Finalize is called once, after both streams end; it returns the
 //     pass's report and drops every frame reference the pass still holds.
+//     A pass reports only what it observed: none reads the pipeline's
+//     aggregate core.Result. Table 1's event counts are summed over the
+//     summary pass's own jframes, and the transport numbers (summary's
+//     flow counts, tcploss's Fig. 11 rows) come from an internal/transport
+//     analyzer each of those passes feeds with its own exchanges.
 //
 // # Windows
 //
@@ -40,10 +44,14 @@
 // internal/serve) builds a fresh set of passes for each window from a
 // Selection and finalizes the set when the window closes, so a window's
 // report is by construction the one-shot report over the window's events
-// and memory is bounded by the window, not the capture. Passes that
-// finalize from the run-aggregate Result (summary's pipeline counters,
-// tcploss) report those fields as of the latest SetResult — cumulative,
-// because the pipeline aggregates them monotonically.
+// and memory is bounded by the window, not the capture — transport state
+// included, since it lives in the window's passes. The one-shot rule holds
+// for transport analysis too, with its consequence at window boundaries: a
+// retransmission whose original went out in an earlier window is not
+// counted as one, a flow is complete (and has a Fig. 11 row) only in the
+// window that saw its handshake, and a flow active in k windows is counted
+// in each of them, so windowed flow and loss counts need not sum to a
+// one-shot run's.
 package analysis
 
 import (

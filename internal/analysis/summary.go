@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dot80211"
 	"repro/internal/llc"
+	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -29,22 +29,21 @@ type TraceSummary struct {
 	CompleteFlows   int64
 }
 
-// SummaryPass builds Table 1 incrementally from the jframe stream; the
-// unify/llc/transport aggregates arrive through core.ResultSink once the
-// run completes. Clients and APs are told apart by who transmits beacons /
+// SummaryPass builds Table 1 from what it observes: the event counts from
+// its jframes' instances, the flow counts from a transport analyzer fed its
+// exchanges. Clients and APs are told apart by who transmits beacons /
 // carries the FromDS bit, exactly as a passive observer must. State is
-// O(stations).
+// O(stations) plus the analyzer's.
 type SummaryPass struct {
 	named
-	noExchange
 	started         bool
 	firstUS, lastUS int64
-	multi           int64
-	instances       int64
+	multi           int64 // non-PhyOnly jframes
+	errs            int64 // physical-error and FCS-failed instances
 	aps             map[dot80211.MAC]bool
 	clients         map[dot80211.MAC]bool
 	s               TraceSummary
-	res             *core.Result
+	ta              *transport.Analyzer
 }
 
 // NewSummaryPass builds the Table 1 pass.
@@ -53,11 +52,12 @@ func NewSummaryPass() *SummaryPass {
 		named:   "summary",
 		aps:     make(map[dot80211.MAC]bool),
 		clients: make(map[dot80211.MAC]bool),
+		ta:      transport.NewAnalyzer(),
 	}
 }
 
-// SetResult implements core.ResultSink.
-func (p *SummaryPass) SetResult(res *core.Result) { p.res = res }
+// ObserveExchange implements Pass.
+func (p *SummaryPass) ObserveExchange(ex *llc.Exchange) { p.ta.AddExchange(ex) }
 
 // ObserveJFrame implements Pass.
 func (p *SummaryPass) ObserveJFrame(j *unify.JFrame) {
@@ -66,9 +66,16 @@ func (p *SummaryPass) ObserveJFrame(j *unify.JFrame) {
 		p.firstUS = j.UnivUS
 	}
 	p.lastUS = j.UnivUS
+	p.s.JFrames++
+	p.s.Events += int64(len(j.Instances))
 	if !j.PhyOnly {
 		p.multi++
-		p.instances += int64(len(j.Instances))
+		p.s.UnifiedEvents += int64(len(j.Instances))
+	}
+	for i := range j.Instances {
+		if in := &j.Instances[i]; in.PhyErr || !in.FCSOK {
+			p.errs++
+		}
 	}
 	if !j.Valid {
 		return
@@ -99,17 +106,11 @@ func (p *SummaryPass) ObserveJFrame(j *unify.JFrame) {
 // Finalize implements Pass, returning the *TraceSummary.
 func (p *SummaryPass) Finalize() Report {
 	s := p.s
-	if p.res != nil {
-		s.Events = p.res.UnifyStats.Events
-		s.UnifiedEvents = p.res.UnifyStats.Unified
-		s.JFrames = p.res.UnifyStats.JFrames
-		errs := p.res.UnifyStats.PhyErrors + p.res.UnifyStats.CRCErrors
-		if s.Events > 0 {
-			s.ErrorEventPct = 100 * float64(errs) / float64(s.Events)
-		}
-		s.TCPFlows = p.res.Transport.Stats.Flows
-		s.CompleteFlows = int64(p.res.Transport.Stats.CompleteFlows)
+	if s.Events > 0 {
+		s.ErrorEventPct = 100 * float64(p.errs) / float64(s.Events)
 	}
+	s.TCPFlows = p.ta.Stats.Flows
+	s.CompleteFlows = p.ta.Stats.CompleteFlows
 	for m := range p.aps {
 		delete(p.clients, m)
 	}
@@ -117,7 +118,7 @@ func (p *SummaryPass) Finalize() Report {
 	s.UniqueClients = len(p.clients)
 	s.DurationUS = p.lastUS - p.firstUS
 	if p.multi > 0 {
-		s.AvgInstances = float64(p.instances) / float64(p.multi)
+		s.AvgInstances = float64(s.UnifiedEvents) / float64(p.multi)
 	}
 	return &s
 }
@@ -176,30 +177,26 @@ func Inference(st llc.Stats) InferenceStats {
 	}
 }
 
-// TCPLossPass is Fig. 11 as a pass: purely result-derived (the transport
-// analyzer already aggregates per-flow loss attribution in bounded
-// memory), it observes nothing and finalizes from core.ResultSink.
+// TCPLossPass is Fig. 11 as a pass: it feeds the exchanges it observes to
+// its own transport analyzer, which aggregates per-flow loss attribution,
+// and reports the analyzer's loss rates.
 type TCPLossPass struct {
 	named
 	noJFrame
-	noExchange
 	minSegs int
-	res     *core.Result
+	ta      *transport.Analyzer
 }
 
 // NewTCPLossPass builds the Fig. 11 pass over flows with at least minSegs
 // data segments.
 func NewTCPLossPass(minSegs int) *TCPLossPass {
-	return &TCPLossPass{named: "tcploss", minSegs: minSegs}
+	return &TCPLossPass{named: "tcploss", minSegs: minSegs, ta: transport.NewAnalyzer()}
 }
 
-// SetResult implements core.ResultSink.
-func (p *TCPLossPass) SetResult(res *core.Result) { p.res = res }
+// ObserveExchange implements Pass.
+func (p *TCPLossPass) ObserveExchange(ex *llc.Exchange) { p.ta.AddExchange(ex) }
 
 // Finalize implements Pass, returning the *TCPLossReport.
 func (p *TCPLossPass) Finalize() Report {
-	if p.res == nil {
-		return &TCPLossReport{}
-	}
-	return TCPLoss(p.res.Transport.LossRates(p.minSegs))
+	return TCPLoss(p.ta.LossRates(p.minSegs))
 }

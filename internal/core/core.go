@@ -1,17 +1,19 @@
 // Package core wires Jigsaw's stages into the pipeline the paper
 // describes: bootstrap synchronization over the first window of every
 // per-radio trace (§4.1), streaming frame unification with continuous
-// resynchronization (§4.2), link-layer reconstruction into transmission
-// attempts and frame exchanges (§5.1), and transport-layer flow analysis
-// with the TCP delivery oracle (§5.2).
+// resynchronization (§4.2), and link-layer reconstruction into transmission
+// attempts and frame exchanges (§5.1). Transport-layer flow analysis with
+// the TCP delivery oracle (§5.2) is not a stage: it is an analysis over the
+// exchanges, and the passes that report it (internal/analysis's summary and
+// tcploss) each feed their own internal/transport analyzer.
 //
 // The pipeline operates in a single pass over the trace data (after the
 // bootstrap pre-scan), the property that lets the real system run online,
 // faster than real time. The pass is three stages — the jframe stream
 // (unification, or the hierarchical path's global merge), link-layer
 // reconstruction with its canonical close-order release, and everything
-// that consumes the products (sinks, analysis passes, the transport
-// analyzer) — written once and composed two ways:
+// that consumes the products (sinks and analysis passes) — written once and
+// composed two ways:
 //
 //   - Config.Workers == 1 calls them directly, one inside the other, on the
 //     caller's goroutine;
@@ -45,7 +47,6 @@ import (
 	"repro/internal/llc"
 	"repro/internal/timesync"
 	"repro/internal/tracefile"
-	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -73,7 +74,7 @@ type Config struct {
 	// passes satisfy this interface.
 	Passes []Pass
 	// SnapshotEveryUS, when > 0, re-delivers the run's aggregate result
-	// (unify/llc/transport stats, and Result.CompleteUS: how far the product
+	// (unify/llc stats, and Result.CompleteUS: how far the product
 	// streams are complete) to every ResultSink pass each time the
 	// reconstruction watermark advances this far — the live-monitoring hook:
 	// a consumer learns in flight what it may act on, and result-derived
@@ -99,7 +100,7 @@ type Config struct {
 //     sorted by (UnivUS, emission sequence), the order of the unifier's
 //     stream and of a .jfs stream alike.
 //   - ObserveExchange is called with every reconstructed exchange in
-//     canonical close order (the order the transport analyzer consumes).
+//     canonical close order (the order transport analysis consumes).
 //   - When ObserveExchange(ex) fires, every jframe stamped at or below the
 //     reconstruction watermark that released ex has been observed. A pass
 //     that needs every jframe up to some other time — the end of an
@@ -117,7 +118,7 @@ type Pass interface {
 }
 
 // ResultSink is implemented by passes that need the run's aggregate result
-// (unify/llc/transport stats) to finalize; the pipeline calls SetResult
+// (unify/llc stats, CompleteUS) to finalize; the pipeline calls SetResult
 // after the pass has observed both full streams, before RunFrom returns
 // (and at every snapshot point before that, see Config.SnapshotEveryUS).
 type ResultSink interface {
@@ -180,14 +181,14 @@ func (h *DispersionHistogram) Percentile(p float64) int64 {
 	return -1
 }
 
-// Result summarizes one pipeline run: the stages' aggregate counters and the
-// transport analyzer. The jframes and exchanges themselves are not kept;
-// Config.Passes (or a Sink) sees each one as it streams by.
+// Result summarizes one pipeline run: the stages' aggregate counters. The
+// jframes and exchanges themselves are not kept; Config.Passes (or a Sink)
+// sees each one as it streams by, and whatever is reported about them —
+// transport analysis included — is reported by a pass.
 type Result struct {
 	Bootstrap  *timesync.Result
 	UnifyStats unify.Stats
 	LLCStats   llc.Stats
-	Transport  *transport.Analyzer
 	Dispersion DispersionHistogram
 	// CompleteUS is how far the two product streams are complete: every
 	// jframe stamped below it and every exchange closed below it has been
@@ -416,9 +417,7 @@ func (c *consumer) handle(ev event) {
 		for _, p := range cfg.Passes {
 			p.ObserveExchange(ex)
 		}
-		// The transport analyzer copies what it keeps; the stream's
-		// ownership of the exchange's jframes ends here.
-		res.Transport.AddExchange(ex)
+		// The stream's ownership of the exchange's jframes ends here.
 		ex.Release()
 	default:
 		res.UnifyStats, res.LLCStats, res.CompleteUS = ev.snap.unify, ev.snap.llc, ev.snap.completeUS
@@ -580,7 +579,6 @@ func run(src jframeStream, boot *timesync.Result, cfg Config, sink *Sink, worker
 	}
 	res := &Result{
 		Bootstrap:  boot,
-		Transport:  transport.NewAnalyzer(),
 		Dispersion: DispersionHistogram{Bins: make([]int64, 1000)},
 	}
 	c := &consumer{res: res, cfg: &cfg, sink: sink}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tracefile"
+	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -43,11 +44,12 @@ func runPipeline(t *testing.T, cfg Config, sink *Sink) (*Result, *scenario.Outpu
 
 func TestPipelineEndToEnd(t *testing.T) {
 	var validJF int64
+	ta := transport.NewAnalyzer()
 	res, out := runPipeline(t, DefaultConfig(), &Sink{OnJFrame: func(j *unify.JFrame) {
 		if j.Valid {
 			validJF++
 		}
-	}})
+	}, OnExchange: ta.AddExchange})
 	if !res.Bootstrap.Synced() {
 		t.Errorf("bootstrap left radios unsynced: %v", res.Bootstrap.Unsynced)
 	}
@@ -81,7 +83,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if res.LLCStats.Exchanges == 0 {
 		t.Error("no frame exchanges reconstructed")
 	}
-	if res.Transport.Stats.CompleteFlows == 0 {
+	if ta.Stats.CompleteFlows == 0 {
 		t.Error("no TCP flows with complete handshakes")
 	}
 }
@@ -109,8 +111,10 @@ func TestPipelineDispersionFig4Shape(t *testing.T) {
 
 func TestPipelineDeliveryVerdicts(t *testing.T) {
 	counts := map[llc.Delivery]int{}
-	res, _ := runPipeline(t, DefaultConfig(), &Sink{OnExchange: func(ex *llc.Exchange) {
+	ta := transport.NewAnalyzer()
+	runPipeline(t, DefaultConfig(), &Sink{OnExchange: func(ex *llc.Exchange) {
 		counts[ex.Delivery]++
+		ta.AddExchange(ex)
 	}})
 	if counts[llc.DeliveryObserved] == 0 {
 		t.Error("no exchanges with observed ACKs")
@@ -119,7 +123,7 @@ func TestPipelineDeliveryVerdicts(t *testing.T) {
 		t.Error("no broadcast exchanges (beacons, ARPs)")
 	}
 	// The oracle should have resolved at least some unknowns.
-	if res.Transport.Stats.TCPSegments == 0 {
+	if ta.Stats.TCPSegments == 0 {
 		t.Error("no TCP segments decoded from exchanges")
 	}
 }

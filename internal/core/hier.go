@@ -2,9 +2,9 @@
 // workers (internal/hmerge, possibly separate processes) have already
 // bootstrapped and unified each building into a sorted intermediate jframe
 // stream; RunHierarchical performs the level-2 global k-way merge over
-// those streams and drives the same reconstruction / transport /
-// analysis-pass stages as RunFrom over the merged sequence — the merger
-// simply takes the unifier's place as the driver's stream stage. Every
+// those streams and drives the same reconstruction and analysis-pass
+// stages as RunFrom over the merged sequence — the merger simply takes the
+// unifier's place as the driver's stream stage. Every
 // report that works on a flat Result works on a hierarchical one unchanged.
 //
 // Correctness rests on two facts. First, each building's stream is sorted

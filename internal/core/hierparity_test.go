@@ -191,7 +191,8 @@ func hierPasses(t *testing.T, apSet map[dot80211.MAC]bool, hourUS int64) []analy
 type hierBuilding struct {
 	out        *scenario.Output
 	flat       *core.Result
-	kept       core.Collection // the flat run's jframes and exchanges
+	kept       core.Collection     // the flat run's jframes and exchanges
+	flatTA     *transport.Analyzer // fed the flat run's exchanges
 	flatDigest string
 	stream     []byte // buffer-backed hmerge.Unify output
 	meta       *hmerge.Meta
@@ -240,6 +241,10 @@ func buildHierBuildings(t *testing.T, seed int64, n int) ([]*hierBuilding, map[d
 		}
 		if len(b.kept.Exchanges) == 0 {
 			t.Fatalf("building %d: no exchanges; the scenario is too small", k)
+		}
+		b.flatTA = transport.NewAnalyzer()
+		for _, ex := range b.kept.Exchanges {
+			b.flatTA.AddExchange(ex)
 		}
 		d := newHierDigest()
 		for _, j := range b.kept.JFrames {
@@ -306,11 +311,13 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 			blds, apSet := buildHierBuildings(t, seed, maxB)
 
 			// hierRun is one hierarchical run: its result, the jframe stream's
-			// digest, the exchanges it delivered and every pass report.
+			// digest, the exchanges it delivered, a transport analyzer fed
+			// them and every pass report.
 			type hierRun struct {
 				res     *core.Result
 				digest  string
 				kept    core.Collection
+				ta      *transport.Analyzer
 				reports map[string]analysis.Report
 			}
 			runHier := func(streams []*hmerge.Stream, workers, slab int) *hierRun {
@@ -320,9 +327,14 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 				passes := hierPasses(t, apSet, hourUS)
 				ccfg.Passes = analysis.CorePasses(passes)
 				d := newHierDigest()
-				run := &hierRun{}
+				run := &hierRun{ta: transport.NewAnalyzer()}
 				sink := run.kept.Sink()
 				sink.OnJFrame = d.observe // digest the jframes, keep the exchanges
+				keep := sink.OnExchange
+				sink.OnExchange = func(ex *llc.Exchange) {
+					keep(ex)
+					run.ta.AddExchange(ex)
+				}
 				var err error
 				run.res, err = core.RunHierarchical(streams, ccfg, sink)
 				if err != nil {
@@ -366,22 +378,14 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 				refDigest := rd.sum()
 
 				// Reference pass reports: drive the merged slices through
-				// fresh passes, then hand result-consuming passes (summary,
-				// tcploss) a synthesized Result carrying the aggregate stats
-				// and a transport analyzer fed the same canonical exchange
-				// sequence — exactly what the hierarchical pipeline gives
-				// its inline passes.
+				// fresh passes, and a transport analyzer through the same
+				// canonical exchange sequence.
 				refTA := transport.NewAnalyzer()
 				for _, ex := range mergedEx {
 					refTA.AddExchange(ex)
 				}
 				fresh := hierPasses(t, apSet, hourUS)
 				core.DriveSlices(analysis.CorePasses(fresh), mergedJF, mergedEx)
-				setResult(fresh, &core.Result{
-					UnifyStats: refStats,
-					LLCStats:   refLLC,
-					Transport:  refTA,
-				})
 				refReports := finalizeAll(fresh)
 
 				check := func(label string, run *hierRun) {
@@ -403,9 +407,9 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 						t.Errorf("%s: llc stats differ from the per-building aggregate:\n  got  %+v\n  want %+v",
 							label, res.LLCStats, refLLC)
 					}
-					if res.Transport.Stats != refTA.Stats {
+					if run.ta.Stats != refTA.Stats {
 						t.Errorf("%s: transport stats differ from the flat reference:\n  got  %+v\n  want %+v",
-							label, res.Transport.Stats, refTA.Stats)
+							label, run.ta.Stats, refTA.Stats)
 					}
 					for name, want := range refReports {
 						got, ok := reports[name]
@@ -455,9 +459,9 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 							t.Errorf("workers=%d: single-building llc stats differ:\n  got  %+v\n  want %+v",
 								w, res.LLCStats, blds[0].flat.LLCStats)
 						}
-						if res.Transport.Stats != blds[0].flat.Transport.Stats {
+						if run.ta.Stats != blds[0].flatTA.Stats {
 							t.Errorf("workers=%d: single-building transport stats differ:\n  got  %+v\n  want %+v",
-								w, res.Transport.Stats, blds[0].flat.Transport.Stats)
+								w, run.ta.Stats, blds[0].flatTA.Stats)
 						}
 					}
 				}
@@ -484,7 +488,8 @@ func TestHierarchicalMatchesFlatOnDefault(t *testing.T) {
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = 1
 	fd := newHierDigest()
-	flat, err := core.RunFrom(ts, out.ClockGroups, ccfg, &core.Sink{OnJFrame: fd.observe})
+	flatTA := transport.NewAnalyzer()
+	flat, err := core.RunFrom(ts, out.ClockGroups, ccfg, &core.Sink{OnJFrame: fd.observe, OnExchange: flatTA.AddExchange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,16 +501,17 @@ func TestHierarchicalMatchesFlatOnDefault(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ccfg.Workers = workers
 		hd := newHierDigest()
-		hier, err := core.RunHierarchical([]*hmerge.Stream{hmerge.NewStream(meta, bytes.NewReader(stream.Bytes()))}, ccfg, &core.Sink{OnJFrame: hd.observe})
+		hierTA := transport.NewAnalyzer()
+		hier, err := core.RunHierarchical([]*hmerge.Stream{hmerge.NewStream(meta, bytes.NewReader(stream.Bytes()))}, ccfg, &core.Sink{OnJFrame: hd.observe, OnExchange: hierTA.AddExchange})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hd.sum() != fd.sum() {
 			t.Errorf("workers=%d: hierarchical jframe digest differs from the flat run's", workers)
 		}
-		if hier.UnifyStats != flat.UnifyStats || hier.LLCStats != flat.LLCStats || hier.Transport.Stats != flat.Transport.Stats {
+		if hier.UnifyStats != flat.UnifyStats || hier.LLCStats != flat.LLCStats || hierTA.Stats != flatTA.Stats {
 			t.Errorf("workers=%d: stats differ:\n  hier unify %+v llc %+v transport %+v\n  flat unify %+v llc %+v transport %+v",
-				workers, hier.UnifyStats, hier.LLCStats, hier.Transport.Stats, flat.UnifyStats, flat.LLCStats, flat.Transport.Stats)
+				workers, hier.UnifyStats, hier.LLCStats, hierTA.Stats, flat.UnifyStats, flat.LLCStats, flatTA.Stats)
 		}
 	}
 }

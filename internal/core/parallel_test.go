@@ -82,24 +82,18 @@ func writeTraceDir(t *testing.T, out *scenario.Output) *tracefile.TraceSet {
 }
 
 // flowSummary condenses one reconstructed flow for cross-run comparison:
-// its Fig. 11 loss row (zero for a flow without a complete handshake) and
-// its RTT sample count.
+// its Fig. 11 loss row (zero for a flow without a complete handshake).
 type flowSummary struct {
-	handshake  bool
-	firstUS    int64
-	lastUS     int64
-	loss       transport.FlowLossRate
-	rttSamples int
+	handshake bool
+	firstUS   int64
+	lastUS    int64
+	loss      transport.FlowLossRate
 }
 
 func summarizeFlows(ta *transport.Analyzer) map[tcpsim.FlowKey]flowSummary {
 	out := make(map[tcpsim.FlowKey]flowSummary)
 	for _, f := range ta.Flows() {
-		s := flowSummary{handshake: f.HandshakeComplete, firstUS: f.FirstUS, lastUS: f.LastUS}
-		for _, ss := range f.RTTSamplesUS {
-			s.rttSamples += len(ss)
-		}
-		out[f.Key] = s
+		out[f.Key] = flowSummary{handshake: f.HandshakeComplete, firstUS: f.FirstUS, lastUS: f.LastUS}
 	}
 	for _, r := range ta.LossRates(0) {
 		s := out[r.Key]
@@ -107,6 +101,16 @@ func summarizeFlows(ta *transport.Analyzer) map[tcpsim.FlowKey]flowSummary {
 		out[r.Key] = s
 	}
 	return out
+}
+
+// analyzeExchanges feeds a run's exchanges, in delivery order, to a fresh
+// transport analyzer.
+func analyzeExchanges(exs []*llc.Exchange) *transport.Analyzer {
+	ta := transport.NewAnalyzer()
+	for _, ex := range exs {
+		ta.AddExchange(ex)
+	}
+	return ta
 }
 
 // collected is one run's result plus the products a Collection retained
@@ -155,11 +159,12 @@ func requireIdentical(t *testing.T, label string, a, b *collected) {
 			t.Fatalf("%s: exchange %d differs:\n  a=%+v\n  b=%+v", label, i, x, y)
 		}
 	}
-	if a.Transport.Stats != b.Transport.Stats {
+	ta, tb := analyzeExchanges(a.Exchanges), analyzeExchanges(b.Exchanges)
+	if ta.Stats != tb.Stats {
 		t.Errorf("%s: transport stats differ:\n  a=%+v\n  b=%+v", label,
-			a.Transport.Stats, b.Transport.Stats)
+			ta.Stats, tb.Stats)
 	}
-	fa, fb := summarizeFlows(a.Transport), summarizeFlows(b.Transport)
+	fa, fb := summarizeFlows(ta), summarizeFlows(tb)
 	if len(fa) != len(fb) {
 		t.Fatalf("%s: flow count differs: %d vs %d", label, len(fa), len(fb))
 	}
@@ -455,7 +460,7 @@ func (nopPass) ObserveJFrame(*unify.JFrame)   {}
 func (nopPass) ObserveExchange(*llc.Exchange) {}
 
 // TestParallelExchangeOrderCanonical asserts the pipelined run delivers
-// exchanges in canonical close order (the order the transport analyzer
+// exchanges in canonical close order (the order transport analysis
 // consumes).
 func TestParallelExchangeOrderCanonical(t *testing.T) {
 	cfg := DefaultConfig()

@@ -87,16 +87,6 @@ func finalizeAll(passes []analysis.Pass) map[string]analysis.Report {
 	return out
 }
 
-// setResult hands the run's aggregate result to every pass that finalizes
-// from it, as the pipeline does for inline passes.
-func setResult(passes []analysis.Pass, res *core.Result) {
-	for _, p := range passes {
-		if rs, ok := p.(core.ResultSink); ok {
-			rs.SetResult(res)
-		}
-	}
-}
-
 func TestPassParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -150,11 +140,10 @@ func TestPassParity(t *testing.T) {
 			// Reference: the inline run with a collecting sink, so the same
 			// run yields both inline-pass reports and the slices to replay.
 			var kept core.Collection
-			res, ref := run(bufTS, 1, 64, kept.Sink())
+			_, ref := run(bufTS, 1, 64, kept.Sink())
 
 			replayed := parityPasses(t, out)
 			core.DriveSlices(analysis.CorePasses(replayed), kept.JFrames, kept.Exchanges)
-			setResult(replayed, res)
 			slices := finalizeAll(replayed)
 			if n := len(analysis.PassSpecs()); len(slices) != n {
 				t.Fatalf("replayed %d passes, want every registered one (%d)", len(slices), n)

@@ -9,13 +9,16 @@ import (
 	"repro/internal/llc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
 // resultCounter records every SetResult delivery, the unify jframe count
 // each one carried, and every product that arrived stamped below a
-// CompleteUS delivered before it.
+// CompleteUS delivered before it; it feeds the exchanges to a transport
+// analyzer.
 type resultCounter struct {
+	ta         *transport.Analyzer
 	calls      int
 	results    []*core.Result
 	jframes    []int64
@@ -34,6 +37,7 @@ func (r *resultCounter) ObserveExchange(ex *llc.Exchange) {
 	if r.calls > 0 && ex.CloseUS < r.completeUS {
 		r.broken = append(r.broken, fmt.Sprintf("exchange closed at %d after CompleteUS %d", ex.CloseUS, r.completeUS))
 	}
+	r.ta.AddExchange(ex)
 }
 
 func (r *resultCounter) SetResult(res *core.Result) {
@@ -65,12 +69,13 @@ func TestSnapshotEveryUS(t *testing.T) {
 
 	for _, everyUS := range []int64{2_000_000, 10_000} { // a coarse cadence, and jigd's
 		var ref *core.Result
+		var refTA *transport.Analyzer
 		var refCalls int
 		for _, workers := range []int{1, 2} {
 			ccfg := core.DefaultConfig()
 			ccfg.Workers = workers
 			ccfg.SnapshotEveryUS = everyUS
-			rc := &resultCounter{}
+			rc := &resultCounter{ta: transport.NewAnalyzer()}
 			ccfg.Passes = []core.Pass{rc}
 			res, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil)
 			if err != nil {
@@ -101,15 +106,15 @@ func TestSnapshotEveryUS(t *testing.T) {
 				t.Fatalf("workers=%d: final result has no jframes", workers)
 			}
 			if ref == nil {
-				ref, refCalls = res, rc.calls
+				ref, refTA, refCalls = res, rc.ta, rc.calls
 				continue
 			}
 			if rc.calls != refCalls {
 				t.Errorf("workers=%d: %d SetResult calls, inline run made %d", workers, rc.calls, refCalls)
 			}
-			if res.UnifyStats != ref.UnifyStats || res.LLCStats != ref.LLCStats || res.Transport.Stats != ref.Transport.Stats {
+			if res.UnifyStats != ref.UnifyStats || res.LLCStats != ref.LLCStats || rc.ta.Stats != refTA.Stats {
 				t.Errorf("workers=%d: final result differs from the inline run:\n got  %+v %+v %+v\n want %+v %+v %+v", workers,
-					res.UnifyStats, res.LLCStats, res.Transport.Stats, ref.UnifyStats, ref.LLCStats, ref.Transport.Stats)
+					res.UnifyStats, res.LLCStats, rc.ta.Stats, ref.UnifyStats, ref.LLCStats, refTA.Stats)
 			}
 		}
 	}

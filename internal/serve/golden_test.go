@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,37 +12,72 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dot80211"
+	"repro/internal/llc"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/unify"
 )
+
+// eventLog is a core.Pass beside the Monitor that keeps every jframe and
+// exchange in the order the pipeline delivered them, holding a reference on
+// each until release.
+type eventLog struct {
+	jframes []*unify.JFrame // one of the two set per event
+	exs     []*llc.Exchange
+}
+
+func (l *eventLog) ObserveJFrame(j *unify.JFrame) {
+	j.Retain()
+	l.jframes, l.exs = append(l.jframes, j), append(l.exs, nil)
+}
+
+func (l *eventLog) ObserveExchange(ex *llc.Exchange) {
+	ex.Retain()
+	l.jframes, l.exs = append(l.jframes, nil), append(l.exs, ex)
+}
+
+// replay feeds passes, in arrival order, every logged event whose stamp (a
+// jframe's UnivUS, an exchange's CloseUS) satisfies in.
+func (l *eventLog) replay(passes []analysis.Pass, in func(us int64) bool) {
+	for i, j := range l.jframes {
+		if ex := l.exs[i]; ex != nil {
+			if in(ex.CloseUS) {
+				for _, p := range passes {
+					p.ObserveExchange(ex)
+				}
+			}
+		} else if in(j.UnivUS) {
+			for _, p := range passes {
+				p.ObserveJFrame(j)
+			}
+		}
+	}
+}
+
+func (l *eventLog) release() {
+	for i, j := range l.jframes {
+		if ex := l.exs[i]; ex != nil {
+			ex.Release()
+		} else {
+			j.Release()
+		}
+	}
+	l.jframes, l.exs = nil, nil
+}
 
 // TestMonitorWindowGolden pins what Monitor itself publishes: a sha256
 // over every closed window's WindowReport JSON, in close order, for every
-// registry pass that runs without ground truth. Workers 1 and 2 publish the
-// same windows except for summary's cumulative unify counters, which a
-// pipelined snapshot reads up to a slab ahead (core.Config.SnapshotEveryUS),
-// so each setting has its own digest.
+// registry pass that runs without ground truth. No pass reads core.Result,
+// so a window's reports depend only on the events it was given, and Workers
+// 1 and 2 publish the same digest.
 //
-// There are two digests per case. The masked one (maskedJSON) leaves out what
-// a report quotes from the cumulative core.Result and transport analyzer at
-// the moment of the close, so it depends only on which events each window
-// was given; it was computed at commit 9798794, where a window closed one
-// second of frontier after its end, and must hold for any other close rule.
-// The full ones were computed at d34d381 and re-pinned once, in PR 22, with
-// the masked ones shown unchanged: closing on core.Result.CompleteUS under
-// ProgressEveryUS snapshots reads those cumulative totals about a second of
-// trace earlier, and current to 10 ms instead of up to a window stale. The
-// 3 s ones were re-pinned once more, the masked ones again unchanged, when
-// the unifier began to emit in time order: a snapshot's CompleteUS became the
-// reconstruction watermark alone, so some windows close at other snapshots
-// and quote other cumulative unify counters (two windows at Workers 1, five
-// at Workers 2, one of which also quotes a tcploss total one loss lower).
-//
-// The same run checks conservation: a one-shot summary pass attached
-// beside the Monitor counts each jframe once, so the windows' frame counts
-// must sum to its totals — no event dropped at a boundary, none delivered
-// to two windows.
+// The same run checks that each published report is the one-shot report over
+// its window's events: an eventLog beside the Monitor records the delivered
+// stream, and for every closed window a fresh pass set is fed that window's
+// events — jframes by UnivUS, exchanges by CloseUS over (start, end], the
+// first window taking everything up to its end and the Flush window
+// everything after its start — and must finalize to the published sections.
 func TestMonitorWindowGolden(t *testing.T) {
 	cfg := scenario.Roaming()
 	cfg.Pods, cfg.APs, cfg.Clients = 4, 9, 6
@@ -64,17 +100,10 @@ func TestMonitorWindowGolden(t *testing.T) {
 	golden := []struct {
 		windowUS int64
 		windows  int
-		digest   map[int]string // by Workers
-		masked   string         // over maskedJSON: the same at both Workers settings
+		digest   string
 	}{
-		{3_000_000, 7, map[int]string{
-			1: "f6decfa6b8e3525f0c91565c550c503cdf502ba35718670ee934e235c271e171",
-			2: "19d4aac48d931dbf114d2dd777d569b330db4902e2a0c78f687ff94fd5c0e04a",
-		}, "eda19e00aa25c07a6493a8d457218df20057cdc5d825a7fe21d08dae0b13c714"},
-		{7_000_000, 3, map[int]string{
-			1: "1b5c338e2b0a069152df4ea50f152dc7481f5c57062ccf7391cd05e438313472",
-			2: "54b08801585eb8b28991ab496ce92e8a380fc2ac67d118647bb145cb1f2831bf",
-		}, "11254e4a8cee9319f2fba965887773f9cf8075cba1ba2e7d2c480a61794e85c4"},
+		{3_000_000, 7, "346aa63c73e7c89120c105f892c6f4efc02cfb2577c2e35def76b9db024d2dad"},
+		{7_000_000, 3, "2ce16a033b283762d66eb41e255cbcc541c1d9b247b6825c698b9470b723547c"},
 	}
 	for _, g := range golden {
 		for _, workers := range []int{1, 2} {
@@ -91,21 +120,19 @@ func TestMonitorWindowGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				var (
-					mon     *serve.Monitor
-					h       = sha256.New()
-					hm      = sha256.New()
-					windows int
-					sum     analysis.TraceSummary
+					mon       *serve.Monitor
+					h         = sha256.New()
+					published [][]serve.WindowReport // per window, in PassNames order
 				)
 				mon, err = serve.NewMonitor(serve.MonitorConfig{
 					WindowUS: g.windowUS,
 					Passes:   passes,
 					OnWindow: func(int64) {
-						windows++
+						var reps []serve.WindowReport
 						for _, name := range mon.PassNames() {
 							rep, ok := mon.Report(name)
 							if !ok {
-								t.Errorf("window %d: no %s report", windows, name)
+								t.Errorf("window %d: no %s report", len(published)+1, name)
 								continue
 							}
 							b, err := json.Marshal(rep)
@@ -114,71 +141,61 @@ func TestMonitorWindowGolden(t *testing.T) {
 							}
 							h.Write(b)
 							h.Write([]byte{'\n'})
-							hm.Write(maskedJSON(t, rep))
-							hm.Write([]byte{'\n'})
-							if name != "summary" {
-								continue
-							}
-							row := rep.Rows.([]*analysis.TraceSummary)[0]
-							sum.DataFrames += row.DataFrames
-							sum.MgmtFrames += row.MgmtFrames
-							sum.ControlFrames += row.ControlFrames
-							sum.BeaconFrames += row.BeaconFrames
+							reps = append(reps, rep)
 						}
+						published = append(published, reps)
 					},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				oneShot := analysis.NewSummaryPass()
+				log := &eventLog{}
+				defer log.release()
 				ccfg := core.DefaultConfig()
 				ccfg.Workers = workers
 				ccfg.SnapshotEveryUS = serve.ProgressEveryUS
-				ccfg.Passes = []core.Pass{mon, oneShot}
+				ccfg.Passes = []core.Pass{mon, log}
 				if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, ccfg, nil); err != nil {
 					t.Fatal(err)
 				}
 				mon.Flush()
 
-				if got := hex.EncodeToString(h.Sum(nil)); windows != g.windows || got != g.digest[workers] {
-					t.Errorf("published %d windows with digest %s, want %d with %s", windows, got, g.windows, g.digest[workers])
+				if got := hex.EncodeToString(h.Sum(nil)); len(published) != g.windows || got != g.digest {
+					t.Errorf("published %d windows with digest %s, want %d with %s", len(published), got, g.windows, g.digest)
 				}
-				if got := hex.EncodeToString(hm.Sum(nil)); got != g.masked {
-					t.Errorf("masked digest %s, want %s", got, g.masked)
+				if c := mon.Metrics(); c.LateEvents != 0 {
+					t.Fatalf("late_events = %d, want 0: window membership is not by stamp alone", c.LateEvents)
 				}
-				want := oneShot.Finalize().(*analysis.TraceSummary)
-				if want.DataFrames == 0 || want.BeaconFrames == 0 {
-					t.Fatalf("one-shot summary is empty: %+v", want)
-				}
-				if sum.DataFrames != want.DataFrames || sum.MgmtFrames != want.MgmtFrames ||
-					sum.ControlFrames != want.ControlFrames || sum.BeaconFrames != want.BeaconFrames {
-					t.Errorf("windows sum to data %d mgmt %d control %d beacon %d, the one-shot pass counted %d %d %d %d",
-						sum.DataFrames, sum.MgmtFrames, sum.ControlFrames, sum.BeaconFrames,
-						want.DataFrames, want.MgmtFrames, want.ControlFrames, want.BeaconFrames)
+				for k, reps := range published {
+					startUS, endUS := reps[0].WindowStartUS, reps[0].WindowEndUS
+					first, last := k == 0, k == len(published)-1
+					fresh := passes.New()
+					log.replay(fresh, func(us int64) bool {
+						return (first || us > startUS) && (last || us <= endUS)
+					})
+					for i, p := range fresh {
+						if reps[i].Pass != p.Name() {
+							t.Fatalf("window %d: report %d is %s, want %s", k+1, i, reps[i].Pass, p.Name())
+						}
+						want, err := analysis.SectionJSON(p.Name(), p.Finalize())
+						if err != nil {
+							t.Fatal(err)
+						}
+						wb, err := json.Marshal(want)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gb, err := json.Marshal(reps[i].Section)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(gb, wb) {
+							t.Errorf("window %d (%d, %d]: published %s differs from a one-shot pass over the window's events:\n got  %s\n want %s",
+								k+1, startUS, endUS, p.Name(), gb, wb)
+						}
+					}
 				}
 			})
 		}
 	}
-}
-
-// maskedJSON is a window report's JSON without what it quotes from the
-// cumulative core.Result or transport analyzer at the moment the window
-// closes: summary's six result-derived fields zeroed, tcploss's rows
-// dropped. What remains depends only on which events the window was given.
-func maskedJSON(t *testing.T, rep serve.WindowReport) []byte {
-	t.Helper()
-	switch rep.Pass {
-	case "summary":
-		row := *rep.Rows.([]*analysis.TraceSummary)[0]
-		row.Events, row.ErrorEventPct, row.UnifiedEvents, row.JFrames = 0, 0, 0, 0
-		row.TCPFlows, row.CompleteFlows = 0, 0
-		rep.Rows = []*analysis.TraceSummary{&row}
-	case "tcploss":
-		rep.Rows = []struct{}{}
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

@@ -6,10 +6,15 @@
 //
 // A report window is a fresh set of passes. The Monitor builds the selected
 // passes when a window opens, feeds them exactly the events that belong to
-// the window, and when the window closes hands them the latest core.Result,
-// calls their ordinary Finalize, publishes the reports and drops the set —
-// so a window's report is the one-shot report over the window's events, and
-// pass state is bounded by the window, not the capture length.
+// the window, and when the window closes calls their ordinary Finalize,
+// publishes the reports and drops the set — so a window's report is the
+// one-shot report over the window's events, and pass state, transport
+// analysis included, is bounded by the window, not the capture length. No
+// pass reads the run's core.Result: every number in a window report is
+// counted from that window's events, so a flow or a retransmission that
+// straddles a window boundary is reported as each window saw it
+// (internal/analysis's package comment has the rule). The cumulative view
+// is /summary's, which Summary serves from the latest core.Result.
 //
 // Which events belong to a window is the Monitor's job: a jframe belongs by
 // its UnivUS and an exchange by its CloseUS to the window (start, end] that
@@ -225,10 +230,9 @@ func (m *Monitor) observe(e pendingEvent) {
 
 // SetResult implements core.ResultSink and is where windows close: every
 // window ending below res.CompleteUS and below the frontier has all its
-// events. The result also supplies the closing passes' result-derived report
-// fields and the republished cumulative stats. Under ProgressEveryUS
-// snapshots this fires throughout the run; the final call, complete to +∞,
-// closes every whole window left.
+// events. The result also supplies the republished cumulative stats. Under
+// ProgressEveryUS snapshots this fires throughout the run; the final call,
+// complete to +∞, closes every whole window left.
 func (m *Monitor) SetResult(res *core.Result) {
 	m.lastResult = res
 	if res.CompleteUS > m.completeUS {
@@ -276,9 +280,6 @@ func (m *Monitor) deliver(e pendingEvent) {
 func (m *Monitor) closeWindow() {
 	snaps := make(map[string]WindowReport, len(m.passes))
 	for _, p := range m.passes {
-		if rs, ok := p.(core.ResultSink); ok && m.lastResult != nil {
-			rs.SetResult(m.lastResult)
-		}
 		sec, err := analysis.SectionJSON(p.Name(), p.Finalize())
 		if err != nil {
 			// Registry drift: serve an explicit error section rather than

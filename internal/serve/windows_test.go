@@ -15,7 +15,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/timesync"
 	"repro/internal/tracefile"
-	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -250,7 +249,7 @@ func TestMonitorCountsLateEvent(t *testing.T) {
 	}
 	mon.ObserveJFrame(beacon(1_000))
 	mon.ObserveJFrame(beacon(1_200_000))
-	res := &core.Result{Bootstrap: &timesync.Result{}, Transport: transport.NewAnalyzer(), CompleteUS: 1_100_000}
+	res := &core.Result{Bootstrap: &timesync.Result{}, CompleteUS: 1_100_000}
 	mon.SetResult(res)
 	if len(got) != 1 || got[0].counts.beacon != 1 {
 		t.Fatalf("after complete_us passed the first window's end: windows %+v, want the first with one beacon", got)

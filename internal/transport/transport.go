@@ -17,8 +17,7 @@
 // segments. Per direction it holds one entry per TCP sequence number (the
 // MAC seqs seen carrying it, its transmission count and its first
 // transmission's delivery), the merged byte coverage and the sends whose
-// delivery is still unresolved; per flow, RTT samples and four loss
-// counters.
+// delivery is still unresolved; per flow, four loss counters.
 package transport
 
 import (
@@ -79,13 +78,11 @@ type seqState struct {
 // a covering ACK.
 type pendingSend struct {
 	seq, seqEnd uint32
-	timeUS      int64
-	rtx         bool // a retransmission: no RTT sample, no firstResolved
+	rtx         bool // a retransmission: no firstResolved
 }
 
 // dirState tracks one direction (identified by source IP) of a flow.
 type dirState struct {
-	srcIP      uint32
 	iss        uint32
 	sawSyn     bool
 	observed   []interval // merged data coverage observed on the air
@@ -106,10 +103,6 @@ type Flow struct {
 	HandshakeComplete bool
 	FirstUS, LastUS   int64
 
-	// RTT samples (µs) from data→covering-ACK delays, per direction of the
-	// data (keyed by source IP of the data sender).
-	RTTSamplesUS map[uint32][]int64
-
 	// Fig. 11's per-flow counters: distinct data transmissions (duplicate
 	// observations of one MAC frame count once), retransmissions (losses)
 	// and their wireless/wired split.
@@ -123,7 +116,7 @@ type Flow struct {
 func (f *Flow) dir(ip uint32) *dirState {
 	d := f.dirs[ip]
 	if d == nil {
-		d = &dirState{srcIP: ip, seqs: make(map[uint32]seqState)}
+		d = &dirState{seqs: make(map[uint32]seqState)}
 		f.dirs[ip] = d
 	}
 	return d
@@ -187,11 +180,7 @@ func (a *Analyzer) AddExchange(ex *llc.Exchange) {
 	key := seg.Key()
 	f := a.flows[key]
 	if f == nil {
-		f = &Flow{
-			Key: key, FirstUS: ex.StartUS,
-			RTTSamplesUS: make(map[uint32][]int64),
-			dirs:         make(map[uint32]*dirState),
-		}
+		f = &Flow{Key: key, FirstUS: ex.StartUS, dirs: make(map[uint32]*dirState)}
 		a.flows[key] = f
 		a.Stats.Flows++
 	}
@@ -216,7 +205,7 @@ func (a *Analyzer) AddExchange(ex *llc.Exchange) {
 		a.observeData(f, d, &seg, ex)
 	}
 	if seg.IsACK() && !seg.IsSYN() {
-		a.observeAck(f, d, &seg, ex.StartUS)
+		a.observeAck(f, d, &seg)
 	}
 }
 
@@ -259,7 +248,7 @@ func (a *Analyzer) observeData(f *Flow, d *dirState, seg *tcpsim.Segment, ex *ll
 	switch ex.Delivery {
 	case llc.DeliveryUnknown, llc.DeliveryFailed:
 		d.pendingUnknown = append(d.pendingUnknown, pendingSend{
-			seq: seg.Seq, seqEnd: seg.SeqEnd(), timeUS: ex.StartUS, rtx: rtx,
+			seq: seg.Seq, seqEnd: seg.SeqEnd(), rtx: rtx,
 		})
 	}
 }
@@ -281,9 +270,8 @@ func (st *seqState) lossOfFirst() LossKind {
 }
 
 // observeAck applies the TCP oracle: a cumulative ACK from direction d
-// covers sequence space of the opposite direction. seg is the ACK, seen at
-// ackTimeUS.
-func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment, ackTimeUS int64) {
+// covers sequence space of the opposite direction. seg is the ACK.
+func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment) {
 	ackVal := seg.Ack
 	if d.ackValid && !seqLess(d.maxAckSeen, ackVal) {
 		return // not a new high-water mark
@@ -302,13 +290,11 @@ func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment, ackTime
 		if seqLEQ(p.seqEnd, ackVal) {
 			a.Stats.ResolvedByOracle++
 			// A resolved first transmission turns a later retransmission of
-			// its seq into a wired loss, and yields an RTT sample from first
-			// transmission to covering ACK.
+			// its seq into a wired loss.
 			if !p.rtx {
 				st := od.seqs[p.seq]
 				st.firstResolved = true
 				od.seqs[p.seq] = st
-				f.RTTSamplesUS[od.srcIP] = append(f.RTTSamplesUS[od.srcIP], ackTimeUS-p.timeUS)
 			}
 		} else {
 			keep = append(keep, p)
@@ -428,39 +414,4 @@ func (a *Analyzer) LossRates(minSegs int) []FlowLossRate {
 		return flowKeyLess(out[i].Key, out[j].Key)
 	})
 	return out
-}
-
-// RTTReport summarizes the round-trip-time estimates the Jaiswal-style
-// analysis extracts from data→covering-ACK delays, per flow direction.
-type RTTReport struct {
-	Samples  int
-	MinUS    int64
-	MedianUS int64
-	P90US    int64
-	MaxUS    int64
-}
-
-// RTTSummary aggregates RTT samples across all reconstructed flows for the
-// direction whose data originates at srcIP selector (nil = all directions).
-func (a *Analyzer) RTTSummary(include func(srcIP uint32) bool) RTTReport {
-	var all []int64
-	for _, f := range a.flows {
-		for ip, ss := range f.RTTSamplesUS {
-			if include != nil && !include(ip) {
-				continue
-			}
-			all = append(all, ss...)
-		}
-	}
-	var rep RTTReport
-	rep.Samples = len(all)
-	if len(all) == 0 {
-		return rep
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	rep.MinUS = all[0]
-	rep.MedianUS = all[len(all)/2]
-	rep.P90US = all[int(float64(len(all))*0.9)]
-	rep.MaxUS = all[len(all)-1]
-	return rep
 }

@@ -111,10 +111,6 @@ func TestOracleResolvesUnknownDelivery(t *testing.T) {
 	if !f.dirs[cliIP].seqs[101].firstResolved {
 		t.Error("first transmission not marked resolved")
 	}
-	// RTT sample recorded: 10 ms between data and covering ACK.
-	if len(f.RTTSamplesUS[cliIP]) != 1 || f.RTTSamplesUS[cliIP][0] != 10_000 {
-		t.Errorf("rtt samples = %v", f.RTTSamplesUS[cliIP])
-	}
 }
 
 func TestNonCoveringAckDoesNotResolve(t *testing.T) {
@@ -277,27 +273,5 @@ func TestIntervalMerging(t *testing.T) {
 func TestLossKindStrings(t *testing.T) {
 	if LossWireless.String() != "wireless" || LossWired.String() != "wired" || LossUnknown.String() != "unknown" {
 		t.Error("names")
-	}
-}
-
-func TestRTTSummary(t *testing.T) {
-	a := NewAnalyzer()
-	handshake(a, 0, 100, 900)
-	// Three data segments resolved by covering ACKs at varying delays.
-	a.AddExchange(exFor(dataSeg(101, 1000), 10_000, llc.DeliveryUnknown))
-	a.AddExchange(exFor(ackSeg(1101), 15_000, llc.DeliveryObserved)) // 5 ms
-	a.AddExchange(exFor(dataSeg(1101, 1000), 20_000, llc.DeliveryUnknown))
-	a.AddExchange(exFor(ackSeg(2101), 40_000, llc.DeliveryObserved)) // 20 ms
-	rep := a.RTTSummary(nil)
-	if rep.Samples != 2 {
-		t.Fatalf("samples = %d, want 2", rep.Samples)
-	}
-	if rep.MinUS != 5_000 || rep.MaxUS != 20_000 {
-		t.Errorf("min/max = %d/%d", rep.MinUS, rep.MaxUS)
-	}
-	// Direction filter excludes everything for the server's IP.
-	none := a.RTTSummary(func(ip uint32) bool { return ip == srvIP })
-	if none.Samples != 0 {
-		t.Errorf("server-side samples = %d, want 0", none.Samples)
 	}
 }

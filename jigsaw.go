@@ -47,7 +47,9 @@
 //	                          the work), or the hierarchical global merge
 //	stage 2  reconstruction   llc + the canonical close-order exchange heap,
 //	                          released by the reconstruction watermark
-//	stage 3  consumers        sinks, analysis passes, transport analysis
+//	stage 3  consumers        sinks and analysis passes (transport analysis
+//	                          among them: the summary and tcploss passes each
+//	                          feed their own internal/transport analyzer)
 //
 // Workers=1 calls the stages directly, one inside the other, on the
 // caller's goroutine. Any other value (the default auto-sizes to
@@ -109,9 +111,9 @@
 //	out, _ := jigsaw.Simulate(jigsaw.MixedCCScenario())
 //	fmt.Println(analysis.FairnessTable(analysis.CCFairness(out.FlowCCs, out.Cfg.Day.SecondsF())))
 //
-// `go run ./examples/quickstart` walks one small run through the pipeline;
-// `go test -run TestPaperNumbers -v .` prints paper-vs-measured for every
-// table and figure.
+// The package's Example walks one small run through the pipeline (`go test
+// -run '^Example$' -v .`); `go test -run TestPaperNumbers -v .` prints
+// paper-vs-measured for every table and figure.
 package jigsaw
 
 import (
@@ -136,7 +138,7 @@ type PipelineConfig = core.Config
 type Pass = core.Pass
 
 // Result is the pipeline output: bootstrap state, unification statistics,
-// dispersion histogram, reconstruction stats and the transport analyzer.
+// dispersion histogram and reconstruction stats.
 type Result = core.Result
 
 // DefaultScenario returns a laptop-scale deployment configuration.

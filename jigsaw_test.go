@@ -3,6 +3,7 @@ package jigsaw_test
 import (
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 
 	jigsaw "repro"
@@ -49,6 +50,39 @@ func TestBenchModule(t *testing.T) {
 		cmd.Env = append(os.Environ(), "GOWORK=off")
 		if b, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("cd bench && go %s %s: %v\n%s", args[0], args[1], err, b)
+		}
+	}
+}
+
+// TestPipelineLinksNoSimulator keeps the system under test apart from the
+// generator that tests it: no pipeline package may link a simulator
+// package, so a fault in the simulator cannot sit on both sides of a check.
+// It reads each package's dependency closure (what `go list -deps` prints)
+// from the go command.
+func TestPipelineLinksNoSimulator(t *testing.T) {
+	pipeline := []string{"core", "llc", "unify", "hmerge", "timesync", "tracefile", "block", "clock", "dot80211"}
+	simulator := map[string]bool{}
+	for _, name := range []string{"scenario", "tcpsim", "cc", "mac", "radio", "building", "sim", "workload"} {
+		simulator["repro/internal/"+name] = true
+	}
+	args := []string{"list", "-f", "{{.ImportPath}} {{join .Deps \" \"}}"}
+	for _, name := range pipeline {
+		args = append(args, "repro/internal/"+name)
+	}
+	b, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, b)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != len(pipeline) {
+		t.Fatalf("go list described %d packages, want %d:\n%s", len(lines), len(pipeline), b)
+	}
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		for _, dep := range fields[1:] {
+			if simulator[dep] {
+				t.Errorf("%s links the simulator package %s", fields[0], dep)
+			}
 		}
 	}
 }
