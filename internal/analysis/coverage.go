@@ -8,7 +8,7 @@ import (
 	"repro/internal/dot80211"
 	"repro/internal/llc"
 	"repro/internal/scenario"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/tracefile"
 )
 
@@ -16,14 +16,14 @@ import (
 // direction, the sequence position and the flags identify one packet
 // (retransmissions repeat the identity; matching is by multiset).
 type segIdentity struct {
-	key     tcpsim.FlowKey
+	key     tcpwire.FlowKey
 	srcIP   uint32
 	seq     uint32
 	payload uint16
 	flags   uint8
 }
 
-func identityOf(seg tcpsim.Segment) segIdentity {
+func identityOf(seg tcpwire.Segment) segIdentity {
 	return segIdentity{
 		key: seg.Key(), srcIP: seg.SrcIP, seq: seg.Seq,
 		payload: seg.PayloadLen, flags: seg.Flags,
@@ -81,7 +81,7 @@ func (p *CoveragePass) ObserveExchange(ex *llc.Exchange) {
 	if data == nil {
 		return
 	}
-	seg, err := tcpsim.DecodeSegment(data.Frame.Body)
+	seg, err := tcpwire.DecodeSegment(data.Frame.Body)
 	if err != nil {
 		return
 	}

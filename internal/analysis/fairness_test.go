@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 )
 
 func ccFlow(algo string, port uint16, bytes int64, done bool) scenario.FlowCC {
-	key := (&tcpsim.Segment{SrcIP: 0x0a000001, SrcPort: port, DstIP: 0x0b000001, DstPort: 80}).Key()
+	key := (&tcpwire.Segment{SrcIP: 0x0a000001, SrcPort: port, DstIP: 0x0b000001, DstPort: 80}).Key()
 	return scenario.FlowCC{
 		Key: key, Algo: algo, ClientIP: 0x0a000001, ClientPort: port,
 		ServerIP: 0x0b000001, BytesAcked: bytes, Completed: done,

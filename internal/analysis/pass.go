@@ -34,8 +34,9 @@
 //     A pass reports only what it observed: none reads the pipeline's
 //     aggregate core.Result. Table 1's event counts are summed over the
 //     summary pass's own jframes, and the transport numbers (summary's
-//     flow counts, tcploss's Fig. 11 rows) come from an internal/transport
-//     analyzer each of those passes feeds with its own exchanges.
+//     flow counts, tcploss's Fig. 11 rows) come from one internal/transport
+//     analyzer per pass set: Selection.New hands the first of those passes'
+//     analyzer to the other, and only the first feeds it its exchanges.
 //
 // # Windows
 //
@@ -64,6 +65,7 @@ import (
 	"repro/internal/dot80211"
 	"repro/internal/llc"
 	"repro/internal/scenario"
+	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -250,11 +252,20 @@ func Select(selector string, params PassParams) (Selection, error) {
 // Names lists the selected passes in registry order.
 func (s Selection) Names() []string { return specNames(s.specs) }
 
-// New constructs a fresh instance of every selected pass.
+// New constructs a fresh instance of every selected pass. The passes that
+// read TCP share the first one's transport analyzer, which only it feeds.
 func (s Selection) New() []Pass {
 	out := make([]Pass, len(s.specs))
+	var shared *transport.Analyzer
 	for i, spec := range s.specs {
 		out[i] = spec.New(s.params)
+		if f, ok := out[i].(interface{ tcp() *tcpFeed }); ok {
+			if shared == nil {
+				shared = f.tcp().ta
+			} else {
+				*f.tcp() = tcpFeed{ta: shared}
+			}
+		}
 	}
 	return out
 }

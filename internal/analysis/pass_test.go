@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dot80211"
 	"repro/internal/llc"
+	"repro/internal/scenario"
+	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -71,6 +75,80 @@ func TestNewPassesSelector(t *testing.T) {
 	}
 	if len(one) != 2 || one[0].Name() != "summary" || one[1].Name() != "diagnose" {
 		t.Errorf("named selection = %v, want registry order [summary diagnose]", one)
+	}
+}
+
+// TestOneTransportAnalyzerPerSet checks that a pass set holds one TCP
+// view: summary and tcploss share one transport analyzer that exactly one
+// of them feeds, so its counters equal those of an analyzer fed every
+// exchange once, and each pass reports what it reports when built alone.
+func TestOneTransportAnalyzerPerSet(t *testing.T) {
+	out, err := scenario.Run(scenario.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	apSet := scenario.APSet(out.APs)
+	params := PassParams{
+		SlotUS: out.Cfg.HourDur().US64(),
+		IsAP:   func(m dot80211.MAC) bool { return apSet[m] },
+	}
+	set, err := NewPasses("all", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := NewPasses("tcploss", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum *SummaryPass
+	var loss *TCPLossPass
+	for _, p := range set {
+		switch p := p.(type) {
+		case *SummaryPass:
+			sum = p
+		case *TCPLossPass:
+			loss = p
+		}
+	}
+	if sum == nil || loss == nil {
+		t.Fatalf("all set lacks summary or tcploss: %v", set)
+	}
+	if sum.ta != loss.ta {
+		t.Fatal("summary and tcploss of one set hold different transport analyzers")
+	}
+	loneLoss := lone[0].(*TCPLossPass)
+	if loneLoss.ta == sum.ta {
+		t.Fatal("a lone tcploss set shares another set's analyzer")
+	}
+	aloneSum, aloneLoss := NewSummaryPass(), NewTCPLossPass(5)
+
+	fresh := transport.NewAnalyzer()
+	cfg := core.DefaultConfig()
+	cfg.Passes = CorePasses(append(set, loneLoss, aloneSum, aloneLoss))
+	if _, err := core.RunFrom(out.TraceSet(), out.ClockGroups, cfg, &core.Sink{OnExchange: fresh.AddExchange}); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Stats.TCPSegments == 0 {
+		t.Fatal("the capture carries no TCP segment")
+	}
+	if sum.ta.Stats != fresh.Stats {
+		t.Errorf("shared analyzer stats %+v, want %+v (one feed per exchange)", sum.ta.Stats, fresh.Stats)
+	}
+	if loneLoss.ta.Stats != fresh.Stats {
+		t.Errorf("lone tcploss analyzer stats %+v, want %+v", loneLoss.ta.Stats, fresh.Stats)
+	}
+	for _, c := range []struct{ inSet, alone Pass }{{sum, aloneSum}, {loss, aloneLoss}} {
+		got, err := SectionJSON(c.inSet.Name(), c.inSet.Finalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SectionJSON(c.alone.Name(), c.alone.Finalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s in a set reports %+v, alone %+v", c.inSet.Name(), got, want)
+		}
 	}
 }
 

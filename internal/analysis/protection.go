@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"repro/internal/dot80211"
-	"repro/internal/transport"
 	"repro/internal/unify"
 )
 
@@ -248,30 +247,4 @@ func dataAP(f *dot80211.Frame) dot80211.MAC {
 		return f.Addr2
 	}
 	return dot80211.MAC{}
-}
-
-// TCPLossReport reproduces Fig. 11: the per-flow TCP loss rate CDF with the
-// wireless/wired split.
-type TCPLossReport struct {
-	Flows         int
-	LossRates     []float64 // sorted per-flow loss rates
-	WirelessShare float64   // share of classified losses that were wireless
-	TotalLosses   int
-	WirelessLoss  int
-	WiredLoss     int
-}
-
-// TCPLoss summarizes transport losses over handshake-complete flows.
-func TCPLoss(rates []transport.FlowLossRate) *TCPLossReport {
-	rep := &TCPLossReport{Flows: len(rates)}
-	for _, r := range rates {
-		rep.LossRates = append(rep.LossRates, r.LossRate)
-		rep.TotalLosses += r.Losses
-		rep.WirelessLoss += r.WirelessLoss
-		rep.WiredLoss += r.WiredLoss
-	}
-	if cl := rep.WirelessLoss + rep.WiredLoss; cl > 0 {
-		rep.WirelessShare = float64(rep.WirelessLoss) / float64(cl)
-	}
-	return rep
 }

@@ -29,13 +29,35 @@ type TraceSummary struct {
 	CompleteFlows   int64
 }
 
+// tcpFeed is the transport analyzer a pass reports from, and its
+// ObserveExchange. Selection.New gives a set's TCP-reading passes the first
+// one's analyzer, which only that one feeds; a pass built alone feeds its
+// own.
+type tcpFeed struct {
+	ta    *transport.Analyzer
+	feeds bool
+}
+
+func newTCPFeed() tcpFeed { return tcpFeed{ta: transport.NewAnalyzer(), feeds: true} }
+
+// ObserveExchange implements Pass.
+func (t *tcpFeed) ObserveExchange(ex *llc.Exchange) {
+	if t.feeds {
+		t.ta.AddExchange(ex)
+	}
+}
+
+// tcp exposes the feed to Selection.New.
+func (t *tcpFeed) tcp() *tcpFeed { return t }
+
 // SummaryPass builds Table 1 from what it observes: the event counts from
-// its jframes' instances, the flow counts from a transport analyzer fed its
-// exchanges. Clients and APs are told apart by who transmits beacons /
-// carries the FromDS bit, exactly as a passive observer must. State is
-// O(stations) plus the analyzer's.
+// its jframes' instances, the flow counts from its transport analyzer.
+// Clients and APs are told apart by who transmits beacons / carries the
+// FromDS bit, exactly as a passive observer must. State is O(stations)
+// plus the analyzer's.
 type SummaryPass struct {
 	named
+	tcpFeed
 	started         bool
 	firstUS, lastUS int64
 	multi           int64 // non-PhyOnly jframes
@@ -43,21 +65,17 @@ type SummaryPass struct {
 	aps             map[dot80211.MAC]bool
 	clients         map[dot80211.MAC]bool
 	s               TraceSummary
-	ta              *transport.Analyzer
 }
 
 // NewSummaryPass builds the Table 1 pass.
 func NewSummaryPass() *SummaryPass {
 	return &SummaryPass{
 		named:   "summary",
+		tcpFeed: newTCPFeed(),
 		aps:     make(map[dot80211.MAC]bool),
 		clients: make(map[dot80211.MAC]bool),
-		ta:      transport.NewAnalyzer(),
 	}
 }
-
-// ObserveExchange implements Pass.
-func (p *SummaryPass) ObserveExchange(ex *llc.Exchange) { p.ta.AddExchange(ex) }
 
 // ObserveJFrame implements Pass.
 func (p *SummaryPass) ObserveJFrame(j *unify.JFrame) {
@@ -177,26 +195,45 @@ func Inference(st llc.Stats) InferenceStats {
 	}
 }
 
-// TCPLossPass is Fig. 11 as a pass: it feeds the exchanges it observes to
-// its own transport analyzer, which aggregates per-flow loss attribution,
-// and reports the analyzer's loss rates.
+// TCPLossPass is Fig. 11 as a pass: it reports its transport analyzer's
+// per-flow loss attribution.
 type TCPLossPass struct {
 	named
 	noJFrame
+	tcpFeed
 	minSegs int
-	ta      *transport.Analyzer
 }
 
 // NewTCPLossPass builds the Fig. 11 pass over flows with at least minSegs
 // data segments.
 func NewTCPLossPass(minSegs int) *TCPLossPass {
-	return &TCPLossPass{named: "tcploss", minSegs: minSegs, ta: transport.NewAnalyzer()}
+	return &TCPLossPass{named: "tcploss", tcpFeed: newTCPFeed(), minSegs: minSegs}
 }
 
-// ObserveExchange implements Pass.
-func (p *TCPLossPass) ObserveExchange(ex *llc.Exchange) { p.ta.AddExchange(ex) }
+// TCPLossReport reproduces Fig. 11: the per-flow TCP loss rate CDF with the
+// wireless/wired split.
+type TCPLossReport struct {
+	Flows         int
+	LossRates     []float64 // sorted per-flow loss rates
+	WirelessShare float64   // share of classified losses that were wireless
+	TotalLosses   int
+	WirelessLoss  int
+	WiredLoss     int
+}
 
-// Finalize implements Pass, returning the *TCPLossReport.
+// Finalize implements Pass, returning the *TCPLossReport over
+// handshake-complete flows.
 func (p *TCPLossPass) Finalize() Report {
-	return TCPLoss(p.ta.LossRates(p.minSegs))
+	rates := p.ta.LossRates(p.minSegs)
+	rep := &TCPLossReport{Flows: len(rates)}
+	for _, r := range rates {
+		rep.LossRates = append(rep.LossRates, r.LossRate)
+		rep.TotalLosses += r.Losses
+		rep.WirelessLoss += r.WirelessLoss
+		rep.WiredLoss += r.WiredLoss
+	}
+	if cl := rep.WirelessLoss + rep.WiredLoss; cl > 0 {
+		rep.WirelessShare = float64(rep.WirelessLoss) / float64(cl)
+	}
+	return rep
 }

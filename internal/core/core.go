@@ -5,7 +5,7 @@
 // attempts and frame exchanges (§5.1). Transport-layer flow analysis with
 // the TCP delivery oracle (§5.2) is not a stage: it is an analysis over the
 // exchanges, and the passes that report it (internal/analysis's summary and
-// tcploss) each feed their own internal/transport analyzer.
+// tcploss) share one internal/transport analyzer per pass set.
 //
 // The pipeline operates in a single pass over the trace data (after the
 // bootstrap pre-scan), the property that lets the real system run online,

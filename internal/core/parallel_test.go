@@ -15,7 +15,7 @@ import (
 	"repro/internal/llc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/tracefile"
 	"repro/internal/transport"
 	"repro/internal/unify"
@@ -90,8 +90,8 @@ type flowSummary struct {
 	loss      transport.FlowLossRate
 }
 
-func summarizeFlows(ta *transport.Analyzer) map[tcpsim.FlowKey]flowSummary {
-	out := make(map[tcpsim.FlowKey]flowSummary)
+func summarizeFlows(ta *transport.Analyzer) map[tcpwire.FlowKey]flowSummary {
+	out := make(map[tcpwire.FlowKey]flowSummary)
 	for _, f := range ta.Flows() {
 		out[f.Key] = flowSummary{handshake: f.HandshakeComplete, firstUS: f.FirstUS, lastUS: f.LastUS}
 	}

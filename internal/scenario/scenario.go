@@ -26,7 +26,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/tracefile"
 )
 
@@ -242,7 +242,7 @@ func (h Handoff) LatencyUS() int64 {
 // WiredPacket is one packet observed at the wired distribution tap.
 type WiredPacket struct {
 	TimeUS    int64
-	Seg       tcpsim.Segment
+	Seg       tcpwire.Segment
 	Src, Dst  dot80211.MAC
 	Delivered bool
 	Downlink  bool // toward a wireless client
@@ -282,7 +282,7 @@ type TxSummary struct {
 // congestion controller drove it and what it achieved. analysis.CCFairness
 // aggregates these into per-algorithm shares.
 type FlowCC struct {
-	Key  tcpsim.FlowKey
+	Key  tcpwire.FlowKey
 	Algo string // cc algorithm name
 	// ClientIP/ClientPort identify the wireless side; ServerIP the peer.
 	ClientIP   uint32

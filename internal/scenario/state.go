@@ -15,6 +15,7 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/tracefile"
 )
 
@@ -313,20 +314,20 @@ func (s *state) buildWorld() error {
 		// fixed binding.
 		capturedMAC := cliMAC(cfg.IndexBase + i)
 		if i < cfg.MobileClients {
-			s.wired.Attach(capturedMAC, func(seg tcpsim.Segment) {
+			s.wired.Attach(capturedMAC, func(seg tcpwire.Segment) {
 				ap := s.aps[cl.info.APIndex]
 				ap.SendToClient(capturedMAC, serverMAC(int(seg.SrcIP-serverIPBase)), seg.Encode(), nil)
 			})
 		} else {
 			capturedAP := s.aps[bestAP]
-			s.wired.Attach(capturedMAC, func(seg tcpsim.Segment) {
+			s.wired.Attach(capturedMAC, func(seg tcpwire.Segment) {
 				capturedAP.SendToClient(capturedMAC, serverMAC(int(seg.SrcIP-serverIPBase)), seg.Encode(), nil)
 			})
 		}
 	}
 
 	// Wired tap.
-	s.wired.Tap = func(seg tcpsim.Segment, src, dst dot80211.MAC, delivered bool) {
+	s.wired.Tap = func(seg tcpwire.Segment, src, dst dot80211.MAC, delivered bool) {
 		s.out.Wired = append(s.out.Wired, WiredPacket{
 			TimeUS: s.eng.Now().US64(), Seg: seg, Src: src, Dst: dst,
 			Delivered: delivered, Downlink: dst[0] == 0xc2,
@@ -375,7 +376,7 @@ func (s *state) recordTruth(r radio.TxRecord) {
 
 // uplinkFromAP bridges client frames onto the wired network.
 func (s *state) uplinkFromAP(src, dst dot80211.MAC, payload []byte) {
-	seg, err := tcpsim.DecodeSegment(payload)
+	seg, err := tcpwire.DecodeSegment(payload)
 	if err != nil {
 		return // ARP/Office broadcasts and other non-TCP traffic die here
 	}
@@ -385,7 +386,7 @@ func (s *state) uplinkFromAP(src, dst dot80211.MAC, payload []byte) {
 
 // downlinkToClient demuxes a received segment to the owning flow endpoint.
 func (s *state) downlinkToClient(cl *client, payload []byte) {
-	seg, err := tcpsim.DecodeSegment(payload)
+	seg, err := tcpwire.DecodeSegment(payload)
 	if err != nil {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/workload"
 )
 
@@ -97,13 +98,13 @@ func (s *state) startFlow(cl *client) {
 	}
 
 	// Client endpoint: segments ride the wireless uplink.
-	cep := tcpsim.NewEndpoint(s.eng, cl.info.IP, port, func(seg tcpsim.Segment) {
+	cep := tcpsim.NewEndpoint(s.eng, cl.info.IP, port, func(seg tcpwire.Segment) {
 		cl.mc.SendUplink(srvMAC, seg.Encode(), nil)
 	})
 	// Server endpoint: segments traverse the wired network to the AP.
 	cliMACv := cl.info.MAC
 	remote := spec.Remote
-	sep := tcpsim.NewEndpoint(s.eng, srvIP, 80, func(seg tcpsim.Segment) {
+	sep := tcpsim.NewEndpoint(s.eng, srvIP, 80, func(seg tcpwire.Segment) {
 		s.wired.Forward(srvMAC, cliMACv, seg, remote)
 	})
 	// Per-flow congestion control: both sides run the sampled algorithm
@@ -112,8 +113,8 @@ func (s *state) startFlow(cl *client) {
 	if s.ccMix != nil {
 		algo = s.ccMix.Pick(s.rng.Float64())
 		if algo != cc.Fixed {
-			cep.SetCongestionControl(cc.MustNew(algo, tcpsim.MSS))
-			sep.SetCongestionControl(cc.MustNew(algo, tcpsim.MSS))
+			cep.SetCongestionControl(cc.MustNew(algo, tcpwire.MSS))
+			sep.SetCongestionControl(cc.MustNew(algo, tcpwire.MSS))
 		}
 	}
 	sep.Listen(spec.DownBytes)
@@ -122,7 +123,7 @@ func (s *state) startFlow(cl *client) {
 	cl.flows[port] = fs
 	s.out.FlowsStarted++
 	s.out.FlowCCs = append(s.out.FlowCCs, FlowCC{
-		Key: (&tcpsim.Segment{
+		Key: (&tcpwire.Segment{
 			SrcIP: cl.info.IP, SrcPort: port, DstIP: srvIP, DstPort: 80,
 		}).Key(),
 		Algo:     algo,
@@ -153,7 +154,7 @@ func (s *state) startFlow(cl *client) {
 
 // serverHosts demuxes uplink segments to per-flow server endpoints.
 type serverHost struct {
-	flows map[tcpsim.FlowKey]*tcpsim.Endpoint
+	flows map[tcpwire.FlowKey]*tcpsim.Endpoint
 }
 
 // attachServer lazily registers a server MAC on the wired network.
@@ -164,9 +165,9 @@ func (s *state) attachServer(idx int) {
 	if _, ok := s.servers[idx]; ok {
 		return
 	}
-	sh := &serverHost{flows: make(map[tcpsim.FlowKey]*tcpsim.Endpoint)}
+	sh := &serverHost{flows: make(map[tcpwire.FlowKey]*tcpsim.Endpoint)}
 	s.servers[idx] = sh
-	s.wired.Attach(serverMAC(idx), func(seg tcpsim.Segment) {
+	s.wired.Attach(serverMAC(idx), func(seg tcpwire.Segment) {
 		key := seg.Key()
 		ep := sh.flows[key]
 		if ep == nil {
@@ -183,7 +184,7 @@ func (s *state) attachServer(idx int) {
 
 // lookupServerEndpoint finds the server endpoint for a segment by asking
 // the owning client's flow table.
-func (s *state) lookupServerEndpoint(seg tcpsim.Segment) *tcpsim.Endpoint {
+func (s *state) lookupServerEndpoint(seg tcpwire.Segment) *tcpsim.Endpoint {
 	ci := int(seg.SrcIP-clientIPBase) - s.cfg.IndexBase
 	if ci < 0 || ci >= len(s.clients) {
 		return nil
@@ -254,7 +255,7 @@ func (s *state) scheduleOracle() {
 
 	// Downlink routing must follow the roaming client's current AP.
 	oracleMAC := cl.info.MAC
-	s.wired.Attach(oracleMAC, func(seg tcpsim.Segment) {
+	s.wired.Attach(oracleMAC, func(seg tcpwire.Segment) {
 		ap := s.aps[cl.info.APIndex]
 		ap.SendToClient(oracleMAC, serverMAC(int(seg.SrcIP-serverIPBase)), seg.Encode(), nil)
 	})

@@ -6,13 +6,14 @@ import (
 	"repro/internal/cc"
 	"repro/internal/dot80211"
 	"repro/internal/sim"
+	"repro/internal/tcpwire"
 )
 
 // connectPairCC is connectPair with a congestion controller installed on
 // the sender.
 func connectPairCC(eng *sim.Engine, algo string, lossProb float64, bytes int64) (*Endpoint, *Endpoint) {
 	a, b := connectPairIdle(eng, lossProb)
-	a.SetCongestionControl(cc.MustNew(algo, MSS))
+	a.SetCongestionControl(cc.MustNew(algo, tcpwire.MSS))
 	b.Listen(0)
 	eng.After(0, func() { a.Connect(2, 80, bytes) })
 	return a, b
@@ -23,13 +24,13 @@ func connectPairIdle(eng *sim.Engine, lossProb float64) (*Endpoint, *Endpoint) {
 	rng := eng.NewStream(1)
 	lat := 5 * sim.Millisecond
 	var a, b *Endpoint
-	a = NewEndpoint(eng, 1, 1000, func(s Segment) {
+	a = NewEndpoint(eng, 1, 1000, func(s tcpwire.Segment) {
 		if rng.Float64() < lossProb {
 			return
 		}
 		eng.After(lat, func() { b.OnSegment(s) })
 	})
-	b = NewEndpoint(eng, 2, 80, func(s Segment) {
+	b = NewEndpoint(eng, 2, 80, func(s tcpwire.Segment) {
 		if rng.Float64() < lossProb {
 			return
 		}
@@ -64,14 +65,14 @@ func TestCCWindowGrowsBeyondFixed(t *testing.T) {
 		a, _ := connectPairCC(eng, algo, 0, 2_000_000)
 		var peak uint32
 		orig := a.send
-		a.send = func(s Segment) {
+		a.send = func(s tcpwire.Segment) {
 			if f := a.sndNxt - a.sndUna; f > peak {
 				peak = f
 			}
 			orig(s)
 		}
 		eng.Run(600 * sim.Second)
-		return peak / MSS
+		return peak / tcpwire.MSS
 	}
 	if f := maxFlight(cc.Fixed); f > window {
 		t.Errorf("fixed flight peaked at %d segments, cap is %d", f, window)
@@ -90,16 +91,16 @@ func TestBBREndpointPacesSends(t *testing.T) {
 	var sendTimes []int64
 	lat := 5 * sim.Millisecond
 	var a, b *Endpoint
-	a = NewEndpoint(eng, 1, 1000, func(s Segment) {
+	a = NewEndpoint(eng, 1, 1000, func(s tcpwire.Segment) {
 		if s.PayloadLen > 0 {
 			sendTimes = append(sendTimes, eng.Now().US64())
 		}
 		eng.After(lat, func() { b.OnSegment(s) })
 	})
-	b = NewEndpoint(eng, 2, 80, func(s Segment) {
+	b = NewEndpoint(eng, 2, 80, func(s tcpwire.Segment) {
 		eng.After(lat, func() { a.OnSegment(s) })
 	})
-	a.SetCongestionControl(cc.MustNew(cc.BBR, MSS))
+	a.SetCongestionControl(cc.MustNew(cc.BBR, tcpwire.MSS))
 	b.Listen(0)
 	eng.After(0, func() { a.Connect(2, 80, 1_000_000) })
 	eng.Run(600 * sim.Second)
@@ -126,14 +127,14 @@ func TestWiredQueueDropsAndDelays(t *testing.T) {
 	w := NewWiredNet(eng)
 	w.LossProb = 0
 	w.QueuePkts = 4
-	w.BottleneckBytesPerUS = 1.25 // 10 Mbps: MSS ≈ 1187 µs serialization
+	w.BottleneckBytesPerUS = 1.25 // 10 Mbps: tcpwire.MSS ≈ 1187 µs serialization
 	dst := dot80211.MAC{0xee, 0, 0, 0, 0, 1}
 	var arrivals []sim.Time
-	w.Attach(dst, func(s Segment) { arrivals = append(arrivals, eng.Now()) })
+	w.Attach(dst, func(s tcpwire.Segment) { arrivals = append(arrivals, eng.Now()) })
 
 	// Burst 8 full-size segments at t=0 into a 4-packet queue.
 	for i := 0; i < 8; i++ {
-		w.Forward(dot80211.MAC{1}, dst, Segment{Seq: uint32(i), PayloadLen: MSS}, false)
+		w.Forward(dot80211.MAC{1}, dst, tcpwire.Segment{Seq: uint32(i), PayloadLen: tcpwire.MSS}, false)
 	}
 	eng.Run(sim.Second)
 
@@ -148,7 +149,7 @@ func TestWiredQueueDropsAndDelays(t *testing.T) {
 	}
 	// Queued packets serialize one after another: consecutive arrivals at
 	// least ~one serialization apart (modulo jitter).
-	ser := sim.Time(float64(headerLen+MSS) / w.BottleneckBytesPerUS * float64(sim.Microsecond))
+	ser := sim.Time(float64(tcpwire.HeaderLen+tcpwire.MSS) / w.BottleneckBytesPerUS * float64(sim.Microsecond))
 	for i := 1; i < len(arrivals); i++ {
 		if gap := arrivals[i] - arrivals[i-1]; gap < ser/2 {
 			t.Errorf("arrival gap %d = %v, want ≥ half the serialization %v", i, gap, ser)
@@ -169,9 +170,9 @@ func TestWiredQueueDisabledMatchesLegacy(t *testing.T) {
 		w.QueuePkts = queue
 		dst := dot80211.MAC{0xee, 0, 0, 0, 0, 2}
 		var at []sim.Time
-		w.Attach(dst, func(s Segment) { at = append(at, eng.Now()) })
+		w.Attach(dst, func(s tcpwire.Segment) { at = append(at, eng.Now()) })
 		for i := 0; i < 50; i++ {
-			w.Forward(dot80211.MAC{1}, dst, Segment{Seq: uint32(i)}, i%2 == 0)
+			w.Forward(dot80211.MAC{1}, dst, tcpwire.Segment{Seq: uint32(i)}, i%2 == 0)
 		}
 		eng.Run(sim.Second)
 		return at

@@ -1,8 +1,18 @@
+// Package tcpsim implements simplified-but-real TCP endpoints running over
+// the simulated 802.11 MAC and a wired distribution network.
+//
+// The paper's transport-layer inference (§5.2, §7.4) needs genuine TCP
+// sequence dynamics: handshakes, cumulative acknowledgments covering
+// sequence space, retransmission timeouts, fast retransmits, and losses on
+// both the wireless and wired segments of a path. This package provides
+// exactly that — endpoints exchange tcpwire segments carried in 802.11 DATA
+// frame bodies, so Jigsaw can parse them back out of its unified trace.
 package tcpsim
 
 import (
 	"repro/internal/cc"
 	"repro/internal/sim"
+	"repro/internal/tcpwire"
 )
 
 // state is the endpoint connection state.
@@ -38,7 +48,7 @@ const (
 // and/or the wired network); delivery calls OnSegment on the peer.
 type Endpoint struct {
 	eng  *sim.Engine
-	send func(Segment)
+	send func(tcpwire.Segment)
 
 	localIP    uint32
 	localPort  uint16
@@ -113,7 +123,7 @@ type EndpointStats struct {
 
 // NewEndpoint creates an endpoint. send ships encoded segments toward the
 // peer asynchronously.
-func NewEndpoint(eng *sim.Engine, localIP uint32, localPort uint16, send func(Segment)) *Endpoint {
+func NewEndpoint(eng *sim.Engine, localIP uint32, localPort uint16, send func(tcpwire.Segment)) *Endpoint {
 	return &Endpoint{
 		eng: eng, send: send,
 		localIP: localIP, localPort: localPort,
@@ -144,7 +154,7 @@ func (e *Endpoint) Connect(remoteIP uint32, remotePort uint16, totalBytes int64)
 	e.txLimit = e.iss + 1 + uint32(totalBytes)
 	e.isInitiator = true
 	e.st = stSynSent
-	e.sendSeg(e.iss, 0, FlagSYN, 0)
+	e.sendSeg(e.iss, 0, tcpwire.FlagSYN, 0)
 	e.sndNxt = e.iss + 1
 	e.armRtx()
 }
@@ -158,7 +168,7 @@ func (e *Endpoint) Listen(totalBytes int64) {
 
 // sendSeg builds, counts and ships one segment.
 func (e *Endpoint) sendSeg(seq, ack uint32, flags uint8, payload uint16) {
-	s := Segment{
+	s := tcpwire.Segment{
 		SrcIP: e.localIP, DstIP: e.remoteIP,
 		SrcPort: e.localPort, DstPort: e.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, PayloadLen: payload,
@@ -168,7 +178,7 @@ func (e *Endpoint) sendSeg(seq, ack uint32, flags uint8, payload uint16) {
 }
 
 // OnSegment processes a segment arriving from the peer.
-func (e *Endpoint) OnSegment(s Segment) {
+func (e *Endpoint) OnSegment(s tcpwire.Segment) {
 	e.Stats.SegmentsRcvd++
 	switch e.st {
 	case stClosed:
@@ -180,7 +190,7 @@ func (e *Endpoint) OnSegment(s Segment) {
 			e.txLimit += e.iss + 1 // Listen stored totalBytes
 			e.rcvNxt = s.Seq + 1
 			e.st = stSynRcvd
-			e.sendSeg(e.iss, e.rcvNxt, FlagSYN|FlagACK, 0)
+			e.sendSeg(e.iss, e.rcvNxt, tcpwire.FlagSYN|tcpwire.FlagACK, 0)
 			e.sndNxt = e.iss + 1
 			e.armRtx()
 		}
@@ -190,7 +200,7 @@ func (e *Endpoint) OnSegment(s Segment) {
 			e.sndUna = s.Ack
 			e.st = stEstablished
 			e.wasEstablished = true
-			e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
+			e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
 			e.rtxTimer.Cancel()
 			e.pump()
 		}
@@ -210,17 +220,17 @@ func (e *Endpoint) OnSegment(s Segment) {
 	case stDone:
 		// Re-ACK a retransmitted FIN so the peer can finish too.
 		if s.IsFIN() {
-			e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
+			e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
 		}
 	}
 }
 
 // handleAck advances the send window.
-func (e *Endpoint) handleAck(s Segment) {
+func (e *Endpoint) handleAck(s tcpwire.Segment) {
 	if !s.IsACK() {
 		return
 	}
-	if seqLess(e.sndUna, s.Ack) && seqLEQ(s.Ack, e.sndNxt) {
+	if tcpwire.SeqLess(e.sndUna, s.Ack) && tcpwire.SeqLEQ(s.Ack, e.sndNxt) {
 		acked := int64(s.Ack - e.sndUna)
 		e.Stats.BytesAcked += acked
 		e.sndUna = s.Ack
@@ -228,7 +238,7 @@ func (e *Endpoint) handleAck(s Segment) {
 		e.cc.OnAck(acked, e.eng.Now().US64())
 		// RTT sample (Karn: only if the timed segment is newly acked and
 		// was not retransmitted — timingValid is cleared on rtx).
-		if e.timingValid && seqLess(e.timedSeq, s.Ack) {
+		if e.timingValid && tcpwire.SeqLess(e.timedSeq, s.Ack) {
 			e.rttSample(e.eng.Now() - e.timedAt)
 			e.timingValid = false
 		}
@@ -244,7 +254,7 @@ func (e *Endpoint) handleAck(s Segment) {
 				e.rtoUS = rto
 			}
 			if e.recovering {
-				if !seqLess(s.Ack, e.recoverPoint) {
+				if !tcpwire.SeqLess(s.Ack, e.recoverPoint) {
 					e.recovering = false
 				} else {
 					// Partial ACK: the next hole was lost in the same
@@ -275,7 +285,7 @@ func (e *Endpoint) handleAck(s Segment) {
 		}
 	}
 	// FIN-of-ours acked?
-	if e.finSent && !e.finAcked && seqLess(e.finSeq, s.Ack) {
+	if e.finSent && !e.finAcked && tcpwire.SeqLess(e.finSeq, s.Ack) {
 		e.finAcked = true
 		e.rtxTimer.Cancel()
 		e.maybeFinish()
@@ -302,7 +312,7 @@ func (e *Endpoint) maybeFinish() {
 }
 
 // handleData delivers in-order data and acknowledges.
-func (e *Endpoint) handleData(s Segment) {
+func (e *Endpoint) handleData(s tcpwire.Segment) {
 	hasPayload := s.PayloadLen > 0 || s.IsFIN()
 	if !hasPayload {
 		return
@@ -310,7 +320,7 @@ func (e *Endpoint) handleData(s Segment) {
 	if s.IsFIN() && s.Seq == e.rcvNxt && s.PayloadLen == 0 {
 		e.rcvNxt = s.SeqEnd()
 		e.peerFin = true
-		e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
+		e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
 		e.maybeClose()
 		e.maybeFinish()
 		return
@@ -327,16 +337,16 @@ func (e *Endpoint) handleData(s Segment) {
 			delete(e.oooBytes, e.rcvNxt)
 			e.rcvNxt += uint32(l)
 		}
-		e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
-	case seqLess(e.rcvNxt, s.Seq):
+		e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
+	case tcpwire.SeqLess(e.rcvNxt, s.Seq):
 		// Out of order: buffer and send duplicate ACK.
 		if s.PayloadLen > 0 {
 			e.oooBytes[s.Seq] = s.PayloadLen
 		}
-		e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
+		e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
 	default:
 		// Old duplicate: re-ACK.
-		e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, 0)
+		e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, 0)
 	}
 }
 
@@ -347,21 +357,21 @@ func (e *Endpoint) pump() {
 	if e.st != stEstablished {
 		return
 	}
-	for seqLess(e.sndNxt, e.txLimit) && e.sndNxt-e.sndUna < uint32(e.cc.CwndSegments())*MSS {
+	for tcpwire.SeqLess(e.sndNxt, e.txLimit) && e.sndNxt-e.sndUna < uint32(e.cc.CwndSegments())*tcpwire.MSS {
 		nowUS := e.eng.Now().US64()
 		if gate := e.cc.PacingGate(nowUS); gate > nowUS {
 			e.schedulePace(gate)
 			return // data remains unsent, so maybeClose cannot fire yet
 		}
 		remain := e.txLimit - e.sndNxt
-		p := uint16(MSS)
-		if remain < MSS {
+		p := uint16(tcpwire.MSS)
+		if remain < tcpwire.MSS {
 			p = uint16(remain)
 		}
 		if !e.timingValid {
 			e.timedSeq, e.timedAt, e.timingValid = e.sndNxt, e.eng.Now(), true
 		}
-		e.sendSeg(e.sndNxt, e.rcvNxt, FlagACK, p)
+		e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagACK, p)
 		e.cc.OnSend(int64(p), nowUS)
 		e.sndNxt += uint32(p)
 		e.armRtx()
@@ -386,7 +396,7 @@ func (e *Endpoint) schedulePace(gateUS int64) {
 func (e *Endpoint) sendFin() {
 	e.finSent = true
 	e.finSeq = e.sndNxt
-	e.sendSeg(e.sndNxt, e.rcvNxt, FlagFIN|FlagACK, 0)
+	e.sendSeg(e.sndNxt, e.rcvNxt, tcpwire.FlagFIN|tcpwire.FlagACK, 0)
 	e.sndNxt++
 	e.st = stFinWait
 	e.armRtx()
@@ -397,21 +407,21 @@ func (e *Endpoint) retransmitOne() {
 	e.timingValid = false // Karn
 	switch {
 	case e.st == stSynSent:
-		e.sendSeg(e.iss, 0, FlagSYN, 0)
+		e.sendSeg(e.iss, 0, tcpwire.FlagSYN, 0)
 	case e.st == stSynRcvd:
-		e.sendSeg(e.iss, e.rcvNxt, FlagSYN|FlagACK, 0)
+		e.sendSeg(e.iss, e.rcvNxt, tcpwire.FlagSYN|tcpwire.FlagACK, 0)
 	case e.st == stFinWait && e.sndUna == e.finSeq:
-		e.sendSeg(e.finSeq, e.rcvNxt, FlagFIN|FlagACK, 0)
+		e.sendSeg(e.finSeq, e.rcvNxt, tcpwire.FlagFIN|tcpwire.FlagACK, 0)
 	default:
 		remain := e.txLimit - e.sndUna
-		p := uint16(MSS)
-		if remain < MSS {
+		p := uint16(tcpwire.MSS)
+		if remain < tcpwire.MSS {
 			p = uint16(remain)
 		}
 		if p == 0 {
 			return
 		}
-		e.sendSeg(e.sndUna, e.rcvNxt, FlagACK, p)
+		e.sendSeg(e.sndUna, e.rcvNxt, tcpwire.FlagACK, p)
 	}
 	e.armRtx()
 }

@@ -6,72 +6,13 @@ import (
 
 	"repro/internal/dot80211"
 	"repro/internal/sim"
+	"repro/internal/tcpwire"
 )
-
-func TestSegmentRoundTrip(t *testing.T) {
-	s := Segment{
-		SrcIP: 0x0a000001, DstIP: 0x0a000002,
-		SrcPort: 49152, DstPort: 80,
-		Seq: 1e9, Ack: 2e9, Flags: FlagSYN | FlagACK, PayloadLen: 512,
-	}
-	b := s.Encode()
-	if len(b) != headerLen+512 {
-		t.Fatalf("encoded length = %d", len(b))
-	}
-	g, err := DecodeSegment(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != s {
-		t.Errorf("round trip: %+v != %+v", g, s)
-	}
-}
-
-func TestSegmentDecodeTruncatedPayload(t *testing.T) {
-	s := Segment{SrcIP: 1, DstIP: 2, PayloadLen: 1400, Flags: FlagACK}
-	b := s.Encode()[:200] // monitor snap length
-	g, err := DecodeSegment(b)
-	if err != nil {
-		t.Fatal("header-intact truncated segment must decode")
-	}
-	if g.PayloadLen != 1400 {
-		t.Error("payload length lost")
-	}
-}
-
-func TestSegmentDecodeRejectsJunk(t *testing.T) {
-	if _, err := DecodeSegment([]byte("hello")); err != ErrNotTCP {
-		t.Error("short junk accepted")
-	}
-	b := make([]byte, 64)
-	if _, err := DecodeSegment(b); err != ErrNotTCP {
-		t.Error("junk without magic accepted")
-	}
-}
-
-func TestFlowKeyDirectionInsensitive(t *testing.T) {
-	a := Segment{SrcIP: 1, DstIP: 2, SrcPort: 100, DstPort: 200}
-	b := Segment{SrcIP: 2, DstIP: 1, SrcPort: 200, DstPort: 100}
-	if a.Key() != b.Key() {
-		t.Error("keys differ across directions")
-	}
-}
-
-func TestSeqEnd(t *testing.T) {
-	s := Segment{Seq: 10, PayloadLen: 5}
-	if s.SeqEnd() != 15 {
-		t.Error("plain payload SeqEnd")
-	}
-	s.Flags = FlagSYN
-	if s.SeqEnd() != 16 {
-		t.Error("SYN consumes a sequence number")
-	}
-}
 
 func TestQuickSeqArithmetic(t *testing.T) {
 	f := func(a uint32, d uint16) bool {
 		b := a + uint32(d) + 1
-		return seqLess(a, b) && !seqLess(b, a) && seqLEQ(a, a)
+		return tcpwire.SeqLess(a, b) && !tcpwire.SeqLess(b, a) && tcpwire.SeqLEQ(a, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -90,13 +31,13 @@ func connectPair(eng *sim.Engine, lossProb float64, bytes int64) (*Endpoint, *En
 	p := &pipe{eng: eng, lat: 5 * sim.Millisecond,
 		loss: func() bool { return rng.Float64() < lossProb }}
 	var a, b *Endpoint
-	a = NewEndpoint(eng, 1, 1000, func(s Segment) {
+	a = NewEndpoint(eng, 1, 1000, func(s tcpwire.Segment) {
 		if p.loss() {
 			return
 		}
 		p.eng.After(p.lat, func() { b.OnSegment(s) })
 	})
-	b = NewEndpoint(eng, 2, 80, func(s Segment) {
+	b = NewEndpoint(eng, 2, 80, func(s tcpwire.Segment) {
 		if p.loss() {
 			return
 		}
@@ -161,20 +102,20 @@ func TestFastRetransmitTriggers(t *testing.T) {
 	dropped := false
 	var a, b *Endpoint
 	lat := 5 * sim.Millisecond
-	a = NewEndpoint(eng, 1, 1000, func(s Segment) {
-		if !dropped && s.PayloadLen == MSS && s.Seq != 0 && !s.IsSYN() {
+	a = NewEndpoint(eng, 1, 1000, func(s tcpwire.Segment) {
+		if !dropped && s.PayloadLen == tcpwire.MSS && s.Seq != 0 && !s.IsSYN() {
 			dropped = true
 			return
 		}
 		eng.After(lat, func() { b.OnSegment(s) })
 	})
-	b = NewEndpoint(eng, 2, 80, func(s Segment) {
+	b = NewEndpoint(eng, 2, 80, func(s tcpwire.Segment) {
 		eng.After(lat, func() { a.OnSegment(s) })
 	})
 	b.Listen(0)
 	var done bool
 	a.Done = func(ok bool) { done = ok }
-	eng.After(0, func() { a.Connect(2, 80, 20*MSS) })
+	eng.After(0, func() { a.Connect(2, 80, 20*tcpwire.MSS) })
 	eng.Run(120 * sim.Second)
 	if !done {
 		t.Fatal("transfer did not complete")
@@ -186,7 +127,7 @@ func TestFastRetransmitTriggers(t *testing.T) {
 
 func TestConnectFailsWithoutPeer(t *testing.T) {
 	eng := sim.NewEngine(4)
-	a := NewEndpoint(eng, 1, 1000, func(s Segment) {}) // black hole
+	a := NewEndpoint(eng, 1, 1000, func(s tcpwire.Segment) {}) // black hole
 	var done, ok bool
 	a.Done = func(o bool) { done, ok = true, o }
 	eng.After(0, func() { a.Connect(2, 80, 1000) })
@@ -202,8 +143,8 @@ func TestBidirectionalSimultaneousData(t *testing.T) {
 	rng := eng.NewStream(2)
 	lat := 3 * sim.Millisecond
 	var a, b *Endpoint
-	mk := func(peer **Endpoint) func(Segment) {
-		return func(s Segment) {
+	mk := func(peer **Endpoint) func(tcpwire.Segment) {
+		return func(s tcpwire.Segment) {
 			if rng.Float64() < 0.02 {
 				return
 			}
@@ -231,17 +172,17 @@ func TestWiredNetForwardAndTap(t *testing.T) {
 	w := NewWiredNet(eng)
 	w.LossProb = 0
 	dst := dot80211.MAC{0xee, 0, 0, 0, 0, 1}
-	var got []Segment
-	w.Attach(dst, func(s Segment) { got = append(got, s) })
+	var got []tcpwire.Segment
+	w.Attach(dst, func(s tcpwire.Segment) { got = append(got, s) })
 	var tapped, tappedDropped int
-	w.Tap = func(seg Segment, src, d dot80211.MAC, delivered bool) {
+	w.Tap = func(seg tcpwire.Segment, src, d dot80211.MAC, delivered bool) {
 		tapped++
 		if !delivered {
 			tappedDropped++
 		}
 	}
-	w.Forward(dot80211.MAC{1}, dst, Segment{Seq: 42}, false)
-	w.Forward(dot80211.MAC{1}, dot80211.MAC{9}, Segment{Seq: 43}, false) // unknown host
+	w.Forward(dot80211.MAC{1}, dst, tcpwire.Segment{Seq: 42}, false)
+	w.Forward(dot80211.MAC{1}, dot80211.MAC{9}, tcpwire.Segment{Seq: 43}, false) // unknown host
 	eng.Run(sim.Second)
 	if len(got) != 1 || got[0].Seq != 42 {
 		t.Errorf("delivered = %+v", got)
@@ -260,15 +201,15 @@ func TestWiredNetLatencyProfiles(t *testing.T) {
 	w.LossProb = 0
 	dst := dot80211.MAC{0xee, 0, 0, 0, 0, 1}
 	var localAt, remoteAt sim.Time
-	w.Attach(dst, func(s Segment) {
+	w.Attach(dst, func(s tcpwire.Segment) {
 		if s.Seq == 1 {
 			localAt = eng.Now()
 		} else {
 			remoteAt = eng.Now()
 		}
 	})
-	w.Forward(dot80211.MAC{1}, dst, Segment{Seq: 1}, false)
-	w.Forward(dot80211.MAC{1}, dst, Segment{Seq: 2}, true)
+	w.Forward(dot80211.MAC{1}, dst, tcpwire.Segment{Seq: 1}, false)
+	w.Forward(dot80211.MAC{1}, dst, tcpwire.Segment{Seq: 2}, true)
 	eng.Run(sim.Second)
 	if localAt == 0 || remoteAt == 0 {
 		t.Fatal("segments not delivered")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dot80211"
 	"repro/internal/sim"
+	"repro/internal/tcpwire"
 )
 
 // WiredNet models the campus distribution network plus upstream Internet
@@ -34,7 +35,7 @@ type WiredNet struct {
 	// 12.5 = 100 Mbps). Only consulted when QueuePkts > 0.
 	BottleneckBytesPerUS float64
 
-	hosts map[dot80211.MAC]func(Segment)
+	hosts map[dot80211.MAC]func(tcpwire.Segment)
 	// qDepth / qFree model the bottleneck FIFO per destination: packets
 	// currently queued, and when the serializer frees up.
 	qDepth map[dot80211.MAC]int
@@ -47,7 +48,7 @@ type WiredNet struct {
 	// Tap, when set, observes every segment accepted onto the wire with
 	// its delivery verdict — this is the "second trace of the same traffic
 	// captured on the wired distribution network".
-	Tap func(seg Segment, srcMAC, dstMAC dot80211.MAC, delivered bool)
+	Tap func(seg tcpwire.Segment, srcMAC, dstMAC dot80211.MAC, delivered bool)
 
 	Stats WiredStats
 }
@@ -71,7 +72,7 @@ func NewWiredNet(eng *sim.Engine) *WiredNet {
 		LossProb:      0.002,
 		// 100 Mbps default drain rate; inert until QueuePkts is set.
 		BottleneckBytesPerUS: 12.5,
-		hosts:                make(map[dot80211.MAC]func(Segment)),
+		hosts:                make(map[dot80211.MAC]func(tcpwire.Segment)),
 		lastDelivery:         make(map[dot80211.MAC]sim.Time),
 		qDepth:               make(map[dot80211.MAC]int),
 		qFree:                make(map[dot80211.MAC]sim.Time),
@@ -80,14 +81,14 @@ func NewWiredNet(eng *sim.Engine) *WiredNet {
 
 // Attach registers a host (wired server or an AP's wireless client reached
 // via that AP) under a MAC-like address.
-func (w *WiredNet) Attach(addr dot80211.MAC, deliver func(Segment)) {
+func (w *WiredNet) Attach(addr dot80211.MAC, deliver func(tcpwire.Segment)) {
 	w.hosts[addr] = deliver
 }
 
 // Forward routes a segment toward dst, applying the bottleneck queue (when
 // configured), latency and loss. remote selects the Internet latency
 // profile.
-func (w *WiredNet) Forward(src, dst dot80211.MAC, seg Segment, remote bool) {
+func (w *WiredNet) Forward(src, dst dot80211.MAC, seg tcpwire.Segment, remote bool) {
 	deliver, ok := w.hosts[dst]
 	overflow := ok && w.QueuePkts > 0 && w.qDepth[dst] >= w.QueuePkts
 	dropped := !ok || overflow || w.rng.Float64() < w.LossProb
@@ -113,7 +114,7 @@ func (w *WiredNet) Forward(src, dst dot80211.MAC, seg Segment, remote bool) {
 	if w.QueuePkts > 0 {
 		// Bottleneck FIFO: the packet occupies a queue slot until its
 		// serialization completes, then crosses the propagation stage.
-		wire := int64(headerLen) + int64(seg.PayloadLen)
+		wire := int64(tcpwire.HeaderLen) + int64(seg.PayloadLen)
 		ser := sim.Time(float64(wire) / w.BottleneckBytesPerUS * float64(sim.Microsecond))
 		start := w.eng.Now()
 		if free := w.qFree[dst]; free > start {

@@ -21,10 +21,11 @@
 package transport
 
 import (
+	"cmp"
 	"sort"
 
 	"repro/internal/llc"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 )
 
 // LossKind classifies a TCP retransmission's cause.
@@ -36,18 +37,6 @@ const (
 	LossWireless          // the original segment's frame exchange failed
 	LossWired             // frame exchange delivered; loss was beyond the air
 )
-
-// String names the loss kind.
-func (k LossKind) String() string {
-	switch k {
-	case LossWireless:
-		return "wireless"
-	case LossWired:
-		return "wired"
-	default:
-		return "unknown"
-	}
-}
 
 // interval is a half-open byte range [lo, hi) of TCP sequence space.
 type interval struct{ lo, hi uint32 }
@@ -97,7 +86,7 @@ type dirState struct {
 
 // Flow is a reconstructed TCP connection.
 type Flow struct {
-	Key tcpsim.FlowKey
+	Key tcpwire.FlowKey
 	// HandshakeComplete: SYN and SYN|ACK both observed (§7.4 keeps only
 	// such flows, eliminating scans and connection failures).
 	HandshakeComplete bool
@@ -134,32 +123,23 @@ type Stats struct {
 	Retransmissions  int64
 	WirelessLosses   int64
 	WiredLosses      int64
-	UnknownLosses    int64
 }
 
 // Analyzer consumes frame exchanges and reconstructs flows.
 type Analyzer struct {
 	Stats Stats
-	flows map[tcpsim.FlowKey]*Flow
+	flows map[tcpwire.FlowKey]*Flow
 }
 
 // NewAnalyzer creates an empty analyzer.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{flows: make(map[tcpsim.FlowKey]*Flow)}
+	return &Analyzer{flows: make(map[tcpwire.FlowKey]*Flow)}
 }
 
 // flowKeyLess orders flow keys for deterministic report output.
-func flowKeyLess(a, b tcpsim.FlowKey) bool {
-	if a.IPLo != b.IPLo {
-		return a.IPLo < b.IPLo
-	}
-	if a.IPHi != b.IPHi {
-		return a.IPHi < b.IPHi
-	}
-	if a.PortLo != b.PortLo {
-		return a.PortLo < b.PortLo
-	}
-	return a.PortHi < b.PortHi
+func flowKeyLess(a, b tcpwire.FlowKey) bool {
+	return cmp.Or(cmp.Compare(a.IPLo, b.IPLo), cmp.Compare(a.IPHi, b.IPHi),
+		cmp.Compare(a.PortLo, b.PortLo), cmp.Compare(a.PortHi, b.PortHi)) < 0
 }
 
 // AddExchange feeds one frame exchange; non-TCP payloads are counted and
@@ -170,7 +150,7 @@ func (a *Analyzer) AddExchange(ex *llc.Exchange) {
 	if data == nil || len(data.Frame.Body) == 0 {
 		return
 	}
-	seg, err := tcpsim.DecodeSegment(data.Frame.Body)
+	seg, err := tcpwire.DecodeSegment(data.Frame.Body)
 	if err != nil {
 		a.Stats.NonTCP++
 		return
@@ -211,7 +191,7 @@ func (a *Analyzer) AddExchange(ex *llc.Exchange) {
 
 // observeData records data coverage, detects retransmissions and tracks
 // unresolved deliveries for seg, carried by exchange ex.
-func (a *Analyzer) observeData(f *Flow, d *dirState, seg *tcpsim.Segment, ex *llc.Exchange) {
+func (a *Analyzer) observeData(f *Flow, d *dirState, seg *tcpwire.Segment, ex *llc.Exchange) {
 	st := d.seqs[seg.Seq]
 	for _, ms := range st.macSeqs {
 		if ms == ex.Seq {
@@ -234,8 +214,6 @@ func (a *Analyzer) observeData(f *Flow, d *dirState, seg *tcpsim.Segment, ex *ll
 		case LossWired:
 			a.Stats.WiredLosses++
 			f.wiredLosses++
-		default:
-			a.Stats.UnknownLosses++
 		}
 	} else {
 		st.firstDelivery = ex.Delivery
@@ -271,9 +249,9 @@ func (st *seqState) lossOfFirst() LossKind {
 
 // observeAck applies the TCP oracle: a cumulative ACK from direction d
 // covers sequence space of the opposite direction. seg is the ACK.
-func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment) {
+func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpwire.Segment) {
 	ackVal := seg.Ack
-	if d.ackValid && !seqLess(d.maxAckSeen, ackVal) {
+	if d.ackValid && !tcpwire.SeqLess(d.maxAckSeen, ackVal) {
 		return // not a new high-water mark
 	}
 	d.maxAckSeen = ackVal
@@ -287,7 +265,7 @@ func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment) {
 	// actually delivered").
 	keep := od.pendingUnknown[:0]
 	for _, p := range od.pendingUnknown {
-		if seqLEQ(p.seqEnd, ackVal) {
+		if tcpwire.SeqLEQ(p.seqEnd, ackVal) {
 			a.Stats.ResolvedByOracle++
 			// A resolved first transmission turns a later retransmission of
 			// its seq into a wired loss.
@@ -310,7 +288,7 @@ func (a *Analyzer) observeAck(f *Flow, d *dirState, seg *tcpsim.Segment) {
 			missing := want - covered - od.omittedBytes
 			if missing > 0 {
 				od.omittedBytes += missing
-				a.Stats.MonitorOmissions += (missing + tcpsim.MSS - 1) / tcpsim.MSS
+				a.Stats.MonitorOmissions += (missing + tcpwire.MSS - 1) / tcpwire.MSS
 			}
 		}
 	}
@@ -322,12 +300,12 @@ func addInterval(set []interval, lo, hi uint32) []interval {
 		return set
 	}
 	set = append(set, interval{lo, hi})
-	sort.Slice(set, func(i, j int) bool { return seqLess(set[i].lo, set[j].lo) })
+	sort.Slice(set, func(i, j int) bool { return tcpwire.SeqLess(set[i].lo, set[j].lo) })
 	out := set[:1]
 	for _, iv := range set[1:] {
 		lastIdx := len(out) - 1
-		if seqLEQ(iv.lo, out[lastIdx].hi) {
-			if seqLess(out[lastIdx].hi, iv.hi) {
+		if tcpwire.SeqLEQ(iv.lo, out[lastIdx].hi) {
+			if tcpwire.SeqLess(out[lastIdx].hi, iv.hi) {
 				out[lastIdx].hi = iv.hi
 			}
 		} else {
@@ -342,22 +320,18 @@ func coveredBytes(set []interval, lo, hi uint32) int64 {
 	var total int64
 	for _, iv := range set {
 		s, e := iv.lo, iv.hi
-		if seqLess(s, lo) {
+		if tcpwire.SeqLess(s, lo) {
 			s = lo
 		}
-		if seqLess(hi, e) {
+		if tcpwire.SeqLess(hi, e) {
 			e = hi
 		}
-		if seqLess(s, e) {
+		if tcpwire.SeqLess(s, e) {
 			total += int64(e - s)
 		}
 	}
 	return total
 }
-
-// seq comparison with wraparound (mirrors tcpsim's unexported helpers).
-func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
-func seqLEQ(a, b uint32) bool  { return int32(a-b) <= 0 }
 
 // Flows returns reconstructed flows sorted by first observation time.
 func (a *Analyzer) Flows() []*Flow {
@@ -377,13 +351,12 @@ func (a *Analyzer) Flows() []*Flow {
 // FlowLossRate summarizes one flow's TCP loss rate and its split, over
 // handshake-complete flows (Fig. 11's metric).
 type FlowLossRate struct {
-	Key           tcpsim.FlowKey
-	DataSegs      int
-	Losses        int
-	WirelessLoss  int
-	WiredLoss     int
-	LossRate      float64
-	WirelessShare float64
+	Key          tcpwire.FlowKey
+	DataSegs     int
+	Losses       int
+	WirelessLoss int
+	WiredLoss    int
+	LossRate     float64
 }
 
 // LossRates computes per-flow loss rates over handshake-complete flows with
@@ -402,9 +375,6 @@ func (a *Analyzer) LossRates(minSegs int) []FlowLossRate {
 			continue
 		}
 		r.LossRate = float64(r.Losses) / float64(r.DataSegs)
-		if r.Losses > 0 {
-			r.WirelessShare = float64(r.WirelessLoss) / float64(r.Losses)
-		}
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool {

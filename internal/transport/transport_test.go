@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/dot80211"
 	"repro/internal/llc"
-	"repro/internal/tcpsim"
+	"repro/internal/tcpwire"
 	"repro/internal/unify"
 )
 
@@ -20,7 +20,7 @@ const (
 )
 
 // exFor wraps a TCP segment into a delivered-or-not frame exchange.
-func exFor(seg tcpsim.Segment, us int64, delivery llc.Delivery) *llc.Exchange {
+func exFor(seg tcpwire.Segment, us int64, delivery llc.Delivery) *llc.Exchange {
 	var tx, rx dot80211.MAC
 	if seg.SrcIP == cliIP {
 		tx, rx = cli, ap
@@ -39,31 +39,31 @@ func exFor(seg tcpsim.Segment, us int64, delivery llc.Delivery) *llc.Exchange {
 
 // handshake emits SYN / SYN-ACK / ACK exchanges.
 func handshake(a *Analyzer, baseUS int64, cliISS, srvISS uint32) {
-	a.AddExchange(exFor(tcpsim.Segment{
+	a.AddExchange(exFor(tcpwire.Segment{
 		SrcIP: cliIP, DstIP: srvIP, SrcPort: 5000, DstPort: 80,
-		Seq: cliISS, Flags: tcpsim.FlagSYN,
+		Seq: cliISS, Flags: tcpwire.FlagSYN,
 	}, baseUS, llc.DeliveryObserved))
-	a.AddExchange(exFor(tcpsim.Segment{
+	a.AddExchange(exFor(tcpwire.Segment{
 		SrcIP: srvIP, DstIP: cliIP, SrcPort: 80, DstPort: 5000,
-		Seq: srvISS, Ack: cliISS + 1, Flags: tcpsim.FlagSYN | tcpsim.FlagACK,
+		Seq: srvISS, Ack: cliISS + 1, Flags: tcpwire.FlagSYN | tcpwire.FlagACK,
 	}, baseUS+1000, llc.DeliveryObserved))
-	a.AddExchange(exFor(tcpsim.Segment{
+	a.AddExchange(exFor(tcpwire.Segment{
 		SrcIP: cliIP, DstIP: srvIP, SrcPort: 5000, DstPort: 80,
-		Seq: cliISS + 1, Ack: srvISS + 1, Flags: tcpsim.FlagACK,
+		Seq: cliISS + 1, Ack: srvISS + 1, Flags: tcpwire.FlagACK,
 	}, baseUS+2000, llc.DeliveryObserved))
 }
 
-func dataSeg(seq uint32, payload uint16) tcpsim.Segment {
-	return tcpsim.Segment{
+func dataSeg(seq uint32, payload uint16) tcpwire.Segment {
+	return tcpwire.Segment{
 		SrcIP: cliIP, DstIP: srvIP, SrcPort: 5000, DstPort: 80,
-		Seq: seq, Flags: tcpsim.FlagACK, PayloadLen: payload,
+		Seq: seq, Flags: tcpwire.FlagACK, PayloadLen: payload,
 	}
 }
 
-func ackSeg(ack uint32) tcpsim.Segment {
-	return tcpsim.Segment{
+func ackSeg(ack uint32) tcpwire.Segment {
+	return tcpwire.Segment{
 		SrcIP: srvIP, DstIP: cliIP, SrcPort: 80, DstPort: 5000,
-		Ack: ack, Flags: tcpsim.FlagACK,
+		Ack: ack, Flags: tcpwire.FlagACK,
 	}
 }
 
@@ -85,9 +85,9 @@ func TestHandshakeDetection(t *testing.T) {
 func TestIncompleteHandshakeExcluded(t *testing.T) {
 	a := NewAnalyzer()
 	// SYN only: a port scan.
-	a.AddExchange(exFor(tcpsim.Segment{
+	a.AddExchange(exFor(tcpwire.Segment{
 		SrcIP: cliIP, DstIP: srvIP, SrcPort: 5000, DstPort: 80,
-		Seq: 55, Flags: tcpsim.FlagSYN,
+		Seq: 55, Flags: tcpwire.FlagSYN,
 	}, 1000, llc.DeliveryUnknown))
 	if a.Stats.CompleteFlows != 0 {
 		t.Error("scan counted as complete flow")
@@ -239,9 +239,9 @@ func TestMultipleFlowsSeparated(t *testing.T) {
 	a := NewAnalyzer()
 	handshake(a, 0, 100, 900)
 	// Second flow: different client port.
-	a.AddExchange(exFor(tcpsim.Segment{
+	a.AddExchange(exFor(tcpwire.Segment{
 		SrcIP: cliIP, DstIP: srvIP, SrcPort: 5001, DstPort: 80,
-		Seq: 7, Flags: tcpsim.FlagSYN,
+		Seq: 7, Flags: tcpwire.FlagSYN,
 	}, 50_000, llc.DeliveryObserved))
 	if a.Stats.Flows != 2 {
 		t.Errorf("flows = %d, want 2", a.Stats.Flows)
@@ -267,11 +267,5 @@ func TestIntervalMerging(t *testing.T) {
 	w = addInterval(w, 0xfffffff0, 0x10)
 	if got := coveredBytes(w, 0xfffffff0, 0x10); got != 0x20 {
 		t.Errorf("wrap covered = %d", got)
-	}
-}
-
-func TestLossKindStrings(t *testing.T) {
-	if LossWireless.String() != "wireless" || LossWired.String() != "wired" || LossUnknown.String() != "unknown" {
-		t.Error("names")
 	}
 }

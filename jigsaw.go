@@ -21,6 +21,7 @@
 //	internal/sim        discrete-event engine
 //	internal/mac        DCF stations, APs, clients, protection policy
 //	internal/cc         pluggable congestion control (Reno/CUBIC/BBR + fixed)
+//	internal/tcpwire    TCP/IP segment header codec, flow key, seq arithmetic
 //	internal/tcpsim     TCP endpoints + wired network with bottleneck queue
 //	internal/workload   diurnal activity and flow mix
 //	internal/block      the one block container + byte-LZ codec under .jig and .jfs
@@ -48,8 +49,8 @@
 //	stage 2  reconstruction   llc + the canonical close-order exchange heap,
 //	                          released by the reconstruction watermark
 //	stage 3  consumers        sinks and analysis passes (transport analysis
-//	                          among them: the summary and tcploss passes each
-//	                          feed their own internal/transport analyzer)
+//	                          among them: the summary and tcploss passes of a
+//	                          set share one internal/transport analyzer)
 //
 // Workers=1 calls the stages directly, one inside the other, on the
 // caller's goroutine. Any other value (the default auto-sizes to

@@ -60,7 +60,7 @@ func TestBenchModule(t *testing.T) {
 // It reads each package's dependency closure (what `go list -deps` prints)
 // from the go command.
 func TestPipelineLinksNoSimulator(t *testing.T) {
-	pipeline := []string{"core", "llc", "unify", "hmerge", "timesync", "tracefile", "block", "clock", "dot80211"}
+	pipeline := []string{"core", "llc", "unify", "hmerge", "timesync", "tracefile", "block", "clock", "dot80211", "transport", "tcpwire"}
 	simulator := map[string]bool{}
 	for _, name := range []string{"scenario", "tcpsim", "cc", "mac", "radio", "building", "sim", "workload"} {
 		simulator["repro/internal/"+name] = true
