@@ -57,7 +57,7 @@ type diagAcc struct {
 // rates and protection overhead from the jframe stream (which also feeds
 // the sliding overlap window), delivery/retry/interference-exposure
 // evidence from the exchange stream, deferred like the interference pass
-// so overlap queries see a complete window. State is O(stations + window).
+// so overlap queries see a complete window. State is O(stations + ~1 s window).
 type DiagnosisPass struct {
 	named
 	accs     map[dot80211.MAC]*diagAcc
@@ -71,7 +71,6 @@ func NewDiagnosisPass() *DiagnosisPass {
 	return &DiagnosisPass{
 		named: "diagnose",
 		accs:  make(map[dot80211.MAC]*diagAcc),
-		idx:   newOverlapIndex(),
 	}
 }
 
@@ -123,7 +122,7 @@ func (p *DiagnosisPass) ObserveExchange(ex *llc.Exchange) {
 }
 
 func (p *DiagnosisPass) process(ex *llc.Exchange) {
-	p.idx.prune(ex.CloseUS - overlapPruneHorizonUS)
+	p.idx.retire(ex.CloseUS)
 	if ex.Transmitter.IsZero() {
 		return
 	}

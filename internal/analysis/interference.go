@@ -81,7 +81,7 @@ type InterferenceReport struct {
 // attempts — decides, per unicast DATA attempt, (a) whether another
 // transmission overlapped it in time on the same channel and (b) whether
 // it was lost, aggregating the conditional-probability estimate per (s,r)
-// pair. State is O(pairs + window), independent of trace length.
+// pair. State is O(pairs + window), the window about 1 s (see retire).
 type InterferencePass struct {
 	named
 	minPackets int
@@ -97,7 +97,6 @@ type InterferencePass struct {
 func NewInterferencePass(minPackets int, isAP func(dot80211.MAC) bool) *InterferencePass {
 	return &InterferencePass{
 		named: "interference", minPackets: minPackets, isAP: isAP,
-		idx:   newOverlapIndex(),
 		pairs: make(map[[2]dot80211.MAC]*PairStats),
 	}
 }
@@ -123,7 +122,7 @@ func (p *InterferencePass) ObserveExchange(ex *llc.Exchange) {
 // process scores one exchange's attempts once the interval window is
 // complete around them.
 func (p *InterferencePass) process(ex *llc.Exchange) {
-	p.idx.prune(ex.CloseUS - overlapPruneHorizonUS)
+	p.idx.retire(ex.CloseUS)
 	if ex.Broadcast {
 		return
 	}

@@ -58,6 +58,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -362,27 +363,19 @@ func (d *exchangeDeferral) drain(process func(*llc.Exchange)) {
 // iv is a half-open transmission interval [start, end) in universal µs.
 type iv struct{ start, end int64 }
 
-// overlapMaxAgeUS is how far back an overlap query's scan can reach: the
-// legacy index scan breaks once intervals start more than 15 ms (the
-// longest frame ≈ 12 ms) before the probe, so intervals older than the
-// query window by that margin can never influence an answer.
+// overlapMaxAgeUS stops overlapping's left walk at the first interval that
+// ends by the probe's start and starts more than this before it (the
+// longest frame is about 12 ms).
 const overlapMaxAgeUS = 15_000
 
-// overlapPruneHorizonUS is the sliding window the streaming index retains
-// behind the exchange-close trail. Queries probe attempt intervals of the
-// closing exchange, which start at most the exchange's span plus its
-// timeout before CloseUS — far less than this horizon — so pruning below
-// it can never change an answer while keeping the index bounded.
-const overlapPruneHorizonUS = 10_000_000
-
 // overlapIndex answers §7.2's "did another transmission overlap [s, e) on
-// this channel" over a sliding window of recently observed jframe
-// intervals, replacing the legacy whole-trace sorted index. Intervals are
-// kept sorted by start (the stream is time-ordered, so an insert is an
-// append; one out of order, a late event, bubbles into place) and pruned
-// behind the exchange-close trail.
+// this channel" over a sliding window of recent jframe intervals per
+// channel, kept sorted by start (the stream is time-ordered, so an insert
+// is an append; a late event bubbles into place) and retired behind the
+// exchange-close trail.
 type overlapIndex struct {
-	byCh map[dot80211.Channel]*chanIvs
+	byCh    map[dot80211.Channel]*chanIvs
+	longest int64 // the longest interval ever added, in µs
 }
 
 type chanIvs struct {
@@ -390,17 +383,17 @@ type chanIvs struct {
 	lo  int // ivs[:lo] pruned
 }
 
-func newOverlapIndex() overlapIndex {
-	return overlapIndex{byCh: make(map[dot80211.Channel]*chanIvs)}
-}
-
 // add indexes one transmission interval.
-func (x overlapIndex) add(ch dot80211.Channel, start, end int64) {
+func (x *overlapIndex) add(ch dot80211.Channel, start, end int64) {
 	c := x.byCh[ch]
 	if c == nil {
 		c = &chanIvs{}
+		if x.byCh == nil {
+			x.byCh = make(map[dot80211.Channel]*chanIvs)
+		}
 		x.byCh[ch] = c
 	}
+	x.longest = max(x.longest, end-start)
 	c.ivs = append(c.ivs, iv{start, end})
 	for i := len(c.ivs) - 1; i > c.lo && c.ivs[i-1].start > c.ivs[i].start; i-- {
 		c.ivs[i-1], c.ivs[i] = c.ivs[i], c.ivs[i-1]
@@ -408,11 +401,10 @@ func (x overlapIndex) add(ch dot80211.Channel, start, end int64) {
 }
 
 // overlapping reports whether any *other* transmission overlaps [s, e) on
-// ch. The probe's own interval is in the index, so two overlappers are
-// required. Identical scan rule to the legacy index: walk left from the
-// first interval starting at or after e, stopping once a non-overlapping
-// interval starts more than overlapMaxAgeUS before s.
-func (x overlapIndex) overlapping(ch dot80211.Channel, s, e int64) bool {
+// ch: the probe's own interval is in the index, so two overlappers are
+// required. It walks left from the first interval starting at or after e
+// until overlapMaxAgeUS stops it.
+func (x *overlapIndex) overlapping(ch dot80211.Channel, s, e int64) bool {
 	c := x.byCh[ch]
 	if c == nil {
 		return false
@@ -435,16 +427,19 @@ func (x overlapIndex) overlapping(ch dot80211.Channel, s, e int64) bool {
 	return false
 }
 
-// prune drops intervals starting before cutoff, compacting occasionally.
-func (x overlapIndex) prune(cutoff int64) {
+// retire prunes what no later query can reach. Exchanges arrive in close
+// order, so later probes start at or after closeUS − 2·llc.ExchangeTimeoutUS
+// (llc's reach bound); an interval starting more than max(overlapMaxAgeUS,
+// longest) before a probe ends before it and stops overlapping's walk.
+// A channel's slice is compacted once half of it is dead.
+func (x *overlapIndex) retire(closeUS int64) {
+	cutoff := closeUS - 2*llc.ExchangeTimeoutUS - max(overlapMaxAgeUS, x.longest)
 	for _, c := range x.byCh {
 		for c.lo < len(c.ivs) && c.ivs[c.lo].start < cutoff {
 			c.lo++
 		}
-		if c.lo > 4096 && 2*c.lo >= len(c.ivs) {
-			n := copy(c.ivs, c.ivs[c.lo:])
-			c.ivs = c.ivs[:n]
-			c.lo = 0
+		if c.lo > 0 && 2*c.lo >= len(c.ivs) {
+			c.ivs, c.lo = slices.Delete(c.ivs, 0, c.lo), 0
 		}
 	}
 }

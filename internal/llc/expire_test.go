@@ -49,19 +49,19 @@ func (r *Reconstructor) walkExpire() {
 		if ss.rts != nil && !reserved(ss.rts, r.now) {
 			clearPending(&ss.rts)
 		}
-		if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > exchangeTimeoutUS {
+		if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > ExchangeTimeoutUS {
 			r.resolveOrphan(ss, 0)
 		}
-		if ss.cur != nil && r.now-ss.lastSeen > exchangeTimeoutUS {
-			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
+		if ss.cur != nil && r.now > ss.timeoutUS() {
+			r.closeExchange(ss, DeliveryUnknown, ss.timeoutUS())
 		}
 		if ss.cur == nil && ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil &&
-			r.now-ss.lastSeen > exchangeTimeoutUS {
+			r.now-ss.lastSeen > ExchangeTimeoutUS {
 			delete(r.senders, tx)
 			continue
 		}
 		if ss.cur != nil {
-			if s := ss.lastSeen + exchangeTimeoutUS; s < wm {
+			if s := ss.timeoutUS(); s < wm {
 				wm = s
 			}
 		}

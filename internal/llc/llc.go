@@ -15,6 +15,10 @@
 // sender's state re-keys it, so a sender none of whose deadlines has passed
 // is never looked at. A second heap keys each sender by the stamp it holds
 // the watermark down to.
+//
+// Every exchange closes within 2·ExchangeTimeoutUS of its start, however
+// long retries or orphan ACKs (its DATA missed) kept it alive
+// (senderState.timeoutUS); the analysis passes' overlap queries rely on it.
 package llc
 
 import (
@@ -102,8 +106,8 @@ type Exchange struct {
 	EndUS       int64
 	// CloseUS is the universal time at which the exchange's fate was
 	// decided: the closing frame's timestamp for direct closes, the orphan
-	// ACK's timestamp for inferred completions, and lastSeen plus the
-	// exchange timeout for abandonment. Unlike the moment of emission
+	// ACK's timestamp for inferred completions, and the sender's timeout
+	// (senderState.timeoutUS) for abandonment. Unlike the moment of emission
 	// (which depends on when the reconstructor's clock happened to
 	// advance), CloseUS is a pure function of the sender's frame
 	// subsequence, so a (CloseUS, ...) sort yields one canonical exchange
@@ -159,9 +163,9 @@ const (
 	ackSlackUS = 60
 	// ctsGapMaxUS bounds CTS-to-self → DATA separation (SIFS plus slack).
 	ctsGapMaxUS = dot80211.SIFS + 60
-	// exchangeTimeoutUS closes an exchange with no further activity:
+	// ExchangeTimeoutUS closes an exchange with no further activity:
 	// "almost all frame exchanges can complete within 500 ms".
-	exchangeTimeoutUS = 500_000
+	ExchangeTimeoutUS = 500_000
 )
 
 // Stats counts reconstruction outcomes (§5.1 reports 0.58% of attempts and
@@ -246,9 +250,9 @@ const never = math.MaxInt64
 
 // dueUS is the earliest instant at which a clause of expireSender can fire:
 // each clause fires once r.now is strictly past the time it compares
-// against. lastSeen plus the exchange timeout is when the timeout closes
-// cur, or, with no cur, when the sender is forgotten; forgetting needs
-// nothing else open, so without cur that instant counts only then.
+// against. timeoutUS is when the timeout closes cur; with no cur, lastSeen
+// plus the exchange timeout is when the sender is forgotten, which needs
+// nothing else open, so that instant counts only then.
 func (ss *senderState) dueUS() int64 {
 	k := int64(never)
 	if ss.open != nil {
@@ -261,12 +265,20 @@ func (ss *senderState) dueUS() int64 {
 		k = min(k, reservationEndUS(ss.rts))
 	}
 	if ss.orphanAck != nil && ss.cur == nil {
-		k = min(k, ss.orphanAck.UnivUS+exchangeTimeoutUS)
+		k = min(k, ss.orphanAck.UnivUS+ExchangeTimeoutUS)
 	}
-	if ss.cur != nil || ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil {
-		k = min(k, ss.lastSeen+exchangeTimeoutUS)
+	if ss.cur != nil {
+		k = min(k, ss.timeoutUS())
+	} else if ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil {
+		k = min(k, ss.lastSeen+ExchangeTimeoutUS)
 	}
 	return k
+}
+
+// timeoutUS is when the open exchange times out: a timeout after the
+// sender's last frame, and no later than two after the exchange began.
+func (ss *senderState) timeoutUS() int64 {
+	return min(ss.lastSeen+ExchangeTimeoutUS, ss.cur.StartUS+2*ExchangeTimeoutUS)
 }
 
 // holdUS is the sender's bound on the watermark: the timeout stamp of its
@@ -274,7 +286,7 @@ func (ss *senderState) dueUS() int64 {
 func (ss *senderState) holdUS() int64 {
 	k := int64(never)
 	if ss.cur != nil {
-		k = ss.lastSeen + exchangeTimeoutUS
+		k = ss.timeoutUS()
 	}
 	if ss.orphanAck != nil {
 		k = min(k, ss.orphanAck.UnivUS)
@@ -407,14 +419,14 @@ func (r *Reconstructor) expireSender(ss *senderState) {
 	// resolve to a fully inferred exchange (resolveOrphan runs before a
 	// new exchange opens); once it ages past the exchange timeout, emit
 	// that now instead of pinning the watermark until the next frame.
-	if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > exchangeTimeoutUS {
+	if ss.orphanAck != nil && ss.cur == nil && r.now-ss.orphanAck.UnivUS > ExchangeTimeoutUS {
 		r.resolveOrphan(ss, 0)
 	}
-	if ss.cur != nil && r.now-ss.lastSeen > exchangeTimeoutUS {
-		r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
+	if ss.cur != nil && r.now > ss.timeoutUS() {
+		r.closeExchange(ss, DeliveryUnknown, ss.timeoutUS())
 	}
 	if ss.cur == nil && ss.orphanAck == nil && ss.cts == nil && ss.rts == nil && ss.open == nil &&
-		r.now-ss.lastSeen > exchangeTimeoutUS {
+		r.now-ss.lastSeen > ExchangeTimeoutUS {
 		r.held.remove(ss) // expire has taken it out of due
 		delete(r.senders, ss.tx)
 		return
@@ -603,7 +615,7 @@ func (r *Reconstructor) resolveOrphan(ss *senderState, nextSeq uint16) {
 	// built below (both branches store the ack).
 	ack := ss.orphanAck
 	ss.orphanAck = nil
-	if ss.cur != nil && ack.UnivUS-ss.cur.StartUS < exchangeTimeoutUS &&
+	if ss.cur != nil && ack.UnivUS-ss.cur.StartUS < ExchangeTimeoutUS &&
 		ack.UnivUS >= ss.cur.StartUS {
 		inf := &Attempt{
 			Ack:         ack,
@@ -695,7 +707,7 @@ func (r *Reconstructor) Flush() []*Exchange {
 	for _, ss := range r.senders {
 		r.resolveOrphan(ss, 0)
 		if ss.cur != nil {
-			r.closeExchange(ss, DeliveryUnknown, ss.lastSeen+exchangeTimeoutUS)
+			r.closeExchange(ss, DeliveryUnknown, ss.timeoutUS())
 		}
 		clearPending(&ss.cts)
 		clearPending(&ss.rts)

@@ -424,3 +424,36 @@ func TestStaleRTSExpires(t *testing.T) {
 		t.Error("stale RTS attached to unrelated data")
 	}
 }
+
+// TestExchangeReach holds every exchange to the bound the package doc
+// states, on the two frame patterns that keep a sender's exchange alive past
+// it: orphan ACKs every 200 ms after one captured DATA (the monitors hear
+// the ACKs to a station but miss its DATA), and a same-sequence retry every
+// 400 ms. Each runs for 3 s; without the bound, one exchange would span it.
+func TestExchangeReach(t *testing.T) {
+	var sparse, retries []*unify.JFrame
+	sparse = append(sparse, dataJF(sta, ap, 10, 1000, false))
+	for us := int64(200_000); us <= 3_000_000; us += 200_000 {
+		sparse = append(sparse, jf(dot80211.NewAck(sta), us, dot80211.Rate2Mbps))
+	}
+	sparse = append(sparse, dataJF(sta, ap, 30, 3_100_000, false))
+	for us := int64(1000); us <= 3_000_000; us += 400_000 {
+		retries = append(retries, dataJF(sta, ap, 10, us, us > 1000))
+	}
+	for name, js := range map[string][]*unify.JFrame{"orphan ACKs": sparse, "retries": retries} {
+		exs, _ := runSeq(t, js...)
+		spans := 0
+		for _, ex := range exs {
+			if d := ex.Data(); d != nil && ex.Transmitter == sta {
+				spans++
+				if reach := ex.CloseUS - d.UnivUS; reach > 2*ExchangeTimeoutUS {
+					t.Errorf("%s: exchange seq %d closes %d µs after its data attempt at %d µs, bound %d µs",
+						name, ex.Seq, reach, d.UnivUS, 2*ExchangeTimeoutUS)
+				}
+			}
+		}
+		if spans == 0 {
+			t.Fatalf("%s: no exchange with a data attempt", name)
+		}
+	}
+}

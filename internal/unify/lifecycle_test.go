@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/timesync"
 	"repro/internal/tracefile"
@@ -123,5 +124,14 @@ func TestUnifyAllocsPerFrame(t *testing.T) {
 	t.Logf("%.2f allocs/frame over %d frames", perFrame, n)
 	if perFrame > allocCeilingPerFrame {
 		t.Fatalf("%.2f allocs per frame exceeds the pinned ceiling %.1f", perFrame, allocCeilingPerFrame)
+	}
+}
+
+// TestInstanceSize pins Instance's layout: every jframe carries a slice of
+// them, and a field placed before the int64s brings back 8 bytes of
+// padding.
+func TestInstanceSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instance{}); n != 24 {
+		t.Errorf("Instance is %d bytes, want 24", n)
 	}
 }

@@ -70,11 +70,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Instance is one radio's reception contributing to a jframe.
+// Instance is one radio's reception contributing to a jframe. Its fields
+// run widest first so that it packs into 24 bytes.
 type Instance struct {
-	Radio   int32
 	LocalUS int64
 	UnivUS  int64 // after offset+skew mapping
+	Radio   int32
 	RSSIdBm int8
 	FCSOK   bool
 	PhyErr  bool
